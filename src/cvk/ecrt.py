@@ -10,19 +10,26 @@ fixed-point accumulator with ``precision`` fractional bits recovers
 floor(a) up to +1, so the transfer lands on x or on x - D -- downstream
 consumers absorb that single-D ambiguity by design.
 
-The basis product D is never materialized: setup runs running-product
-loops over word residues, and the transfer itself touches nothing wider
-than a double word.
+The basis product D is never materialized: setup runs prefix and
+suffix products over word residues, and the transfer itself touches
+nothing wider than a double word.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+
+import numpy as np
 
 from .errors import SharedFactor
 from .modmath import check_modulus, inv_mod, is_prime_word
 
-# Caps under which the fixed-point accumulator provably fits 64 bits.
+# Caps on s and the precision a.  They do not keep the accumulator, which
+# reaches s * 2^(31 + a), within 64 bits: the transfer checks that itself.
 MAX_BASIS_LEN = 1 << 16
 MAX_PRECISION = 32
+
+# Rows per transfer pass: bounds the temporaries, so peak memory stays flat.
+TRANSFER_BLOCK_ROWS = 256
 
 
 def _ceil_log2(n: int) -> int:
@@ -152,8 +159,8 @@ def q_coefficients(basis: PrimeBasis) -> CrtCoefficients:
 def mod_ecrt_setup(
     public: PrimeBasis, secret: PrimeBasis, precision: int | None = None
 ) -> EcrtPrecomp:
-    """Running-product residues of the public product and its cofactors
-    along the secret basis; no multiprecision intermediate.
+    """Residues of the public product and its cofactors along the secret
+    basis, from prefix and suffix products in O(t*s) word operations.
 
     Raises:
         SharedFactor: if the bases overlap (the transfer needs every
@@ -168,16 +175,11 @@ def mod_ecrt_setup(
     product_rows = []
     cofactor_rows = []
     for r in secret.primes:
-        prod = 1
-        cof = [1] * s
-        for i, p in enumerate(public.primes):
-            u = p % r
-            prod = prod * u % r
-            for j in range(s):
-                if j != i:
-                    cof[j] = cof[j] * u % r
-        product_rows.append(prod)
-        cofactor_rows.append(tuple(cof))
+        units = [p % r for p in public.primes]
+        before = list(accumulate(units[:-1], lambda a, b: a * b % r, initial=1))
+        after = list(accumulate(units[:0:-1], lambda a, b: a * b % r, initial=1))[::-1]
+        product_rows.append(before[-1] * units[-1] % r)
+        cofactor_rows.append(tuple(a * b % r for a, b in zip(before, after)))
     return EcrtPrecomp(
         secret_basis=secret,
         product_res=tuple(product_rows),
@@ -191,10 +193,11 @@ def floor_accumulate(x_i: int, q_i: int, p_i: int, precision: int) -> int:
 
     The double-word product is split once, then a doubling loop of
     exactly ``precision`` iterations shifts the remainder up bit by bit,
-    counting overflows past p_i.
+    counting overflows past p_i.  Runs on Python ints and elementwise on
+    numpy arrays alike.
     """
-    hi, rem = divmod(x_i * q_i, p_i)
-    acc = hi
+    y = x_i * q_i
+    acc, rem = y // p_i, y % p_i
     for _ in range(precision):
         rem <<= 1
         over = rem >= p_i
@@ -217,40 +220,45 @@ def approx_floor(x_res: RnsResidues, q: CrtCoefficients, precision: int) -> int:
     return f >> precision
 
 
-def mod_ecrt(pre: EcrtPrecomp, q: CrtCoefficients, x_res: RnsResidues) -> RnsResidues:
-    """Transfer x (held as residues on the public basis) to the secret
-    basis; the result represents x or x - D, D the public product.
-
-    If x < (1 - s/2^precision) * D the result is exactly x's residues.
-    The per-secret-prime loop is independent across primes and may be
-    parallelized.
-    """
-    primes = x_res.basis.primes
-    s = len(primes)
+def mod_ecrt_rows(
+    pre: EcrtPrecomp, q: CrtCoefficients, basis: PrimeBasis, x: np.ndarray
+) -> np.ndarray:
+    """Transfer m values, one per row of the (m, s) array ``x`` of reduced
+    residues (checked where they enter), to the secret basis: row i of the
+    (m, t) result represents value i or value i - D.  Runs in int64 when
+    all primes are below 2^31 and s * 2^(31 + precision) < 2^63."""
+    s = len(basis)
     if s != pre.source_len:
         raise ValueError("residues do not match the precomputed public basis")
     if len(q) != s:
         raise ValueError("coefficient count does not match basis")
+    if x.ndim != 2 or x.shape[1] != s:
+        raise ValueError(f"residue table of shape {x.shape}, expected (m, {s})")
     a = pre.precision
+    secret = pre.secret_basis.primes
+    narrow = max(basis.primes + secret) < (1 << 31) and s << (31 + a) < (1 << 63)
+    dtype = np.int64 if narrow else object  # else Python ints
+    p = np.array(basis.primes, dtype=dtype)
+    qv = np.array(q.values, dtype=dtype)
+    # w[k, j] = q_j * (D / p_j) mod r_k, so each term x_j * w[k, j] is one
+    # double-word product, reduced mod r_k before it is summed.
+    w = qv * np.array(pre.cofactor_res, dtype=dtype) % np.array(secret, dtype=dtype)[:, None]
+    out = np.empty((x.shape[0], len(secret)), dtype=dtype)
+    for start in range(0, x.shape[0], TRANSFER_BLOCK_ROWS):
+        rows = slice(start, start + TRANSFER_BLOCK_ROWS)
+        block = x[rows].astype(dtype)
+        f = (s + floor_accumulate(block, qv, p, a).sum(axis=1)) >> a
+        for k, r in enumerate(secret):
+            z = (block * w[k] % r).sum(axis=1)
+            out[rows, k] = (z - f % r * pre.product_res[k]) % r
+    return out
 
-    scaled = [x * qi for x, qi in zip(x_res.values, q.values)]
-    f = s
-    for y, p in zip(scaled, primes):
-        hi, rem = divmod(y, p)
-        acc = hi
-        for _ in range(a):
-            rem <<= 1
-            over = rem >= p
-            rem -= p * over
-            acc = (acc << 1) | over
-        f += acc
-    f >>= a
 
-    out = []
-    for k, r in enumerate(pre.secret_basis.primes):
-        cof = pre.cofactor_res[k]
-        z = 0
-        for j in range(s):
-            z = (z + (scaled[j] % r) * cof[j]) % r
-        out.append((z - f * pre.product_res[k]) % r)
-    return RnsResidues(pre.secret_basis, tuple(out))
+def mod_ecrt(pre: EcrtPrecomp, q: CrtCoefficients, x_res: RnsResidues) -> RnsResidues:
+    """Transfer one value, held as residues on the public basis, to the
+    secret basis; the result represents x or x - D, D the public product.
+
+    If x < (1 - s/2^precision) * D the result is exactly x's residues.
+    """
+    out = mod_ecrt_rows(pre, q, x_res.basis, np.array([x_res.values], dtype=object))
+    return RnsResidues(pre.secret_basis, tuple(int(v) for v in out[0]))

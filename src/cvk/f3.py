@@ -6,6 +6,8 @@ five trits per byte in base 243) keeps extraction branch-free in the
 verification hot loop; weight is a popcount-style scan over the packed
 limbs, no tables.
 
+Validation happens once, on the packed bytes: byte masks reject any
+field equal to 3 and any nonzero row padding.
 Arithmetic unpacks to numpy uint8 lanes; matrices memoize the unpacked
 view, so repeated products against a fixed key pay the unpacking once.
 """
@@ -25,34 +27,50 @@ def row_stride(cols: int) -> int:
     return (cols + TRITS_PER_BYTE - 1) // TRITS_PER_BYTE
 
 
+def _pack(arr: np.ndarray) -> np.ndarray:
+    """(rows, cols) trits to (rows, stride) packed bytes, padding zeroed."""
+    if arr.size and arr.max() > 2:
+        raise ValueError("trits must lie in {0, 1, 2}")
+    out = np.zeros((arr.shape[0], row_stride(arr.shape[1])), dtype=np.uint8)
+    for k in range(TRITS_PER_BYTE):
+        lane = arr[:, k::TRITS_PER_BYTE]
+        out[:, : lane.shape[1]] |= lane << (2 * k)
+    return out
+
+
+def _check_packed(raw: np.ndarray, cols: int) -> None:
+    """Byte masks on (rows, stride) packed bytes: no field 3, zero padding."""
+    if np.any(raw & (raw >> 1) & 0x55):
+        raise ValueError("invalid 2-bit field (value 3) in packed trits")
+    if cols % TRITS_PER_BYTE and np.any(raw[:, -1] >> (2 * (cols % TRITS_PER_BYTE))):
+        raise ValueError("nonzero padding in packed trits")
+
+
+def _unpack(raw: np.ndarray, cols: int) -> np.ndarray:
+    """(rows, stride) packed bytes to (rows, cols) trits."""
+    out = np.empty((raw.shape[0], cols), dtype=np.uint8)
+    for k in range(TRITS_PER_BYTE):
+        lane = out[:, k::TRITS_PER_BYTE]
+        np.right_shift(raw[:, : lane.shape[1]], 2 * k, out=lane)
+        lane &= 3
+    return out
+
+
 def pack_trits(values) -> bytes:
     """Pack a trit sequence, 2-bit fields LSB-first, padding zeroed."""
     arr = np.asarray(values, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError("pack_trits takes a flat sequence")
-    if arr.size and arr.max() > 2:
-        raise ValueError("trits must lie in {0, 1, 2}")
-    padded = np.zeros(row_stride(arr.size) * TRITS_PER_BYTE, dtype=np.uint8)
-    padded[: arr.size] = arr
-    lanes = padded.reshape(-1, TRITS_PER_BYTE)
-    packed = lanes[:, 0] | (lanes[:, 1] << 2) | (lanes[:, 2] << 4) | (lanes[:, 3] << 6)
-    return packed.astype(np.uint8).tobytes()
+    return _pack(arr[None, :]).tobytes()
 
 
 def unpack_trits(data: bytes, count: int) -> np.ndarray:
     """Inverse of pack_trits; validates fields and zero padding."""
-    raw = np.frombuffer(data, dtype=np.uint8)
+    raw = np.frombuffer(data, dtype=np.uint8)[None, :]
     if raw.size != row_stride(count):
         raise ValueError(f"expected {row_stride(count)} bytes for {count} trits")
-    lanes = np.empty((raw.size, TRITS_PER_BYTE), dtype=np.uint8)
-    for k in range(TRITS_PER_BYTE):
-        lanes[:, k] = (raw >> (2 * k)) & 3
-    flat = lanes.reshape(-1)
-    if flat.size and flat.max() > 2:
-        raise ValueError("invalid 2-bit field (value 3) in packed trits")
-    if np.any(flat[count:]):
-        raise ValueError("nonzero padding in packed trits")
-    return flat[:count].copy()
+    _check_packed(raw, count)
+    return _unpack(raw, count)[0]
 
 
 def trit_weight_packed(data: bytes) -> int:
@@ -84,16 +102,14 @@ class TernaryMatrix:
         self.rows = rows
         self.cols = cols
         self.data = bytes(data)
-        for i in range(rows):
-            unpack_trits(self.data[i * stride : (i + 1) * stride], cols)
+        _check_packed(np.frombuffer(self.data, np.uint8).reshape(rows, stride), cols)
 
     @classmethod
     def from_array(cls, arr) -> "TernaryMatrix":
         arr = np.asarray(arr, dtype=np.uint8)
         if arr.ndim != 2:
             raise ValueError("from_array takes a 2-D array")
-        chunks = [pack_trits(row) for row in arr]
-        return cls(arr.shape[0], arr.shape[1], b"".join(chunks))
+        return cls(arr.shape[0], arr.shape[1], _pack(arr).tobytes())
 
     @classmethod
     def random(cls, rows: int, cols: int, rng: Random) -> "TernaryMatrix":
@@ -110,10 +126,8 @@ class TernaryMatrix:
 
     @cached_property
     def _array(self) -> np.ndarray:
-        stride = row_stride(self.cols)
-        out = np.empty((self.rows, self.cols), dtype=np.uint8)
-        for i in range(self.rows):
-            out[i] = unpack_trits(self.data[i * stride : (i + 1) * stride], self.cols)
+        raw = np.frombuffer(self.data, np.uint8).reshape(self.rows, row_stride(self.cols))
+        out = _unpack(raw, self.cols)
         out.setflags(write=False)
         return out
 
@@ -139,16 +153,6 @@ class TernaryMatrix:
 
     def __repr__(self):
         return f"TernaryMatrix({self.rows}x{self.cols})"
-
-
-def f3_matvec(v, m: TernaryMatrix) -> np.ndarray:
-    """Row vector times matrix over F3; exact, lane-safe in int64."""
-    vec = np.asarray(v, dtype=np.int64)
-    if vec.ndim != 1 or vec.size != m.rows:
-        raise DimensionMismatch(f"vector of length {vec.size} vs {m.rows} rows")
-    if vec.size and (vec.min() < 0 or vec.max() > 2):
-        raise ValueError("trits must lie in {0, 1, 2}")
-    return ((vec @ m.to_array().astype(np.int64)) % 3).astype(np.uint8)
 
 
 def f3_matmul(a: TernaryMatrix, b: TernaryMatrix) -> TernaryMatrix:

@@ -93,22 +93,26 @@ def unwrap(blob: bytes, scheme: int, kind: int) -> tuple[KeyFileHeader, bytes]:
     return KeyFileHeader(got_scheme, got_kind, tag, length), payload
 
 
-def _pack_words(values, fmt: str) -> bytes:
-    return b"".join(struct.pack(fmt, int(v)) for v in values)
+def _words(dtype: str, *parts) -> bytes:
+    """Little-endian words; a value the width cannot hold raises, not wraps."""
+    arr = np.concatenate([np.asarray(part, dtype=np.int64).ravel() for part in parts])
+    info = np.iinfo(dtype)
+    if arr.size and (arr.min() < info.min or arr.max() > info.max):
+        raise ValueError(f"value outside the {dtype} word range")
+    return arr.astype(dtype).tobytes()
 
 
-def _unpack_words(payload: bytes, fmt: str) -> list[int]:
-    size = struct.calcsize(fmt)
-    if len(payload) % size:
+def _read_words(payload: bytes, dtype: str) -> np.ndarray:
+    if len(payload) % np.dtype(dtype).itemsize:
         raise MalformedSignature("payload not a whole number of words")
-    return [struct.unpack_from(fmt, payload, i)[0] for i in range(0, len(payload), size)]
+    return np.frombuffer(payload, dtype=dtype).astype(np.int64)
 
 
 # ── Squirrels ────────────────────────────────────────────────────────────
 
 
 def encode_squirrels_pk(pk: sq.SquirrelsPublicKey, params: sq.SquirrelsParams) -> bytes:
-    payload = pk.residues.astype("<i4").tobytes()
+    payload = _words("<i4", pk.residues)
     assert len(payload) == sq.pk_bytes(params)
     return wrap(SCHEME_SQUIRRELS, KIND_PK, tag_code(SCHEME_SQUIRRELS, params.tag), payload)
 
@@ -118,18 +122,18 @@ def decode_squirrels_pk(blob: bytes, params: sq.SquirrelsParams) -> sq.Squirrels
     expected = sq.pk_bytes(params)
     if len(payload) != expected:
         raise MalformedSignature(f"PK payload {len(payload)} != {expected}")
-    arr = np.frombuffer(payload, dtype="<i4").astype(np.int64)
-    return sq.SquirrelsPublicKey(arr.reshape(params.n - 1, params.s))
+    pk = sq.SquirrelsPublicKey(_read_words(payload, "<i4").reshape(params.n - 1, params.s))
+    try:
+        sq.check_public_key(pk, params)
+    except ValueError as exc:
+        raise MalformedSignature(str(exc)) from None
+    return pk
 
 
 def encode_squirrels_ck(ck: sq.SquirrelsCompressionKey, params: sq.SquirrelsParams) -> bytes:
     t = len(ck.secret_basis)
-    parts = [_pack_words(ck.secret_basis.primes, "<i")]
-    parts.append(_pack_words(ck.precomp.product_res, "<i"))
-    for row in ck.precomp.cofactor_res:
-        parts.append(_pack_words(row, "<i"))
-    parts.append(_pack_words(ck.inv_delta, "<i"))
-    payload = b"".join(parts)
+    pre = ck.precomp
+    payload = _words("<i4", ck.secret_basis.primes, pre.product_res, pre.cofactor_res, ck.inv_delta)
     assert len(payload) == sq.ck_bytes(params, t)
     return wrap(SCHEME_SQUIRRELS, KIND_CK, tag_code(SCHEME_SQUIRRELS, params.tag), payload)
 
@@ -140,37 +144,30 @@ def decode_squirrels_ck(blob: bytes, params: sq.SquirrelsParams) -> sq.Squirrels
     # precision choice is interchangeable with (the one-product ambiguity
     # is absorbed downstream either way).
     _, payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_CK)
-    words = _unpack_words(payload, "<i")
+    words = _read_words(payload, "<i4")
     s = params.s
-    if len(words) % (s + 3):
+    if words.size % (s + 3):
         raise MalformedSignature("CK payload does not split into t rows")
-    t = len(words) // (s + 3)
-    primes = tuple(words[:t])
-    product_res = tuple(words[t : 2 * t])
-    cof = []
-    pos = 2 * t
-    for _ in range(t):
-        cof.append(tuple(words[pos : pos + s]))
-        pos += s
-    inv_delta = tuple(words[pos : pos + t])
-    basis = PrimeBasis(primes)
-    precomp = EcrtPrecomp(
-        secret_basis=basis,
-        product_res=product_res,
-        cofactor_res=tuple(cof),
-        precision=default_precision(s),
-    )
-    return sq.SquirrelsCompressionKey(basis, precomp, inv_delta)
+    t = words.size // (s + 3)
+    cof = words[2 * t : (s + 2) * t].reshape(t, s)
+    try:
+        basis = PrimeBasis(tuple(words[:t].tolist()))
+        precomp = EcrtPrecomp(
+            secret_basis=basis,
+            product_res=tuple(words[t : 2 * t].tolist()),
+            cofactor_res=tuple(map(tuple, cof.tolist())),
+            precision=default_precision(s),
+        )
+    except ValueError as exc:
+        raise MalformedSignature(f"CK: {exc}") from None
+    return sq.SquirrelsCompressionKey(basis, precomp, tuple(words[(s + 2) * t :].tolist()))
 
 
 def encode_squirrels_vk(vk: sq.SquirrelsVerificationKey, params: sq.SquirrelsParams) -> bytes:
     t = len(vk.secret_basis)
-    parts = [_pack_words(vk.secret_basis.primes, "<i")]
-    parts.append(_pack_words(vk.inv_delta, "<i"))
     # Transferred rows, coordinate-major; the final (implicit -1) row is
     # reconstructed on load and not stored.
-    parts.append(vk.rows[:, : params.n - 1].T.astype("<i4").tobytes())
-    payload = b"".join(parts)
+    payload = _words("<i4", vk.secret_basis.primes, vk.inv_delta, vk.rows[:, : params.n - 1].T)
     assert len(payload) == sq.vk_bytes(params, t)
     return wrap(SCHEME_SQUIRRELS, KIND_VK, tag_code(SCHEME_SQUIRRELS, params.tag), payload)
 
@@ -180,21 +177,22 @@ def decode_squirrels_vk(blob: bytes, params: sq.SquirrelsParams) -> sq.Squirrels
     n = params.n
     if len(payload) % (4 * (n + 1)):
         raise MalformedSignature("VK payload does not split into t columns")
-    t = len(payload) // (4 * (n + 1))
-    primes = tuple(_unpack_words(payload[: 4 * t], "<i"))
-    inv_delta = tuple(_unpack_words(payload[4 * t : 8 * t], "<i"))
-    body = np.frombuffer(payload[8 * t :], dtype="<i4").astype(np.int64)
+    words = _read_words(payload, "<i4")
+    t = words.size // (n + 1)
+    try:
+        basis = PrimeBasis(tuple(words[:t].tolist()))
+    except ValueError as exc:
+        raise MalformedSignature(f"VK: {exc}") from None
     rows = np.empty((t, n), dtype=np.int64)
-    rows[:, : n - 1] = body.reshape(n - 1, t).T
-    for j, r in enumerate(primes):
-        rows[j, n - 1] = r - 1
+    rows[:, : n - 1] = words[2 * t :].reshape(n - 1, t).T
+    rows[:, n - 1] = words[:t] - 1
     return sq.SquirrelsVerificationKey(
-        secret_basis=PrimeBasis(primes), inv_delta=inv_delta, rows=rows
+        secret_basis=basis, inv_delta=tuple(words[t : 2 * t].tolist()), rows=rows
     )
 
 
 def encode_squirrels_sig(sig: sq.SquirrelsSignature, params: sq.SquirrelsParams) -> bytes:
-    payload = sig.salt + _pack_words(sig.s_vec, "<h")
+    payload = sig.salt + _words("<i2", sig.s_vec)
     return wrap(SCHEME_SQUIRRELS, KIND_SIG, tag_code(SCHEME_SQUIRRELS, params.tag), payload)
 
 
@@ -204,7 +202,7 @@ def decode_squirrels_sig(blob: bytes, params: sq.SquirrelsParams) -> sq.Squirrel
     if len(payload) != expected:
         raise MalformedSignature(f"signature payload {len(payload)} != {expected}")
     salt = payload[: sq.SALT_BYTES]
-    coords = tuple(_unpack_words(payload[sq.SALT_BYTES :], "<h"))
+    coords = tuple(_read_words(payload[sq.SALT_BYTES :], "<i2").tolist())
     return sq.SquirrelsSignature(salt=salt, s_vec=coords)
 
 
@@ -228,10 +226,6 @@ def _encode_matrix(m: TernaryMatrix) -> bytes:
 
 
 def _decode_matrix(payload: bytes, rows: int, cols: int) -> TernaryMatrix:
-    if len(payload) != rows * row_stride(cols):
-        raise MalformedSignature(
-            f"matrix payload {len(payload)} != {rows * row_stride(cols)}"
-        )
     try:
         return TernaryMatrix(rows, cols, payload)
     except ValueError as exc:

@@ -26,8 +26,7 @@ import numpy as np
 from .ecrt import (
     EcrtPrecomp,
     PrimeBasis,
-    RnsResidues,
-    mod_ecrt,
+    mod_ecrt_rows,
     mod_ecrt_setup,
     q_coefficients,
 )
@@ -181,7 +180,7 @@ def verify(
     primes = np.asarray(params.public_basis.primes, dtype=np.int64)
     sums = c[:-1] @ pk.residues
     if counter is not None:
-        counter.add(muls=(params.n - 1) * params.s, reductions=params.s)
+        counter.add(*verify_cost(params))
     return bool(np.all((sums - c[-1]) % primes == 0))
 
 
@@ -221,6 +220,16 @@ def ckeygen(
     return SquirrelsCompressionKey(secret_basis, precomp, inv_delta)
 
 
+def check_public_key(pk: SquirrelsPublicKey, params: SquirrelsParams) -> None:
+    """Shape (n-1, s), residues reduced mod their primes: checked where keys enter."""
+    if params.public_basis is None:
+        raise ValueError("checking a public key needs a concrete public basis")
+    if pk.residues.shape != (params.n - 1, params.s):
+        raise ValueError(f"public key shape {pk.residues.shape} != {(params.n - 1, params.s)}")
+    if np.any((pk.residues < 0) | (pk.residues >= np.array(params.public_basis.primes))):
+        raise ValueError("public key residue not reduced mod its prime")
+
+
 def vkeygen(
     ck: SquirrelsCompressionKey,
     pk: SquirrelsPublicKey,
@@ -231,25 +240,13 @@ def vkeygen(
     The raw transfer returns the coordinate or the coordinate minus the
     public product; adding the product's residues once normalizes that
     to coordinate-plus-{0,1}-product, which is the shift the multiplier
-    window of ``k_prime_bounds`` accounts for.  The per-row loop is
-    independent across rows and may be parallelized.
+    window of ``k_prime_bounds`` accounts for.
     """
-    if params.public_basis is None:
-        raise ValueError("verification-key generation needs a concrete public basis")
-    n, t = params.n, len(ck.secret_basis)
-    if pk.residues.shape != (n - 1, params.s):
-        raise ValueError(f"public key shape {pk.residues.shape} != {(n - 1, params.s)}")
-    qc = q_coefficients(params.public_basis)
-    secret_primes = ck.secret_basis.primes
-    rows = np.empty((t, n), dtype=np.int64)
-    for i in range(n - 1):
-        res = mod_ecrt(
-            ck.precomp, qc, RnsResidues(params.public_basis, tuple(map(int, pk.residues[i])))
-        )
-        for j in range(t):
-            rows[j, i] = (res.values[j] + ck.precomp.product_res[j]) % secret_primes[j]
-    for j in range(t):
-        rows[j, n - 1] = secret_primes[j] - 1
+    check_public_key(pk, params)
+    basis = params.public_basis
+    moved = mod_ecrt_rows(ck.precomp, q_coefficients(basis), basis, pk.residues)
+    r = np.array(ck.secret_basis.primes, dtype=np.int64)
+    rows = np.vstack([(moved + np.array(ck.precomp.product_res)) % r, r - 1]).T
     return SquirrelsVerificationKey(
         secret_basis=ck.secret_basis, inv_delta=ck.inv_delta, rows=rows
     )
@@ -289,7 +286,7 @@ def cverify(
         multipliers.append(k_j)
         in_window &= k_j <= span
     if counter is not None:
-        counter.add(muls=(n + 1) * t, reductions=2 * t)
+        counter.add(*cverify_cost(params, t))
     agree = True
     for k_j in multipliers:
         agree &= k_j == multipliers[0]

@@ -81,11 +81,6 @@ class WaveSignature:
     n: int
 
     def __post_init__(self):
-        if len(self.s_packed) != row_stride(self.n):
-            raise MalformedSignature(
-                f"packed payload {len(self.s_packed)} bytes, expected "
-                f"{row_stride(self.n)} for {self.n} trits"
-            )
         try:
             unpack_trits(self.s_packed, self.n)
         except ValueError as exc:
@@ -177,7 +172,7 @@ def wave_verify(
     t %= 3
     syndrome = (t[:nk] + t[nk:] @ pk.to_array().astype(np.int64)) % 3
     if counter is not None:
-        counter.add(muls=params.k * nk, reductions=nk)
+        counter.add(*verify_cost(params))
     return not syndrome.any()
 
 
@@ -241,7 +236,7 @@ def wave_cverify(
     c = vk.c
     folded = (t[:c] + t[c:] @ vk.vk_bottom.to_array().astype(np.int64)) % 3
     if counter is not None:
-        counter.add(muls=(params.n - c) * c, reductions=c)
+        counter.add(*cverify_cost(params, c))
     return not folded.any()
 
 

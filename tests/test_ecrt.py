@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from cvk.ecrt import (
     approx_floor,
     floor_accumulate,
     mod_ecrt,
+    mod_ecrt_rows,
     mod_ecrt_setup,
     q_coefficients,
 )
@@ -267,3 +269,27 @@ def test_mod_ecrt_rejects_foreign_residues():
     other = PrimeBasis((3, 5))
     with pytest.raises(ValueError):
         mod_ecrt(pre, q_coefficients(other), RnsResidues.from_int(1, other))
+
+
+@pytest.mark.parametrize("secret_width", [16, 40])
+def test_mod_ecrt_rows_matches_single_rows_across_blocks(secret_width):
+    # 16-bit secret primes run in int64, 40-bit ones in Python ints; 600
+    # rows span three transfer blocks.
+    rng = Random(600 + secret_width)
+    basis = _random_basis(rng, 12, widths=(31,))
+    secret = _random_secret(rng, 3, set(basis.primes), widths=(secret_width,))
+    pre = mod_ecrt_setup(basis, secret)
+    qc = q_coefficients(basis)
+    values = [rng.randrange(math.prod(basis.primes)) for _ in range(600)]
+    table = np.array([[x % p for p in basis.primes] for x in values], dtype=np.int64)
+    got = mod_ecrt_rows(pre, qc, basis, table)
+    assert got.shape == (600, 3)
+    for x, row in zip(values, got.tolist()):
+        single = mod_ecrt(pre, qc, RnsResidues.from_int(x, basis)).values
+        assert tuple(row) == single
+
+
+def test_mod_ecrt_rows_rejects_wrong_width():
+    basis, pre, qc = _transfer_setup()
+    with pytest.raises(ValueError):
+        mod_ecrt_rows(pre, qc, basis, np.zeros((4, 2), dtype=np.int64))

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvk.errors import DimensionMismatch
 from cvk.f3 import (
     TernaryMatrix,
     f3_matmul,
-    f3_matvec,
     pack_trits,
     row_stride,
     trit_weight_packed,
@@ -17,17 +15,6 @@ from cvk.f3 import (
 )
 
 trit_rows = st.integers(min_value=1, max_value=16)
-
-
-def _schoolbook_matvec(v, m):
-    rows, cols = m.shape
-    out = [0] * cols
-    for j in range(cols):
-        acc = 0
-        for i in range(rows):
-            acc += int(v[i]) * int(m[i][j])
-        out[j] = acc % 3
-    return out
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=0, max_size=40))
@@ -56,38 +43,6 @@ def test_weight_matches_naive(trits):
 def test_matrix_validates_payload_length():
     with pytest.raises(ValueError):
         TernaryMatrix(2, 3, b"\x00")
-
-
-def test_matvec_zero_vector(rng):
-    m = TernaryMatrix.random(6, 4, rng)
-    assert list(f3_matvec([0] * 6, m)) == [0, 0, 0, 0]
-
-
-def test_matvec_identity(rng):
-    m = TernaryMatrix.identity(5)
-    v = [rng.randrange(3) for _ in range(5)]
-    assert list(f3_matvec(v, m)) == v
-
-
-@given(trit_rows, trit_rows, st.data())
-def test_matvec_schoolbook_oracle(rows, cols, data):
-    rng = Random(data.draw(st.integers(min_value=0, max_value=2**30)))
-    m = TernaryMatrix.random(rows, cols, rng)
-    v = [rng.randrange(3) for _ in range(rows)]
-    assert list(f3_matvec(v, m)) == _schoolbook_matvec(v, m.to_array())
-
-
-def test_matvec_oracle_at_toy_cap():
-    rng = Random(64)
-    m = TernaryMatrix.random(64, 64, rng)
-    v = [rng.randrange(3) for _ in range(64)]
-    assert list(f3_matvec(v, m)) == _schoolbook_matvec(v, m.to_array())
-
-
-def test_matvec_dimension_mismatch(rng):
-    m = TernaryMatrix.random(4, 4, rng)
-    with pytest.raises(DimensionMismatch):
-        f3_matvec([0] * 5, m)
 
 
 @given(trit_rows, trit_rows, trit_rows, st.data())

@@ -9,6 +9,7 @@ from cvk import squirrels as sq
 from cvk import wave as wv
 from cvk.ecrt import PrimeBasis, mod_ecrt_setup
 from cvk.errors import MalformedSignature
+from cvk.f3 import row_stride
 from cvk.modmath import inv_mod, sample_prime
 
 
@@ -213,6 +214,59 @@ def test_wave_pk_rejects_invalid_trits(wv_world):
     blob[serial.HEADER.size] = 0xFF  # four fields of 3
     with pytest.raises(MalformedSignature):
         serial.decode_wave_pk(bytes(blob), params)
+
+
+def _wave_vk_payload(params, c):
+    rng = Random(58)
+    vk = wv.wave_vkeygen(wv.wave_toy_keygen(params, rng), wv.wave_ckeygen(params, c, rng), params)
+    return bytearray(serial.encode_wave_vk(vk, params))
+
+
+def test_wave_vk_rejects_bad_field_in_last_row(toy_wave):
+    _, params = toy_wave
+    blob = _wave_vk_payload(params, 5)
+    blob[-row_stride(5)] |= 0x03  # first field of the last row set to 3
+    with pytest.raises(MalformedSignature):
+        serial.decode_wave_vk(bytes(blob), params, 5)
+
+
+def test_wave_vk_rejects_dirty_padding_in_middle_row(toy_wave):
+    _, params = toy_wave
+    blob = _wave_vk_payload(params, 5)
+    middle = (params.n - 5) // 2
+    # c = 5 fills one field of each row's second byte; the rest is padding.
+    blob[serial.HEADER.size + middle * row_stride(5) + 1] |= 0x04
+    with pytest.raises(MalformedSignature):
+        serial.decode_wave_vk(bytes(blob), params, 5)
+
+
+def test_squirrels_decoders_reject_corrupted_bytes(sq_world):
+    # Rewrite 1-4 payload bytes per run: every decoder either returns a
+    # key or raises MalformedSignature, and a decoded PK always feeds
+    # vkeygen (its residues were range-checked on load).
+    pk, params, _, ck, vk, _ = sq_world
+    cases = [
+        (serial.encode_squirrels_pk(pk, params), serial.decode_squirrels_pk),
+        (serial.encode_squirrels_ck(ck, params), serial.decode_squirrels_ck),
+        (serial.encode_squirrels_vk(vk, params), serial.decode_squirrels_vk),
+    ]
+    rng = Random(3000)
+    for blob, decode in cases:
+        rejected = 0
+        for _ in range(400):
+            bad = bytearray(blob)
+            for _ in range(rng.randint(1, 4)):
+                bad[serial.HEADER.size + rng.randrange(len(bad) - serial.HEADER.size)] = (
+                    rng.randrange(256)
+                )
+            try:
+                key = decode(bytes(bad), params)
+            except MalformedSignature:
+                rejected += 1
+                continue
+            if decode is serial.decode_squirrels_pk:
+                sq.vkeygen(ck, key, params)
+        assert rejected > 0
 
 
 # ── rabin-williams round trips ───────────────────────────────────────────

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 from random import Random
 
 import numpy as np
 import pytest
 
 from cvk import squirrels as sq
+from cvk.ecrt import PrimeBasis, q_coefficients
 from cvk.errors import MalformedSignature, ResampleLimit
+from cvk.modmath import sample_distinct_primes
 from cvk.opcount import OpCounter
 
 MESSAGE = b"the quick brown squirrel"
@@ -265,6 +268,45 @@ def test_vkeygen_last_row_is_minus_one(toy, toy_keys):
     _, vk = toy_keys
     for j, r in enumerate(vk.secret_basis.primes):
         assert vk.rows[j][params.n - 1] == r - 1
+
+
+def test_vkeygen_full_size_matches_bigint_crt():
+    # Squirrels I shape with a sampled 31-bit basis and uniform residues:
+    # 1033 rows cross several transfer blocks.  Each stored entry is the
+    # big-integer CRT value x shifted by 0 or 1 public product, and by
+    # exactly one product wherever the transfer is exact.
+    rng = Random(1034)
+    basis = PrimeBasis(sample_distinct_primes(31, 165, rng))
+    params = replace(sq.named_params("I"), public_basis=basis)
+    gen = np.random.default_rng(1034)
+    residues = gen.integers(0, np.array(basis.primes), size=(1033, 165), dtype=np.int64)
+    ck = sq.ckeygen(params, 5, rng)
+    vk = sq.vkeygen(ck, sq.SquirrelsPublicKey(residues), params)
+    delta = math.prod(basis.primes)
+    weights = [
+        qi * (delta // p) for qi, p in zip(q_coefficients(basis).values, basis.primes)
+    ]
+    a, s = ck.precomp.precision, len(basis)
+    secret = ck.secret_basis.primes
+    exact_rows = 0
+    for i, row in enumerate(residues.tolist()):
+        x = sum(v * w for v, w in zip(row, weights)) % delta
+        got = [int(vk.rows[j, i]) for j in range(len(secret))]
+        shifted = [(x + delta) % r for r in secret]
+        assert got in ([x % r for r in secret], shifted), f"row {i}"
+        if (x << a) < ((1 << a) - s) * delta:
+            assert got == shifted, f"row {i} inside the exact region"
+            exact_rows += 1
+    assert exact_rows > 750  # about 1 - s/2^a = 84% of uniform values
+
+
+def test_vkeygen_rejects_unreduced_residue(toy, toy_keys):
+    pk, params, _ = toy
+    ck, _ = toy_keys
+    bad = pk.residues.copy()
+    bad[-1, 0] = params.public_basis.primes[0]
+    with pytest.raises(ValueError):
+        sq.vkeygen(ck, sq.SquirrelsPublicKey(bad), params)
 
 
 def test_size_formulas_table_values():

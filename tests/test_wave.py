@@ -6,7 +6,7 @@ import pytest
 
 from cvk import wave as wv
 from cvk.errors import DimensionMismatch, MalformedSignature
-from cvk.f3 import TernaryMatrix, f3_matvec, row_stride
+from cvk.f3 import TernaryMatrix
 from cvk.opcount import OpCounter
 
 MESSAGE = b"ride the wave"
