@@ -6,16 +6,19 @@ as residues (x mod p_i).  Writing q_i for the inverse of the i-th
 cofactor D/p_i modulo p_i, x equals a*D - floor(a)*D with
 a = sum_i x_i q_i / p_i; evaluating both terms modulo each secret prime
 r_k needs only word arithmetic once floor(a) is pinned down.  A
-fixed-point accumulator with ``precision`` fractional bits recovers
-floor(a) up to +1, so the transfer lands on x or on x - D -- downstream
-consumers absorb that single-D ambiguity by design.
+fixed-point accumulator recovers floor(a) up to +1, so the transfer lands
+on x or on x - D -- downstream consumers absorb that single-D ambiguity
+by design.  Its precision is fixed by the basis length: ceil(log2 s) + 2
+fractional bits, one above the ceil(log2 s) + 1 that floor recovery
+needs (Bernstein, "Multidigit modular multiplication with the explicit
+Chinese remainder theorem", 1995).
 
 The basis product D is never materialized: setup runs prefix and
 suffix products over word residues, and the transfer itself touches
 nothing wider than a double word.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -23,10 +26,10 @@ import numpy as np
 from .errors import SharedFactor
 from .modmath import check_modulus, inv_mod, is_prime_word
 
-# Caps on s and the precision a.  They do not keep the accumulator, which
-# reaches s * 2^(31 + a), within 64 bits: the transfer checks that itself.
+# Cap on s, which fixes the precision a = ceil(log2 s) + 2.  It does not
+# keep the accumulator, which reaches s * 2^(31 + a), within 64 bits: the
+# transfer checks that itself.
 MAX_BASIS_LEN = 1 << 16
-MAX_PRECISION = 32
 
 # Rows per transfer pass: bounds the temporaries, so peak memory stays flat.
 TRANSFER_BLOCK_ROWS = 256
@@ -87,16 +90,6 @@ class RnsResidues:
 
 
 @dataclass(frozen=True)
-class CrtCoefficients:
-    """The per-prime cofactor inverses q_i, each in (0, p_i)."""
-
-    values: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class EcrtPrecomp:
     """Precomputed residues driving the basis transfer.
 
@@ -105,32 +98,17 @@ class EcrtPrecomp:
 
     Storage is keyed by secret prime first (k-major): the verification
     loop walks one secret prime at a time and wants its row contiguous.
+    Built by ``mod_ecrt_setup`` only.
     """
 
     secret_basis: PrimeBasis
     product_res: tuple[int, ...]
     cofactor_res: tuple[tuple[int, ...], ...]
-    precision: int
-    source_len: int = field(default=0)
 
-    def __post_init__(self):
-        t = len(self.secret_basis)
-        if len(self.product_res) != t or len(self.cofactor_res) != t:
-            raise ValueError("precomp rows do not match secret basis")
-        s = self.source_len or (len(self.cofactor_res[0]) if self.cofactor_res else 0)
-        object.__setattr__(self, "source_len", s)
-        for row in self.cofactor_res:
-            if len(row) != s:
-                raise ValueError("ragged cofactor rows")
-        if s < 1 or s > MAX_BASIS_LEN:
-            raise ValueError(f"source basis length {s} out of range")
-        if self.precision < _ceil_log2(s) + 1:
-            raise ValueError(
-                f"precision {self.precision} below floor-recovery minimum "
-                f"{_ceil_log2(s) + 1} for {s} primes"
-            )
-        if self.precision > MAX_PRECISION:
-            raise ValueError(f"precision {self.precision} exceeds {MAX_PRECISION}")
+    @property
+    def precision(self) -> int:
+        """Fractional bits of the floor-recovery accumulator, fixed by s."""
+        return default_precision(len(self.cofactor_res[0]))
 
 
 def default_precision(source_len: int) -> int:
@@ -139,7 +117,7 @@ def default_precision(source_len: int) -> int:
     return _ceil_log2(source_len) + 2
 
 
-def q_coefficients(basis: PrimeBasis) -> CrtCoefficients:
+def q_coefficients(basis: PrimeBasis) -> tuple[int, ...]:
     """Cofactor inverses by product-then-invert, all in word arithmetic.
 
     q_i = (prod_{j != i} p_j)^{-1} mod p_i.  Basis invariants (distinct
@@ -153,25 +131,24 @@ def q_coefficients(basis: PrimeBasis) -> CrtCoefficients:
             if j != i:
                 acc = acc * pj % p
         out.append(inv_mod(acc, p) if p > 2 else acc)
-    return CrtCoefficients(tuple(out))
+    return tuple(out)
 
 
-def mod_ecrt_setup(
-    public: PrimeBasis, secret: PrimeBasis, precision: int | None = None
-) -> EcrtPrecomp:
+def mod_ecrt_setup(public: PrimeBasis, secret: PrimeBasis) -> EcrtPrecomp:
     """Residues of the public product and its cofactors along the secret
     basis, from prefix and suffix products in O(t*s) word operations.
 
     Raises:
         SharedFactor: if the bases overlap (the transfer needs every
             secret prime coprime to the public product).
+        ValueError: if the public basis is longer than ``MAX_BASIS_LEN``.
     """
     overlap = set(public.primes) & set(secret.primes)
     if overlap:
         raise SharedFactor(f"bases share primes {sorted(overlap)}")
     s = len(public)
-    if precision is None:
-        precision = default_precision(s)
+    if s > MAX_BASIS_LEN:
+        raise ValueError(f"source basis length {s} out of range")
     product_rows = []
     cofactor_rows = []
     for r in secret.primes:
@@ -184,7 +161,6 @@ def mod_ecrt_setup(
         secret_basis=secret,
         product_res=tuple(product_rows),
         cofactor_res=tuple(cofactor_rows),
-        precision=precision,
     )
 
 
@@ -206,7 +182,7 @@ def floor_accumulate(x_i: int, q_i: int, p_i: int, precision: int) -> int:
     return acc
 
 
-def approx_floor(x_res: RnsResidues, q: CrtCoefficients, precision: int) -> int:
+def approx_floor(x_res: RnsResidues, q: tuple[int, ...], precision: int) -> int:
     """Fixed-point recovery of floor(sum_i x_i q_i / p_i), possibly +1.
 
     Exact whenever the fractional part of the sum is below
@@ -215,20 +191,20 @@ def approx_floor(x_res: RnsResidues, q: CrtCoefficients, precision: int) -> int:
     primes = x_res.basis.primes
     s = len(primes)
     f = s
-    for x, qi, p in zip(x_res.values, q.values, primes):
+    for x, qi, p in zip(x_res.values, q, primes):
         f += floor_accumulate(x, qi, p, precision)
     return f >> precision
 
 
 def mod_ecrt_rows(
-    pre: EcrtPrecomp, q: CrtCoefficients, basis: PrimeBasis, x: np.ndarray
+    pre: EcrtPrecomp, q: tuple[int, ...], basis: PrimeBasis, x: np.ndarray
 ) -> np.ndarray:
     """Transfer m values, one per row of the (m, s) array ``x`` of reduced
     residues (checked where they enter), to the secret basis: row i of the
     (m, t) result represents value i or value i - D.  Runs in int64 when
     all primes are below 2^31 and s * 2^(31 + precision) < 2^63."""
     s = len(basis)
-    if s != pre.source_len:
+    if s != len(pre.cofactor_res[0]):
         raise ValueError("residues do not match the precomputed public basis")
     if len(q) != s:
         raise ValueError("coefficient count does not match basis")
@@ -239,7 +215,7 @@ def mod_ecrt_rows(
     narrow = max(basis.primes + secret) < (1 << 31) and s << (31 + a) < (1 << 63)
     dtype = np.int64 if narrow else object  # else Python ints
     p = np.array(basis.primes, dtype=dtype)
-    qv = np.array(q.values, dtype=dtype)
+    qv = np.array(q, dtype=dtype)
     # w[k, j] = q_j * (D / p_j) mod r_k, so each term x_j * w[k, j] is one
     # double-word product, reduced mod r_k before it is summed.
     w = qv * np.array(pre.cofactor_res, dtype=dtype) % np.array(secret, dtype=dtype)[:, None]
@@ -254,11 +230,12 @@ def mod_ecrt_rows(
     return out
 
 
-def mod_ecrt(pre: EcrtPrecomp, q: CrtCoefficients, x_res: RnsResidues) -> RnsResidues:
+def mod_ecrt(pre: EcrtPrecomp, q: tuple[int, ...], x_res: RnsResidues) -> RnsResidues:
     """Transfer one value, held as residues on the public basis, to the
     secret basis; the result represents x or x - D, D the public product.
 
-    If x < (1 - s/2^precision) * D the result is exactly x's residues.
+    If x < (1 - s/2^a) * D, a = ``pre.precision``, the result is exactly
+    x's residues.
     """
     out = mod_ecrt_rows(pre, q, x_res.basis, np.array([x_res.values], dtype=object))
     return RnsResidues(pre.secret_basis, tuple(int(v) for v in out[0]))

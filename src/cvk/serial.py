@@ -22,8 +22,8 @@ import numpy as np
 
 from . import squirrels as sq
 from . import wave as wv
-from .ecrt import EcrtPrecomp, PrimeBasis, default_precision
-from .errors import MalformedSignature
+from .ecrt import PrimeBasis
+from .errors import MalformedSignature, SharedFactor
 from .f3 import TernaryMatrix, row_stride
 
 MAGIC = b"CVK1"
@@ -40,7 +40,6 @@ KIND_SIG = 3
 KIND_SK = 4  # toy signing key: artifact plumbing for the CLI pipeline
 
 _SQ_TAG_CODES = {"toy": 0, "I": 1, "II": 2, "III": 3, "IV": 4, "V": 5}
-_SQ_TAG_NAMES = {v: k for k, v in _SQ_TAG_CODES.items()}
 
 
 def tag_code(scheme: int, tag: str) -> int:
@@ -49,14 +48,6 @@ def tag_code(scheme: int, tag: str) -> int:
     if scheme == SCHEME_WAVE:
         return int(tag) if tag.isdigit() else 0
     return 0
-
-
-def tag_name(scheme: int, code: int) -> str:
-    if scheme == SCHEME_SQUIRRELS:
-        return _SQ_TAG_NAMES.get(code, "toy")
-    if scheme == SCHEME_WAVE:
-        return str(code) if code else "toy"
-    return "toy"
 
 
 @dataclass(frozen=True)
@@ -130,37 +121,38 @@ def decode_squirrels_pk(blob: bytes, params: sq.SquirrelsParams) -> sq.Squirrels
     return pk
 
 
-def encode_squirrels_ck(ck: sq.SquirrelsCompressionKey, params: sq.SquirrelsParams) -> bytes:
-    t = len(ck.secret_basis)
+def _squirrels_ck_payload(ck: sq.SquirrelsCompressionKey) -> bytes:
     pre = ck.precomp
-    payload = _words("<i4", ck.secret_basis.primes, pre.product_res, pre.cofactor_res, ck.inv_delta)
-    assert len(payload) == sq.ck_bytes(params, t)
+    return _words("<i4", ck.secret_basis.primes, pre.product_res, pre.cofactor_res, ck.inv_delta)
+
+
+def _rebuild_squirrels_ck(
+    words: np.ndarray, params: sq.SquirrelsParams, what: str
+) -> sq.SquirrelsCompressionKey:
+    """The compression key on the secret primes a CK or VK file stores."""
+    try:
+        return sq.compression_key(params, PrimeBasis(tuple(words.tolist())))
+    except (ValueError, SharedFactor) as exc:
+        raise MalformedSignature(f"{what}: {exc}") from None
+
+
+def encode_squirrels_ck(ck: sq.SquirrelsCompressionKey, params: sq.SquirrelsParams) -> bytes:
+    payload = _squirrels_ck_payload(ck)
+    assert len(payload) == sq.ck_bytes(params, len(ck.secret_basis))
     return wrap(SCHEME_SQUIRRELS, KIND_CK, tag_code(SCHEME_SQUIRRELS, params.tag), payload)
 
 
 def decode_squirrels_ck(blob: bytes, params: sq.SquirrelsParams) -> sq.SquirrelsCompressionKey:
-    # The fixed 4(s+3)t layout has no precision field; transfers rebuilt
-    # from a decoded key use the default precision for s, which any valid
-    # precision choice is interchangeable with (the one-product ambiguity
-    # is absorbed downstream either way).
+    """Every CK word besides the t secret primes follows from them, so
+    the key is rebuilt from the primes and must re-encode to the file."""
     _, payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_CK)
     words = _read_words(payload, "<i4")
-    s = params.s
-    if words.size % (s + 3):
+    if words.size % (params.s + 3):
         raise MalformedSignature("CK payload does not split into t rows")
-    t = words.size // (s + 3)
-    cof = words[2 * t : (s + 2) * t].reshape(t, s)
-    try:
-        basis = PrimeBasis(tuple(words[:t].tolist()))
-        precomp = EcrtPrecomp(
-            secret_basis=basis,
-            product_res=tuple(words[t : 2 * t].tolist()),
-            cofactor_res=tuple(map(tuple, cof.tolist())),
-            precision=default_precision(s),
-        )
-    except ValueError as exc:
-        raise MalformedSignature(f"CK: {exc}") from None
-    return sq.SquirrelsCompressionKey(basis, precomp, tuple(words[(s + 2) * t :].tolist()))
+    ck = _rebuild_squirrels_ck(words[: words.size // (params.s + 3)], params, "CK")
+    if _squirrels_ck_payload(ck) != payload:
+        raise MalformedSignature("CK words do not follow from its secret primes")
+    return ck
 
 
 def encode_squirrels_vk(vk: sq.SquirrelsVerificationKey, params: sq.SquirrelsParams) -> bytes:
@@ -173,21 +165,25 @@ def encode_squirrels_vk(vk: sq.SquirrelsVerificationKey, params: sq.SquirrelsPar
 
 
 def decode_squirrels_vk(blob: bytes, params: sq.SquirrelsParams) -> sq.SquirrelsVerificationKey:
+    """The inverse-determinant words must follow from the secret primes
+    and every transferred entry must be reduced mod its prime; a row
+    rewritten within range is not detectable from the payload alone."""
     _, payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_VK)
     n = params.n
     if len(payload) % (4 * (n + 1)):
         raise MalformedSignature("VK payload does not split into t columns")
     words = _read_words(payload, "<i4")
     t = words.size // (n + 1)
-    try:
-        basis = PrimeBasis(tuple(words[:t].tolist()))
-    except ValueError as exc:
-        raise MalformedSignature(f"VK: {exc}") from None
+    ck = _rebuild_squirrels_ck(words[:t], params, "VK")
+    if ck.inv_delta != tuple(words[t : 2 * t].tolist()):
+        raise MalformedSignature("VK inverse residues do not follow from its secret primes")
     rows = np.empty((t, n), dtype=np.int64)
     rows[:, : n - 1] = words[2 * t :].reshape(n - 1, t).T
     rows[:, n - 1] = words[:t] - 1
+    if np.any((rows < 0) | (rows >= words[:t, None])):
+        raise MalformedSignature("VK entry not reduced mod its secret prime")
     return sq.SquirrelsVerificationKey(
-        secret_basis=basis, inv_delta=tuple(words[t : 2 * t].tolist()), rows=rows
+        secret_basis=ck.secret_basis, inv_delta=ck.inv_delta, rows=rows
     )
 
 
@@ -213,16 +209,15 @@ def encode_squirrels_sk(secret: sq.ToySquirrelsSecret, params: sq.SquirrelsParam
 
 def decode_squirrels_sk(blob: bytes, params: sq.SquirrelsParams) -> sq.ToySquirrelsSecret:
     _, payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_SK)
-    arr = np.frombuffer(payload, dtype="<i8").astype(np.int64)
-    basis = arr.reshape(params.n, params.n)
-    return sq.ToySquirrelsSecret(basis=basis, inv=np.linalg.inv(basis.astype(float)))
+    try:
+        basis = np.frombuffer(payload, dtype="<i8").astype(np.int64).reshape(params.n, params.n)
+        inv = np.linalg.inv(basis.astype(float))
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise MalformedSignature(f"SK: {exc}") from None
+    return sq.ToySquirrelsSecret(basis=basis, inv=inv)
 
 
 # ── Wave ─────────────────────────────────────────────────────────────────
-
-
-def _encode_matrix(m: TernaryMatrix) -> bytes:
-    return m.data
 
 
 def _decode_matrix(payload: bytes, rows: int, cols: int) -> TernaryMatrix:
@@ -233,7 +228,7 @@ def _decode_matrix(payload: bytes, rows: int, cols: int) -> TernaryMatrix:
 
 
 def encode_wave_pk(pk: TernaryMatrix, params: wv.WaveParams) -> bytes:
-    payload = _encode_matrix(pk)
+    payload = pk.data
     assert len(payload) == wv.pk_bytes(params)
     return wrap(SCHEME_WAVE, KIND_PK, tag_code(SCHEME_WAVE, params.tag), payload)
 
@@ -244,7 +239,7 @@ def decode_wave_pk(blob: bytes, params: wv.WaveParams) -> TernaryMatrix:
 
 
 def encode_wave_ck(ck: TernaryMatrix, params: wv.WaveParams) -> bytes:
-    payload = _encode_matrix(ck)
+    payload = ck.data
     assert len(payload) == wv.ck_bytes(params, ck.cols)
     return wrap(SCHEME_WAVE, KIND_CK, tag_code(SCHEME_WAVE, params.tag), payload)
 
@@ -255,7 +250,7 @@ def decode_wave_ck(blob: bytes, params: wv.WaveParams, c: int) -> TernaryMatrix:
 
 
 def encode_wave_vk(vk: wv.WaveVerificationKey, params: wv.WaveParams) -> bytes:
-    payload = _encode_matrix(vk.vk_bottom)
+    payload = vk.vk_bottom.data
     assert len(payload) == wv.vk_bytes(params, vk.c)
     return wrap(SCHEME_WAVE, KIND_VK, tag_code(SCHEME_WAVE, params.tag), payload)
 

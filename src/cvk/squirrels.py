@@ -31,7 +31,7 @@ from .ecrt import (
     q_coefficients,
 )
 from .errors import MalformedSignature, ResampleLimit
-from .modmath import PRIME_COUNT_31BIT, inv_mod, is_prime_word, sample_prime
+from .modmath import PRIME_COUNT_31BIT, inv_mod, is_prime_word, sample_distinct_primes
 from .opcount import OpCounter
 
 logger = logging.getLogger(__name__)
@@ -206,13 +206,30 @@ def ckeygen(
             f"{secret_width}-bit secret primes cannot exceed the multiplier "
             f"window {k_max - k_min}"
         )
-    taken = set(params.public_basis.primes)
-    secret = []
-    for _ in range(t):
-        r = sample_prime(secret_width, rng, exclude=taken)
-        taken.add(r)
-        secret.append(r)
-    secret_basis = PrimeBasis(tuple(secret))
+    secret = sample_distinct_primes(secret_width, t, rng, exclude=params.public_basis.primes)
+    return compression_key(params, PrimeBasis(secret))
+
+
+def compression_key(
+    params: SquirrelsParams, secret_basis: PrimeBasis
+) -> SquirrelsCompressionKey:
+    """The compression key on the given secret primes.  Every word it
+    stores besides the primes follows from them and the public basis, so
+    keygen and the decoder both build it here.
+
+    Raises:
+        SharedFactor: if a secret prime is also a public prime.
+        ValueError: if a secret prime does not exceed the multiplier
+            window, which would let ``cverify`` accept random vectors.
+    """
+    if params.public_basis is None:
+        raise ValueError("a compression key needs a concrete public basis")
+    k_min, k_max = k_prime_bounds(params)
+    if min(secret_basis.primes) <= k_max - k_min:
+        raise ValueError(
+            f"secret prime {min(secret_basis.primes)} does not exceed the "
+            f"multiplier window {k_max - k_min}"
+        )
     precomp = mod_ecrt_setup(params.public_basis, secret_basis)
     inv_delta = tuple(
         inv_mod(d, r) for d, r in zip(precomp.product_res, secret_basis.primes)

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from cvk import ecrt
 from cvk.ecrt import (
-    CrtCoefficients,
-    EcrtPrecomp,
     PrimeBasis,
     RnsResidues,
     approx_floor,
@@ -62,37 +60,19 @@ def test_residues_validation():
     assert RnsResidues.from_int(14, basis).values == (2, 4)
 
 
-def test_precomp_precision_guard():
-    basis = PrimeBasis((11, 13))
-    with pytest.raises(ValueError):
-        EcrtPrecomp(
-            secret_basis=basis,
-            product_res=(1, 1),
-            cofactor_res=((1, 1, 1), (1, 1, 1)),
-            precision=1,  # needs >= ceil(log2 3) + 1 = 3
-        )
-    with pytest.raises(ValueError):
-        EcrtPrecomp(
-            secret_basis=basis,
-            product_res=(1, 1),
-            cofactor_res=((1,), (1,)),
-            precision=40,  # above the 64-bit accumulator cap
-        )
-
-
 # ── q_coefficients ───────────────────────────────────────────────────────
 
 
 def test_q_coefficients_single_prime():
-    assert q_coefficients(PrimeBasis((13,))).values == (1,)
+    assert q_coefficients(PrimeBasis((13,))) == (1,)
 
 
 def test_q_coefficients_3_5_7():
-    assert q_coefficients(PrimeBasis((3, 5, 7))).values == (2, 1, 1)
+    assert q_coefficients(PrimeBasis((3, 5, 7))) == (2, 1, 1)
 
 
 def test_q_coefficients_2_3():
-    assert q_coefficients(PrimeBasis((2, 3))).values == (1, 2)
+    assert q_coefficients(PrimeBasis((2, 3))) == (1, 2)
 
 
 @given(st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=6, unique=True))
@@ -100,7 +80,7 @@ def test_q_coefficients_oracle(primes):
     basis = PrimeBasis(tuple(primes))
     product = math.prod(primes)
     qc = q_coefficients(basis)
-    for q, p in zip(qc.values, primes):
+    for q, p in zip(qc, primes):
         assert 0 < q < p or (p == 2 and q == 1)
         assert q * (product // p) % p == 1
 
@@ -123,6 +103,18 @@ def test_setup_single_prime_is_trivial():
     pre = mod_ecrt_setup(PrimeBasis((7,)), PrimeBasis((11, 13)))
     assert pre.product_res == (7, 7)
     assert pre.cofactor_res == ((1,), (1,))
+
+
+def test_setup_precision_follows_basis_length():
+    secret = PrimeBasis((11, 13))
+    assert mod_ecrt_setup(PrimeBasis((7,)), secret).precision == 2
+    assert mod_ecrt_setup(PrimeBasis((3, 5, 7)), secret).precision == 4  # ceil(log2 3) + 2
+
+
+def test_setup_rejects_overlong_basis(monkeypatch):
+    monkeypatch.setattr(ecrt, "MAX_BASIS_LEN", 2)
+    with pytest.raises(ValueError):
+        mod_ecrt_setup(PrimeBasis((3, 5, 7)), PrimeBasis((11,)))
 
 
 def test_setup_shared_factor():
@@ -209,7 +201,7 @@ def test_approx_floor_within_one_of_true_floor(rng):
         res = RnsResidues.from_int(x, basis)
         alpha = sum(
             Fraction(xi * qi, p)
-            for xi, qi, p in zip(res.values, qc.values, basis.primes)
+            for xi, qi, p in zip(res.values, qc, basis.primes)
         )
         f = approx_floor(res, qc, a)
         assert f in (math.floor(alpha), math.floor(alpha) + 1)
@@ -223,7 +215,7 @@ def test_approx_floor_within_one_of_true_floor(rng):
 def _transfer_setup():
     basis = PrimeBasis((3, 5, 7))
     secret = PrimeBasis((11, 13))
-    pre = mod_ecrt_setup(basis, secret, precision=3)
+    pre = mod_ecrt_setup(basis, secret)
     return basis, pre, q_coefficients(basis)
 
 
@@ -235,7 +227,7 @@ def test_mod_ecrt_zero():
 
 def test_mod_ecrt_exact_branch():
     basis, pre, qc = _transfer_setup()
-    # 52 < (1 - 3/8) * 105, so the transfer is exact.
+    # 52 < (1 - 3/16) * 105, so the transfer is exact.
     out = mod_ecrt(pre, qc, RnsResidues.from_int(52, basis))
     assert out.values == (52 % 11, 52 % 13) == (8, 0)
 

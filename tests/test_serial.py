@@ -1,4 +1,5 @@
 import math
+import struct
 from random import Random
 
 import numpy as np
@@ -116,6 +117,16 @@ def test_squirrels_sk_roundtrip(sq_world):
     assert np.array_equal(again.basis, secret.basis)
 
 
+@pytest.mark.parametrize("size", [7, 8 * 143, 8 * 144])
+def test_squirrels_sk_rejects_bad_payload(sq_world, size):
+    # A ragged payload, one entry short of 12x12, and the all-zero
+    # (singular) 12x12 key.
+    _, params, *_ = sq_world
+    blob = serial.wrap(serial.SCHEME_SQUIRRELS, serial.KIND_SK, 0, bytes(size))
+    with pytest.raises(MalformedSignature):
+        serial.decode_squirrels_sk(blob, params)
+
+
 def test_squirrels_sig_rejects_wrong_length(sq_world):
     _, params, _, _, _, sig = sq_world
     blob = serial.encode_squirrels_sig(sig, params)
@@ -139,11 +150,7 @@ def test_full_scale_ck_vk_payload_sizes():
     while len(secret) < 5:
         secret.add(sample_prime(31, rng, exclude=secret | primes))
     secret_basis = PrimeBasis(tuple(sorted(secret)))
-    precomp = mod_ecrt_setup(basis, secret_basis)
-    inv_delta = tuple(
-        inv_mod(d, r) for d, r in zip(precomp.product_res, secret_basis.primes)
-    )
-    ck = sq.SquirrelsCompressionKey(secret_basis, precomp, inv_delta)
+    ck = sq.compression_key(params, secret_basis)
     ck_blob = serial.encode_squirrels_ck(ck, params)
     assert len(ck_blob) - serial.HEADER.size == 3360
 
@@ -151,7 +158,7 @@ def test_full_scale_ck_vk_payload_sizes():
     for j, r in enumerate(secret_basis.primes):
         rows[j] = np.array([Random(j).randrange(r) for _ in range(1034)])
         rows[j, -1] = r - 1
-    vk = sq.SquirrelsVerificationKey(secret_basis, inv_delta, rows)
+    vk = sq.SquirrelsVerificationKey(secret_basis, ck.inv_delta, rows)
     vk_blob = serial.encode_squirrels_vk(vk, params)
     assert len(vk_blob) - serial.HEADER.size == 20700
     assert serial.decode_squirrels_vk(vk_blob, params).secret_basis == secret_basis
@@ -240,6 +247,17 @@ def test_wave_vk_rejects_dirty_padding_in_middle_row(toy_wave):
         serial.decode_wave_vk(bytes(blob), params, 5)
 
 
+def _corrupted(blob, rng, runs):
+    """Copies of a key file with 1-4 payload bytes rewritten."""
+    for _ in range(runs):
+        bad = bytearray(blob)
+        for _ in range(rng.randint(1, 4)):
+            bad[serial.HEADER.size + rng.randrange(len(bad) - serial.HEADER.size)] = (
+                rng.randrange(256)
+            )
+        yield bytes(bad)
+
+
 def test_squirrels_decoders_reject_corrupted_bytes(sq_world):
     # Rewrite 1-4 payload bytes per run: every decoder either returns a
     # key or raises MalformedSignature, and a decoded PK always feeds
@@ -253,20 +271,101 @@ def test_squirrels_decoders_reject_corrupted_bytes(sq_world):
     rng = Random(3000)
     for blob, decode in cases:
         rejected = 0
-        for _ in range(400):
-            bad = bytearray(blob)
-            for _ in range(rng.randint(1, 4)):
-                bad[serial.HEADER.size + rng.randrange(len(bad) - serial.HEADER.size)] = (
-                    rng.randrange(256)
-                )
+        for bad in _corrupted(blob, rng, 400):
             try:
-                key = decode(bytes(bad), params)
+                key = decode(bad, params)
             except MalformedSignature:
                 rejected += 1
                 continue
             if decode is serial.decode_squirrels_pk:
                 sq.vkeygen(ck, key, params)
         assert rejected > 0
+
+
+def _word(blob, index):
+    return struct.unpack_from("<i", blob, serial.HEADER.size + 4 * index)[0]
+
+
+def _with_word(blob, index, value):
+    bad = bytearray(blob)
+    struct.pack_into("<i", bad, serial.HEADER.size + 4 * index, value)
+    return bytes(bad)
+
+
+@pytest.mark.parametrize("field", ["product", "cofactor", "inv_delta"])
+def test_squirrels_ck_rejects_word_not_following_from_primes(sq_world, field):
+    # Payload: t primes, t product residues, t*s cofactor residues, t
+    # inverse residues.  The primes stay intact and the new word stays
+    # reduced, so only the rebuild-and-compare catches it.
+    _, params, _, ck, _, _ = sq_world
+    t, s = len(ck.secret_basis), params.s
+    index = {"product": t, "cofactor": 2 * t, "inv_delta": (s + 2) * t}[field]
+    r = ck.secret_basis.primes[0]
+    blob = serial.encode_squirrels_ck(ck, params)
+    with pytest.raises(MalformedSignature):
+        serial.decode_squirrels_ck(_with_word(blob, index, (_word(blob, index) + 1) % r), params)
+
+
+def test_squirrels_ck_vk_reject_primes_inside_multiplier_window(sq_world):
+    # Consistent files on secret primes 3 and 5: the transfer is defined,
+    # but every multiplier mod 3 or 5 lands in the window, so cverify
+    # would accept random vectors.
+    pk, params, *_ = sq_world
+    small = PrimeBasis((3, 5))
+    precomp = mod_ecrt_setup(params.public_basis, small)
+    inv_delta = tuple(inv_mod(d, r) for d, r in zip(precomp.product_res, small.primes))
+    ck = sq.SquirrelsCompressionKey(small, precomp, inv_delta)
+    vk = sq.vkeygen(ck, pk, params)
+    with pytest.raises(MalformedSignature):
+        serial.decode_squirrels_ck(serial.encode_squirrels_ck(ck, params), params)
+    with pytest.raises(MalformedSignature):
+        serial.decode_squirrels_vk(serial.encode_squirrels_vk(vk, params), params)
+
+
+def test_squirrels_vk_rejects_altered_inv_delta(sq_world):
+    _, params, _, _, vk, _ = sq_world
+    t = len(vk.secret_basis)
+    r = vk.secret_basis.primes[1]
+    blob = serial.encode_squirrels_vk(vk, params)
+    bad = _with_word(blob, t + 1, (_word(blob, t + 1) + 1) % r)
+    with pytest.raises(MalformedSignature):
+        serial.decode_squirrels_vk(bad, params)
+
+
+def test_squirrels_vk_rejects_unreduced_row(sq_world):
+    # Rows are stored coordinate-major after the 2t header words: the
+    # entry for coordinate i and secret prime j is word 2t + i*t + j.
+    _, params, _, _, vk, _ = sq_world
+    t = len(vk.secret_basis)
+    blob = serial.encode_squirrels_vk(vk, params)
+    for j, r in enumerate(vk.secret_basis.primes):
+        for value in (r, -1):
+            with pytest.raises(MalformedSignature):
+                serial.decode_squirrels_vk(_with_word(blob, 2 * t + 5 * t + j, value), params)
+
+
+def test_squirrels_ck_decodes_only_unchanged_files(sq_world):
+    _, params, _, ck, _, _ = sq_world
+    blob = serial.encode_squirrels_ck(ck, params)
+    for bad in _corrupted(blob, Random(2996), 300):
+        try:
+            serial.decode_squirrels_ck(bad, params)
+        except MalformedSignature:
+            continue
+        assert bad == blob
+
+
+def test_squirrels_vk_decodes_only_in_range_row_rewrites(sq_world):
+    _, params, _, _, vk, _ = sq_world
+    blob = serial.encode_squirrels_vk(vk, params)
+    head = serial.HEADER.size + 8 * len(vk.secret_basis)
+    for bad in _corrupted(blob, Random(2997), 300):
+        try:
+            key = serial.decode_squirrels_vk(bad, params)
+        except MalformedSignature:
+            continue
+        assert bad[:head] == blob[:head]
+        assert np.all(key.rows < np.array(key.secret_basis.primes)[:, None])
 
 
 # ── rabin-williams round trips ───────────────────────────────────────────

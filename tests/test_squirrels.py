@@ -7,8 +7,8 @@ import pytest
 
 from cvk import squirrels as sq
 from cvk.ecrt import PrimeBasis, q_coefficients
-from cvk.errors import MalformedSignature, ResampleLimit
-from cvk.modmath import sample_distinct_primes
+from cvk.errors import MalformedSignature, ResampleLimit, SharedFactor
+from cvk.modmath import is_prime_word, sample_distinct_primes
 from cvk.opcount import OpCounter
 
 MESSAGE = b"the quick brown squirrel"
@@ -246,6 +246,30 @@ def test_ckeygen_invariants(toy, toy_keys):
         assert ck.inv_delta[j] * (delta % r) % r == 1
 
 
+def test_ckeygen_is_sampling_then_compression_key(toy):
+    # ckeygen draws the secret primes as sample_distinct_primes does, and
+    # every other word comes from compression_key alone.
+    pk, params, secret = toy
+    ck = sq.ckeygen(params, 3, Random(5), secret_width=16)
+    primes = sample_distinct_primes(16, 3, Random(5), exclude=params.public_basis.primes)
+    assert ck.secret_basis.primes == primes
+    assert sq.compression_key(params, ck.secret_basis) == ck
+
+
+def test_compression_key_rejects_public_prime(toy):
+    pk, params, secret = toy
+    with pytest.raises(SharedFactor):
+        sq.compression_key(params, PrimeBasis(params.public_basis.primes[:1]))
+
+
+def test_compression_key_rejects_prime_inside_window(toy):
+    pk, params, secret = toy
+    k_min, k_max = sq.k_prime_bounds(params)
+    below = max(p for p in range(2, k_max - k_min + 1) if is_prime_word(p))
+    with pytest.raises(ValueError):
+        sq.compression_key(params, PrimeBasis((below, 65537)))
+
+
 def test_vkeygen_rows_shifted_by_at_most_one_product(toy, toy_keys):
     pk, params, secret = toy
     ck, vk = toy_keys
@@ -284,7 +308,7 @@ def test_vkeygen_full_size_matches_bigint_crt():
     vk = sq.vkeygen(ck, sq.SquirrelsPublicKey(residues), params)
     delta = math.prod(basis.primes)
     weights = [
-        qi * (delta // p) for qi, p in zip(q_coefficients(basis).values, basis.primes)
+        qi * (delta // p) for qi, p in zip(q_coefficients(basis), basis.primes)
     ]
     a, s = ck.precomp.precision, len(basis)
     secret = ck.secret_basis.primes
