@@ -24,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import SharedFactor
-from .modmath import check_modulus, inv_mod, is_prime_word
+from .modmath import check_modulus, is_prime_word
 
 # Cap on s, which fixes the precision a = ceil(log2 s) + 2.  It does not
 # keep the accumulator, which reaches s * 2^(31 + a), within 64 bits: the
@@ -121,17 +121,20 @@ def q_coefficients(basis: PrimeBasis) -> tuple[int, ...]:
     """Cofactor inverses by product-then-invert, all in word arithmetic.
 
     q_i = (prod_{j != i} p_j)^{-1} mod p_i.  Basis invariants (distinct
-    primes) guarantee every inverse exists.
+    primes) guarantee every inverse exists.  One pass per prime p_j
+    multiplies it into every other cofactor at once, in int64 when all
+    primes are below 2^31 (Python ints otherwise).  The primes are
+    public, so the inverses need no constant-time ladder.
     """
     primes = basis.primes
-    out = []
-    for i, p in enumerate(primes):
-        acc = 1
-        for j, pj in enumerate(primes):
-            if j != i:
-                acc = acc * pj % p
-        out.append(inv_mod(acc, p) if p > 2 else acc)
-    return tuple(out)
+    dtype = np.int64 if max(primes) < (1 << 31) else object
+    p = np.array(primes, dtype=dtype)
+    acc = np.ones(len(primes), dtype=dtype)
+    for j, pj in enumerate(primes):
+        u = pj % p
+        u[j] = 1
+        acc = acc * u % p
+    return tuple(pow(int(a), -1, pi) for a, pi in zip(acc, primes))
 
 
 def mod_ecrt_setup(public: PrimeBasis, secret: PrimeBasis) -> EcrtPrecomp:

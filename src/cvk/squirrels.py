@@ -39,6 +39,10 @@ logger = logging.getLogger(__name__)
 SALT_BYTES = 16
 MAX_TOY_DIMENSION = 32
 COORD_BITS = 16  # serialized signature coordinates: signed 16-bit
+# Exactness bounds of the int64 fold in ``cverify``, enforced where
+# parameters and keys are built rather than on every call.
+MAX_DIMENSION = 1 << 15
+MAX_SECRET_PRIME = 1 << 31
 
 # Named instances: dimension, hash bound, max squared norm, public prime
 # count, determinant bit length, classical security target.
@@ -67,6 +71,8 @@ class SquirrelsParams:
     def __post_init__(self):
         if self.q < 1 or self.q & (self.q - 1):
             raise ValueError(f"hash bound q must be a power of two, got {self.q}")
+        if self.n >= MAX_DIMENSION:
+            raise ValueError(f"dimension {self.n} not below {MAX_DIMENSION}")
         if self.public_basis is not None and len(self.public_basis) != self.s:
             raise ValueError("public basis length disagrees with s")
 
@@ -157,10 +163,14 @@ def k_prime_bounds(params: SquirrelsParams) -> tuple[int, int]:
 def _check_signature_shape(sig: SquirrelsSignature, n: int) -> np.ndarray:
     if len(sig.s_vec) != n:
         raise MalformedSignature(f"signature has {len(sig.s_vec)} coords, expected {n}")
+    try:
+        s_vec = np.asarray(sig.s_vec, dtype=np.int64)
+    except OverflowError:
+        raise MalformedSignature("signature coordinate outside 16-bit range") from None
     bound = 1 << (COORD_BITS - 1)
-    if any(not -bound <= x < bound for x in sig.s_vec):
+    if s_vec.min() < -bound or s_vec.max() >= bound:
         raise MalformedSignature("signature coordinate outside 16-bit range")
-    return np.asarray(sig.s_vec, dtype=np.int64)
+    return s_vec
 
 
 def verify(
@@ -220,10 +230,15 @@ def compression_key(
     Raises:
         SharedFactor: if a secret prime is also a public prime.
         ValueError: if a secret prime does not exceed the multiplier
-            window, which would let ``cverify`` accept random vectors.
+            window, which would let ``cverify`` accept random vectors, or
+            is not below 2^31, which would break its int64 fold.
     """
     if params.public_basis is None:
         raise ValueError("a compression key needs a concrete public basis")
+    if max(secret_basis.primes) >= MAX_SECRET_PRIME:
+        raise ValueError(
+            f"secret prime {max(secret_basis.primes)} not below {MAX_SECRET_PRIME}"
+        )
     k_min, k_max = k_prime_bounds(params)
     if min(secret_basis.primes) <= k_max - k_min:
         raise ValueError(
@@ -278,36 +293,28 @@ def cverify(
 ) -> bool:
     """Compressed verification against the secret-basis key.
 
-    Per secret prime: fold the signature against the transferred check
-    row, multiply by the inverse determinant residue, shift by the
-    window minimum.  Accept iff every shifted multiplier sits inside the
-    window and they all agree.  The per-prime loop gathers flags and
-    combines them at the end (no early exit on secret data).
+    One fold of the signature against every transferred check row at
+    once, then per secret prime: multiply by the inverse determinant
+    residue and shift by the window minimum.  Accept iff every shifted
+    multiplier sits inside the window and they all agree; both flags are
+    computed over all primes and combined at the end (no early exit on
+    secret data).
+
+    The int64 fold is exact: |c_i| < 2^15 + 2^16 (shape gate and
+    ``hash_to_point``), rows < r_j < 2^31 (``compression_key``) and
+    n < 2^15 (``SquirrelsParams``) keep |sum| below 2^63, and the
+    reduced sum times inv_delta_j stays below 2^62.
     """
     s_vec = _check_signature_shape(sig, params.n)
     if int(s_vec @ s_vec) > params.beta_sq:
         return False
-    c = [int(x) for x in s_vec + hash_to_point(message, sig.salt, params.q, params.n)]
+    c = s_vec + hash_to_point(message, sig.salt, params.q, params.n)
     k_min, k_max = k_prime_bounds(params)
-    span = k_max - k_min
-    n = params.n
-    t = len(vk.secret_basis)
-    multipliers = []
-    in_window = True
-    for j, r in enumerate(vk.secret_basis.primes):
-        row = vk.rows[j]
-        acc = 0
-        for i in range(n):
-            acc += c[i] * int(row[i])
-        k_j = (acc % r * vk.inv_delta[j] - k_min) % r
-        multipliers.append(k_j)
-        in_window &= k_j <= span
+    r = np.array(vk.secret_basis.primes, dtype=np.int64)
+    k = (vk.rows @ c % r * np.array(vk.inv_delta, dtype=np.int64) - k_min) % r
     if counter is not None:
-        counter.add(*cverify_cost(params, t))
-    agree = True
-    for k_j in multipliers:
-        agree &= k_j == multipliers[0]
-    return bool(in_window & agree)
+        counter.add(*cverify_cost(params, len(r)))
+    return bool(np.all(k <= k_max - k_min) & np.all(k == k[0]))
 
 
 def choose_t(target_mu: float) -> tuple[int, float]:

@@ -30,6 +30,7 @@ logger = logging.getLogger(__name__)
 SALT_BYTES = 16
 MAX_TOY_LENGTH = 64
 LOG2_3 = math.log2(3)
+_LANE_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
 
 # Named instances: code length, dimension, signature weight.  Wave822's
 # triple is published; the k = n/2 rate carries over to the larger
@@ -120,29 +121,20 @@ class WaveVerificationKey:
 def hash_to_trits(message: bytes, salt: bytes, length: int) -> np.ndarray:
     """Deterministic hash of salt||message to F3^length.
 
-    XOF output is consumed two bits at a time with the value 3 rejected,
-    so each kept symbol is uniform over {0, 1, 2}.
+    XOF output is consumed two bits at a time, low bits of each byte
+    first, with the value 3 rejected, so each kept symbol is uniform over
+    {0, 1, 2}.  A prefix too short to fill ``length`` is re-read at twice
+    the size; the XOF extends it, so the kept symbols do not change.
     """
     xof = hashlib.shake_128(salt + message)
-    out = np.empty(length, dtype=np.uint8)
-    filled = 0
     nbytes = max(16, (length * 2) // 3)
-    offset = 0
-    buf = xof.digest(nbytes)
-    while filled < length:
-        if offset >= len(buf):
-            nbytes *= 2
-            buf = xof.digest(nbytes)
-        byte = buf[offset]
-        offset += 1
-        for shift in (0, 2, 4, 6):
-            v = (byte >> shift) & 3
-            if v < 3:
-                out[filled] = v
-                filled += 1
-                if filled == length:
-                    break
-    return out
+    while True:
+        buf = np.frombuffer(xof.digest(nbytes), dtype=np.uint8)
+        lanes = ((buf[:, None] >> _LANE_SHIFTS) & 3).ravel()
+        kept = lanes[lanes < 3]
+        if kept.size >= length:
+            return kept[:length]
+        nbytes *= 2
 
 
 def _signature_trits(sig: WaveSignature, params: WaveParams) -> np.ndarray:

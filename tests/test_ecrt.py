@@ -19,7 +19,7 @@ from cvk.ecrt import (
     q_coefficients,
 )
 from cvk.errors import SharedFactor
-from cvk.modmath import sample_prime
+from cvk.modmath import sample_distinct_primes, sample_prime
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -83,6 +83,15 @@ def test_q_coefficients_oracle(primes):
     for q, p in zip(qc, primes):
         assert 0 < q < p or (p == 2 and q == 1)
         assert q * (product // p) % p == 1
+
+
+@pytest.mark.parametrize("width,size", [(31, 165), (40, 12)])
+def test_q_coefficients_bigint_oracle(width, size):
+    # 31 bits is the int64 path at Squirrels I length; 40 bits is the
+    # Python-int path.
+    basis = PrimeBasis(sample_distinct_primes(width, size, Random(width)))
+    product = math.prod(basis.primes)
+    assert q_coefficients(basis) == tuple(pow(product // p, -1, p) for p in basis.primes)
 
 
 # ── mod_ecrt_setup ───────────────────────────────────────────────────────

@@ -217,6 +217,29 @@ def test_verify_malformed_signature(toy):
         )
 
 
+def test_shape_gate_16_bit_edges(toy, toy_keys):
+    # Both verifiers share the gate: -2^15 passes it (and then fails the
+    # norm gate), 2^15 and anything too wide for int64 are malformed.
+    pk, params, secret = toy
+    _, vk = toy_keys
+    rest = (0,) * (params.n - 1)
+    edge = sq.SquirrelsSignature(b"x" * 16, (-(1 << 15),) + rest)
+    assert not sq.verify(edge, MESSAGE, pk, params)
+    assert not sq.cverify(edge, MESSAGE, vk, params)
+    for x in (1 << 15, -(1 << 15) - 1, 1 << 63, 1 << 70, -(1 << 70)):
+        bad = sq.SquirrelsSignature(b"x" * 16, (x,) + rest)
+        with pytest.raises(MalformedSignature):
+            sq.verify(bad, MESSAGE, pk, params)
+        with pytest.raises(MalformedSignature):
+            sq.cverify(bad, MESSAGE, vk, params)
+
+
+def test_params_reject_dimension_beyond_fold_bound():
+    sq.SquirrelsParams(n=(1 << 15) - 1, q=4096, beta_sq=1, s=1, tag="edge")
+    with pytest.raises(ValueError):
+        sq.SquirrelsParams(n=1 << 15, q=4096, beta_sq=1, s=1, tag="edge")
+
+
 # ── compression and verification keys ────────────────────────────────────
 
 
@@ -268,6 +291,15 @@ def test_compression_key_rejects_prime_inside_window(toy):
     below = max(p for p in range(2, k_max - k_min + 1) if is_prime_word(p))
     with pytest.raises(ValueError):
         sq.compression_key(params, PrimeBasis((below, 65537)))
+
+
+def test_compression_key_rejects_prime_beyond_fold_bound(toy):
+    pk, params, secret = toy
+    wide = next(p for p in range(1 << 31, (1 << 31) + 100) if is_prime_word(p))
+    with pytest.raises(ValueError):
+        sq.compression_key(params, PrimeBasis((65537, wide)))
+    with pytest.raises(ValueError):
+        sq.ckeygen(params, 1, Random(0), secret_width=40)
 
 
 def test_vkeygen_rows_shifted_by_at_most_one_product(toy, toy_keys):
@@ -432,6 +464,151 @@ def test_cverify_multiple_widths_and_counts(toy):
         ck = sq.ckeygen(params, t, rng, secret_width=width)
         vk = sq.vkeygen(ck, pk, params)
         assert sq.cverify(sig, MESSAGE, vk, params)
+
+
+def _scalar_check_shape(sig, n):
+    if len(sig.s_vec) != n:
+        raise MalformedSignature(f"signature has {len(sig.s_vec)} coords, expected {n}")
+    bound = 1 << (sq.COORD_BITS - 1)
+    if any(not -bound <= x < bound for x in sig.s_vec):
+        raise MalformedSignature("signature coordinate outside 16-bit range")
+    return np.asarray(sig.s_vec, dtype=np.int64)
+
+
+def _scalar_cverify(sig, message, vk, params):
+    """Per-prime, per-coordinate reference for ``sq.cverify`` in Python
+    integers: no fixed-width arithmetic anywhere."""
+    s_vec = _scalar_check_shape(sig, params.n)
+    if int(s_vec @ s_vec) > params.beta_sq:
+        return False
+    c = [int(x) for x in s_vec + sq.hash_to_point(message, sig.salt, params.q, params.n)]
+    k_min, k_max = sq.k_prime_bounds(params)
+    span = k_max - k_min
+    n = params.n
+    multipliers = []
+    in_window = True
+    for j, r in enumerate(vk.secret_basis.primes):
+        row = vk.rows[j]
+        acc = 0
+        for i in range(n):
+            acc += c[i] * int(row[i])
+        k_j = (acc % r * vk.inv_delta[j] - k_min) % r
+        multipliers.append(k_j)
+        in_window &= k_j <= span
+    agree = True
+    for k_j in multipliers:
+        agree &= k_j == multipliers[0]
+    return bool(in_window & agree)
+
+
+def _differential_inputs(secret, params, rng):
+    """Honest signatures, 1-4 coordinate tampers, over-norm multiples,
+    and uniform vectors both inside the norm ball and over the 16-bit
+    range: (kind, message, signature) triples."""
+    n = params.n
+    bound = 1 << (sq.COORD_BITS - 1)
+    small = math.isqrt(params.beta_sq // n)
+    for i in range(12):
+        message = b"differential %d" % i
+        sig = sq.toy_sign(secret, message, params, rng)
+        yield "honest", message, sig
+        s_vec = list(sig.s_vec)
+        for j in rng.sample(range(n), rng.randint(1, 4)):
+            s_vec[j] += rng.choice((-1, 1)) * rng.randint(1, 3)
+        yield "tamper", message, sq.SquirrelsSignature(sig.salt, tuple(s_vec))
+        yield "over-norm", message, sq.SquirrelsSignature(
+            sig.salt, tuple(30 * x + 1 for x in sig.s_vec)
+        )
+        yield "uniform-ball", message, sq.SquirrelsSignature(
+            sig.salt, tuple(rng.randint(-small, small) for _ in range(n))
+        )
+        yield "uniform-16", message, sq.SquirrelsSignature(
+            sig.salt, tuple(rng.randrange(-bound, bound) for _ in range(n))
+        )
+
+
+@pytest.mark.parametrize("t", [1, 3, 5])
+@pytest.mark.parametrize("width", [16, 20, 31])
+def test_cverify_matches_scalar_oracle(toy, t, width):
+    pk, params, secret = toy
+    rng = Random(1000 * t + width)
+    vk = sq.vkeygen(sq.ckeygen(params, t, rng, secret_width=width), pk, params)
+    verdicts = {}
+    for kind, message, sig in _differential_inputs(secret, params, rng):
+        got = sq.cverify(sig, message, vk, params)
+        assert got == _scalar_cverify(sig, message, vk, params), kind
+        verdicts.setdefault(kind, set()).add(got)
+    assert verdicts["honest"] == {True}
+    assert verdicts["over-norm"] == verdicts["uniform-16"] == {False}
+    assert False in verdicts["tamper"]
+
+
+# Squirrels I dimension with a norm bound that admits every coordinate
+# at the 16-bit edge.
+FULL_SIZE = sq.SquirrelsParams(n=1034, q=4096, beta_sq=1034 << 30, s=165, tag="edge")
+
+
+def _full_size_fold(offsets):
+    """One 31-bit secret prime per offset, rows drawn near the top of
+    [0, r_j) and every coordinate at a 16-bit edge.  inv_delta is chosen
+    from the big-integer fold so that prime j recovers the shifted
+    multiplier offsets[j], given relative to the window's middle (signed
+    values reduce mod r_j).  Returns (vk, signature)."""
+    n, q = FULL_SIZE.n, FULL_SIZE.q
+    rng = Random(1034)
+    gen = np.random.default_rng(1034)
+    secret = PrimeBasis(sample_distinct_primes(31, len(offsets), rng))
+    r = np.array(secret.primes, dtype=np.int64)
+    rows = r[:, None] - 1 - gen.integers(0, 1 << 20, size=(len(offsets), n))
+    edge = 1 << (sq.COORD_BITS - 1)
+    sig = sq.SquirrelsSignature(
+        b"e" * 16, tuple(rng.choice((-edge, -edge, -edge, edge - 1)) for _ in range(n))
+    )
+    c = [s + int(h) for s, h in zip(sig.s_vec, sq.hash_to_point(MESSAGE, sig.salt, q, n))]
+    k_min, k_max = sq.k_prime_bounds(FULL_SIZE)
+    mid = (k_max - k_min) // 2
+    inv_delta = []
+    for j, p in enumerate(secret.primes):
+        folded = sum(ci * int(v) for ci, v in zip(c, rows[j]))
+        assert abs(folded) > 1 << 53  # past the integers float64 holds exactly
+        inv_delta.append((mid + offsets[j] + k_min) * pow(folded % p, -1, p) % p)
+    return sq.SquirrelsVerificationKey(secret, tuple(inv_delta), rows), sig
+
+
+def test_cverify_fold_exact_at_full_size():
+    # The exact verdict is accept: any wrap or rounding in the fold
+    # changes a residue and rejects.
+    vk, sig = _full_size_fold((0,) * 5)
+    assert _scalar_cverify(sig, MESSAGE, vk, FULL_SIZE)
+    assert sq.cverify(sig, MESSAGE, vk, FULL_SIZE)
+    assert not sq.cverify(sig, b"other message", vk, FULL_SIZE)
+
+
+@pytest.mark.parametrize(
+    "case,accept",
+    [
+        ("low-edge", True),
+        ("high-edge", True),
+        ("below-window", False),
+        ("above-window", False),
+        ("disagree", False),
+    ],
+)
+def test_cverify_window_and_agreement_flags(case, accept):
+    # Each flag rejects on its own: equal multipliers just outside the
+    # window, or in-window multipliers that differ in one prime.
+    k_min, k_max = sq.k_prime_bounds(FULL_SIZE)
+    mid, span = (k_max - k_min) // 2, k_max - k_min
+    offsets = {
+        "low-edge": (-mid,) * 5,
+        "high-edge": (span - mid,) * 5,
+        "below-window": (-mid - 1,) * 5,
+        "above-window": (span - mid + 1,) * 5,
+        "disagree": (0, 0, 0, 1, 0),
+    }[case]
+    vk, sig = _full_size_fold(offsets)
+    assert _scalar_cverify(sig, MESSAGE, vk, FULL_SIZE) is accept
+    assert sq.cverify(sig, MESSAGE, vk, FULL_SIZE) is accept
 
 
 # ── parameter selection ──────────────────────────────────────────────────

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from random import Random
 
@@ -65,6 +66,59 @@ def test_hash_to_trits_roughly_uniform():
     total = counts.sum()
     sigma = math.sqrt(total * (1 / 3) * (2 / 3))
     assert all(abs(c - total / 3) < 3 * sigma for c in counts)
+
+
+def _hash_to_trits_loop(message: bytes, salt: bytes, length: int) -> np.ndarray:
+    """Byte-at-a-time reference for ``hash_to_trits``."""
+    xof = hashlib.shake_128(salt + message)
+    out = np.empty(length, dtype=np.uint8)
+    filled = 0
+    nbytes = max(16, (length * 2) // 3)
+    offset = 0
+    buf = xof.digest(nbytes)
+    while filled < length:
+        if offset >= len(buf):
+            nbytes *= 2
+            buf = xof.digest(nbytes)
+        byte = buf[offset]
+        offset += 1
+        for shift in (0, 2, 4, 6):
+            v = (byte >> shift) & 3
+            if v < 3:
+                out[filled] = v
+                filled += 1
+                if filled == length:
+                    break
+    return out
+
+
+@pytest.mark.parametrize("length", [0, 1, 5, 24, 4288])
+def test_hash_to_trits_matches_byte_loop(length):
+    for i in range(100):
+        message, salt = b"oracle %d" % i, b"%016d" % length
+        got = wv.hash_to_trits(message, salt, length)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, _hash_to_trits_loop(message, salt, length))
+
+
+def test_hash_to_trits_rereads_a_short_prefix(monkeypatch):
+    # Prepending 40 bytes of rejected lanes to the XOF forces a re-read
+    # past the first prefix (twice at short lengths), and must leave the
+    # kept symbols as they were.
+    expected = {n: wv.hash_to_trits(MESSAGE, b"s" * 16, n) for n in (1, 24, 100)}
+    real = hashlib.shake_128
+
+    class Padded:
+        def __init__(self, data):
+            self.xof = real(data)
+
+        def digest(self, nbytes):
+            return (b"\xff" * 40 + self.xof.digest(nbytes))[:nbytes]
+
+    monkeypatch.setattr(hashlib, "shake_128", Padded)
+    for n, want in expected.items():
+        assert np.array_equal(wv.hash_to_trits(MESSAGE, b"s" * 16, n), want)
+        assert np.array_equal(_hash_to_trits_loop(MESSAGE, b"s" * 16, n), want)
 
 
 # ── named parameters ─────────────────────────────────────────────────────
