@@ -18,6 +18,7 @@ from itertools import combinations, product
 from random import Random
 
 from .errors import BudgetExceeded
+from .f3 import random_trits
 from .modmath import PRIME_COUNT_31BIT, is_prime_word
 
 LN2 = math.log(2)
@@ -247,7 +248,7 @@ def wave_segp_instance(nk: int, c: int) -> SegpInstance:
 
     def sample_query(rng: Random):
         while True:
-            v = tuple(rng.randrange(3) for _ in range(nk))
+            v = tuple(random_trits(nk, rng).tolist())
             if any(v):
                 return v
 

@@ -22,13 +22,25 @@ from random import Random
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedSignature, ResampleLimit
-from .f3 import TernaryMatrix, f3_matmul, row_stride, trit_weight_packed, unpack_trits
+from .f3 import (
+    MAX_INNER_DIMENSION,
+    TernaryMatrix,
+    f3_matmul,
+    pack_trits,
+    random_trits,
+    row_stride,
+    trit_weight_packed,
+    unpack_trits,
+)
 from .opcount import OpCounter
 
 logger = logging.getLogger(__name__)
 
 SALT_BYTES = 16
 MAX_TOY_LENGTH = 64
+# Products sum at most n terms of at most 4; n below 2^22 keeps them below
+# 2^24, so the float32 products of f3_matmul and wave_cverify are exact.
+MAX_LENGTH = MAX_INNER_DIMENSION
 LOG2_3 = math.log2(3)
 _LANE_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
 
@@ -56,6 +68,8 @@ class WaveParams:
     def __post_init__(self):
         if not 0 < self.k < self.n:
             raise ValueError("need 0 < k < n")
+        if self.n >= MAX_LENGTH:
+            raise ValueError(f"code length must be below 2^22, got {self.n}")
         if not 0 < self.w <= self.n:
             raise ValueError("need 0 < w <= n")
 
@@ -90,8 +104,6 @@ class WaveSignature:
     @classmethod
     def from_trits(cls, salt: bytes, trits) -> "WaveSignature":
         arr = np.asarray(trits, dtype=np.uint8)
-        from .f3 import pack_trits
-
         return cls(salt=salt, s_packed=pack_trits(arr), n=arr.size)
 
     def trits(self) -> np.ndarray:
@@ -170,16 +182,14 @@ def wave_verify(
 
 def wave_ckeygen(params: WaveParams, c: int, rng: Random) -> TernaryMatrix:
     """Secret projection in systematic form: identity on top, uniform
-    below, hence full rank c by construction."""
+    below, hence full rank c by construction.  The (n-k-c) x c lower
+    block is drawn row-major in one ``random_trits`` call, the same
+    draws as one ``rng.randrange(3)`` per entry."""
     nk = params.redundancy
     if not 0 < c <= nk:
         raise ValueError(f"compression dimension must be in (0, {nk}], got {c}")
-    block = np.zeros((nk, c), dtype=np.uint8)
-    block[:c] = np.eye(c, dtype=np.uint8)
-    for i in range(c, nk):
-        for j in range(c):
-            block[i, j] = rng.randrange(3)
-    return TernaryMatrix.from_array(block)
+    lower = random_trits((nk - c) * c, rng).reshape(nk - c, c)
+    return TernaryMatrix.from_array(np.vstack([np.eye(c, dtype=np.uint8), lower]))
 
 
 def wave_vkeygen(
@@ -214,7 +224,10 @@ def wave_cverify(
     counter: OpCounter | None = None,
 ) -> bool:
     """Weight gate, then the c-coordinate projected syndrome check,
-    reconstructing the implicit identity rows."""
+    reconstructing the implicit identity rows.
+
+    The fold is one float32 BLAS product of t[c:] with the cached uint8
+    VK view; it is exact because n < 2^22 (``MAX_LENGTH``)."""
     if vk.n != params.n:
         raise DimensionMismatch(f"key length {vk.n} != code length {params.n}")
     nk = params.redundancy
@@ -222,11 +235,11 @@ def wave_cverify(
     if sig.weight() != params.w:
         return False
     h = hash_to_trits(message, sig.salt, nk)
-    t = s.astype(np.int64)
+    t = s.astype(np.float32)
     t[:nk] -= h
     t %= 3
     c = vk.c
-    folded = (t[:c] + t[c:] @ vk.vk_bottom.to_array().astype(np.int64)) % 3
+    folded = (t[:c] + t[c:] @ vk.vk_bottom.to_array()) % 3
     if counter is not None:
         counter.add(*cverify_cost(params, c))
     return not folded.any()
@@ -266,9 +279,7 @@ def wave_toy_sign(
     for attempt in range(1, max_retries + 1):
         salt = rng.randbytes(SALT_BYTES)
         h = hash_to_trits(message, salt, nk).astype(np.int64)
-        tail = np.fromiter(
-            (rng.randrange(3) for _ in range(params.k)), dtype=np.int64, count=params.k
-        )
+        tail = random_trits(params.k, rng).astype(np.int64)
         head = (h - tail @ r_arr) % 3
         s = np.concatenate([head, tail]).astype(np.uint8)
         if int(np.count_nonzero(s)) == params.w:

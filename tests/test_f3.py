@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cvk import f3
 from cvk.f3 import (
+    MATMUL_BLOCK_ROWS,
+    MAX_INNER_DIMENSION,
     TernaryMatrix,
     f3_matmul,
     pack_trits,
+    random_trits,
     row_stride,
     trit_weight_packed,
     unpack_trits,
@@ -60,3 +64,57 @@ def test_roundtrip_through_packed_bytes(rng):
     again = TernaryMatrix(9, 7, m.data)
     assert again == m
     assert np.array_equal(again.to_array(), m.to_array())
+
+
+def _int64_matmul(left: TernaryMatrix, right: TernaryMatrix) -> np.ndarray:
+    """int64 reference for ``f3_matmul``."""
+    return (left.to_array().astype(np.int64) @ right.to_array().astype(np.int64)) % 3
+
+
+@pytest.mark.parametrize("fill", ["twos", "uniform"])
+def test_matmul_full_size_against_int64(fill):
+    # Wave 822's inner dimension, with a row count that crosses block
+    # boundaries and ends in a partial block; all-2 entries give every sum
+    # its maximum 4 * 4288.
+    rows, inner, cols = 600, 4288, 80
+    assert rows > MATMUL_BLOCK_ROWS and rows % MATMUL_BLOCK_ROWS
+    if fill == "twos":
+        left = TernaryMatrix.from_array(np.full((rows, inner), 2, dtype=np.uint8))
+        right = TernaryMatrix.from_array(np.full((inner, cols), 2, dtype=np.uint8))
+    else:
+        rng = Random(600)
+        left = TernaryMatrix.random(rows, inner, rng)
+        right = TernaryMatrix.random(inner, cols, rng)
+    got = f3_matmul(left, right).to_array()
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, _int64_matmul(left, right))
+
+
+def test_matmul_rejects_inner_dimension_at_float32_bound():
+    # Zero outer dimensions make the operands empty, so only the bound acts.
+    with pytest.raises(ValueError):
+        f3_matmul(
+            TernaryMatrix(0, MAX_INNER_DIMENSION, b""),
+            TernaryMatrix(MAX_INNER_DIMENSION, 0, b""),
+        )
+    inner = MAX_INNER_DIMENSION - 1
+    product = f3_matmul(TernaryMatrix(0, inner, b""), TernaryMatrix(inner, 0, b""))
+    assert product.shape == (0, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 10**5])
+def test_random_trits_matches_randrange_loop(seed, count):
+    bulk, loop = Random(seed), Random(seed)
+    got = random_trits(count, bulk)
+    assert got.dtype == np.uint8 and got.shape == (count,)
+    assert got.tolist() == [loop.randrange(3) for _ in range(count)]
+    assert bulk.getstate() == loop.getstate()
+
+
+def test_random_trits_across_draw_chunks(monkeypatch):
+    # Seven words per getrandbits call forces many chunks and shortfalls.
+    monkeypatch.setattr(f3, "SAMPLER_WORDS", 7)
+    bulk, loop = Random(5), Random(5)
+    assert random_trits(1000, bulk).tolist() == [loop.randrange(3) for _ in range(1000)]
+    assert bulk.getstate() == loop.getstate()

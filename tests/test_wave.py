@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from random import Random
@@ -7,7 +8,7 @@ import pytest
 
 from cvk import wave as wv
 from cvk.errors import DimensionMismatch, MalformedSignature
-from cvk.f3 import TernaryMatrix
+from cvk.f3 import TernaryMatrix, random_trits
 from cvk.opcount import OpCounter
 
 MESSAGE = b"ride the wave"
@@ -127,6 +128,12 @@ def test_hash_to_trits_rereads_a_short_prefix(monkeypatch):
 def test_named_wave822():
     p = wv.named_params("822")
     assert (p.n, p.k, p.w) == (8576, 4288, 7668)
+
+
+def test_params_reject_length_at_float32_bound():
+    with pytest.raises(ValueError):
+        wv.WaveParams(n=wv.MAX_LENGTH, k=wv.MAX_LENGTH // 2, w=1, tag="big")
+    wv.WaveParams(n=wv.MAX_LENGTH - 1, k=wv.MAX_LENGTH // 2, w=1, tag="big")
 
 
 @pytest.mark.parametrize(
@@ -251,6 +258,33 @@ def test_ckeygen_kernel_dimension(toy):
     assert kernel_dim == nk - 3
 
 
+def _ckeygen_loop(params: wv.WaveParams, c: int, rng: Random) -> TernaryMatrix:
+    """One ``randrange(3)`` per entry: reference for ``wave_ckeygen``."""
+    nk = params.redundancy
+    block = np.zeros((nk, c), dtype=np.uint8)
+    block[:c] = np.eye(c, dtype=np.uint8)
+    for i in range(c, nk):
+        for j in range(c):
+            block[i, j] = rng.randrange(3)
+    return TernaryMatrix.from_array(block)
+
+
+@pytest.mark.parametrize("c", [1, 4, 12])
+def test_ckeygen_matches_randrange_loop_toy(toy, c):
+    _, params = toy
+    for seed in range(5):
+        bulk, loop = Random(seed), Random(seed)
+        assert wv.wave_ckeygen(params, c, bulk).data == _ckeygen_loop(params, c, loop).data
+        assert bulk.getstate() == loop.getstate()
+
+
+def test_ckeygen_matches_randrange_loop_wave822():
+    params = wv.named_params("822")
+    bulk, loop = Random(822), Random(822)
+    assert wv.wave_ckeygen(params, 80, bulk).data == _ckeygen_loop(params, 80, loop).data
+    assert bulk.getstate() == loop.getstate()
+
+
 def test_ckeygen_distinct_draws(toy):
     pk, params = toy
     assert wv.wave_ckeygen(params, 4, Random(8)) != wv.wave_ckeygen(params, 4, Random(9))
@@ -327,6 +361,76 @@ def test_cverify_rejects_truncated_signature(toy, toy_keys):
     truncated = wv.WaveSignature.from_trits(sig.salt, sig.trits()[params.redundancy :])
     with pytest.raises(MalformedSignature):
         wv.wave_cverify(truncated, MESSAGE, vk, params)
+
+
+def _int64_cverify(sig, message, vk, params) -> bool:
+    """int64 reference for ``wave_cverify``'s float32 fold."""
+    nk = params.redundancy
+    s = sig.trits()
+    if sig.weight() != params.w:
+        return False
+    t = s.astype(np.int64)
+    t[:nk] -= wv.hash_to_trits(message, sig.salt, nk)
+    t %= 3
+    c = vk.c
+    folded = (t[:c] + t[c:] @ vk.vk_bottom.to_array().astype(np.int64)) % 3
+    return not folded.any()
+
+
+def test_cverify_matches_int64_oracle(toy, toy_keys):
+    pk, params = toy
+    _, vk = toy_keys
+    rng = Random(16)
+    verdicts = []
+    for i in range(60):
+        message = b"oracle %d" % i
+        sig = wv.wave_toy_sign(pk, message, params, rng)
+        trits = sig.trits().copy()
+        hot = int(np.flatnonzero(trits)[rng.randrange(params.w)])
+        flipped = trits.copy()
+        flipped[hot] = 3 - flipped[hot]  # tamper, weight kept
+        light = trits.copy()
+        light[hot] = 0  # weight w - 1: the gate rejects
+        for candidate in (trits, flipped, light):
+            forged = wv.WaveSignature.from_trits(sig.salt, candidate)
+            got = wv.wave_cverify(forged, message, vk, params)
+            assert got == _int64_cverify(forged, message, vk, params)
+            verdicts.append(got)
+    assert verdicts[0::3] == [True] * 60
+    assert not any(verdicts[2::3])
+
+
+@pytest.mark.parametrize("case", ["twos-signature", "twos-accept", "uniform-accept"])
+def test_cverify_full_size_against_int64(case):
+    # Wave 822.  "twos-signature" signs with every trit 2 against a VK of
+    # all 2s.  The accept cases fix t = s - (h | 0) and set t[:c] so the
+    # exact fold is 0; any rounding would reject.  In "twos-accept" every
+    # VK entry and every trit of t[c:] is 2, so each fold sum sits at its
+    # maximum 4 (n - c).
+    base, c = wv.named_params("822"), 80
+    nk = base.redundancy
+    rng = Random(822)
+    if case == "uniform-accept":
+        vk_arr = random_trits((base.n - c) * c, rng).reshape(base.n - c, c)
+    else:
+        vk_arr = np.full((base.n - c, c), 2, dtype=np.uint8)
+    vk = wv.WaveVerificationKey(vk_bottom=TernaryMatrix.from_array(vk_arr), c=c, n=base.n)
+    salt = b"e" * wv.SALT_BYTES
+    if case == "twos-signature":
+        s = np.full(base.n, 2, dtype=np.uint8)
+    else:
+        if case == "twos-accept":
+            t = np.full(base.n, 2, dtype=np.uint8)
+        else:
+            t = random_trits(base.n, rng)
+        t[:c] = -(t[c:].astype(np.int64) @ vk_arr.astype(np.int64)) % 3
+        s = t.copy()
+        s[:nk] = (t[:nk] + wv.hash_to_trits(MESSAGE, salt, nk)) % 3
+    sig = wv.WaveSignature.from_trits(salt, s)
+    params = dataclasses.replace(base, w=sig.weight())
+    expected = case != "twos-signature"
+    assert wv.wave_cverify(sig, MESSAGE, vk, params) is expected
+    assert _int64_cverify(sig, MESSAGE, vk, params) is expected
 
 
 def test_cverify_false_accept_rate_smoke(toy, toy_keys):
