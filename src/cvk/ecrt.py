@@ -19,7 +19,6 @@ nothing wider than a double word.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -137,9 +136,29 @@ def q_coefficients(basis: PrimeBasis) -> tuple[int, ...]:
     return tuple(pow(int(a), -1, pi) for a, pi in zip(acc, primes))
 
 
+def _prefix_products(units: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products along each row of ``units``, row k mod
+    r[k]: ceil(log2 s) passes, each multiplying every entry by the one
+    2^pass places before it (a Hillis-Steele scan)."""
+    out = units.copy()
+    step = 1
+    while step < out.shape[1]:
+        out[:, step:] = out[:, step:] * out[:, :-step] % r
+        step *= 2
+    return out
+
+
 def mod_ecrt_setup(public: PrimeBasis, secret: PrimeBasis) -> EcrtPrecomp:
     """Residues of the public product and its cofactors along the secret
-    basis, from prefix and suffix products in O(t*s) word operations.
+    basis.
+
+    The (t, s) table of public primes mod each secret prime gets one
+    prefix and one suffix product scan along its rows; the cofactor of
+    p_i is the product before i times the product after i, and the
+    public product is the last prefix.  The scans run in int64 when
+    every secret prime is below 2^31, so that both factors of each
+    product are below 2^31 and it stays below 2^62; in Python ints
+    otherwise.
 
     Raises:
         SharedFactor: if the bases overlap (the transfer needs every
@@ -152,18 +171,18 @@ def mod_ecrt_setup(public: PrimeBasis, secret: PrimeBasis) -> EcrtPrecomp:
     s = len(public)
     if s > MAX_BASIS_LEN:
         raise ValueError(f"source basis length {s} out of range")
-    product_rows = []
-    cofactor_rows = []
-    for r in secret.primes:
-        units = [p % r for p in public.primes]
-        before = list(accumulate(units[:-1], lambda a, b: a * b % r, initial=1))
-        after = list(accumulate(units[:0:-1], lambda a, b: a * b % r, initial=1))[::-1]
-        product_rows.append(before[-1] * units[-1] % r)
-        cofactor_rows.append(tuple(a * b % r for a, b in zip(before, after)))
+    dtype = np.int64 if max(secret.primes) < (1 << 31) else object
+    r = np.array(secret.primes, dtype=dtype)[:, None]
+    units = np.array(public.primes, dtype=dtype) % r
+    prefix = _prefix_products(units, r)
+    suffix = _prefix_products(units[:, ::-1], r)[:, ::-1]
+    ones = np.ones_like(r)
+    before = np.hstack([ones, prefix[:, :-1]])
+    after = np.hstack([suffix[:, 1:], ones])
     return EcrtPrecomp(
         secret_basis=secret,
-        product_res=tuple(product_rows),
-        cofactor_res=tuple(cofactor_rows),
+        product_res=tuple(prefix[:, -1].tolist()),
+        cofactor_res=tuple(map(tuple, (before * after % r).tolist())),
     )
 
 

@@ -197,9 +197,8 @@ def decode_squirrels_sig(blob: bytes, params: sq.SquirrelsParams) -> sq.Squirrel
     expected = sq.SALT_BYTES + 2 * params.n
     if len(payload) != expected:
         raise MalformedSignature(f"signature payload {len(payload)} != {expected}")
-    salt = payload[: sq.SALT_BYTES]
-    coords = tuple(_read_words(payload[sq.SALT_BYTES :], "<i2").tolist())
-    return sq.SquirrelsSignature(salt=salt, s_vec=coords)
+    coords = np.frombuffer(payload, dtype="<i2", offset=sq.SALT_BYTES)
+    return sq.SquirrelsSignature(salt=payload[: sq.SALT_BYTES], s_vec=coords)
 
 
 def encode_squirrels_sk(secret: sq.ToySquirrelsSecret, params: sq.SquirrelsParams) -> bytes:

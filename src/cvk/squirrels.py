@@ -102,10 +102,41 @@ class SquirrelsPublicKey:
         self.residues.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SquirrelsSignature:
+    """A salt and the short vector s, one signed 16-bit coordinate each.
+
+    ``s_vec`` is taken as any integer sequence or array and held as a
+    read-only int64 array.  The 16-bit range is checked here, once, so
+    the decoder and every signer hand the verifiers an array they use
+    as it is; a coordinate outside the range raises
+    ``MalformedSignature``.  The length is checked against the instance
+    by the verifiers.
+    """
+
     salt: bytes
-    s_vec: tuple[int, ...]
+    s_vec: np.ndarray
+
+    def __post_init__(self):
+        raw = np.asarray(self.s_vec)
+        if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
+            raise MalformedSignature("signature coordinates must be a flat vector of integers")
+        bound = 1 << (COORD_BITS - 1)
+        if raw.size and (raw.min() < -bound or raw.max() >= bound):
+            raise MalformedSignature("signature coordinate outside 16-bit range")
+        s_vec = raw.astype(np.int64)
+        s_vec.setflags(write=False)
+        object.__setattr__(self, "s_vec", s_vec)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SquirrelsSignature)
+            and self.salt == other.salt
+            and np.array_equal(self.s_vec, other.s_vec)
+        )
+
+    def __hash__(self):
+        return hash((self.salt, self.s_vec.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -161,16 +192,11 @@ def k_prime_bounds(params: SquirrelsParams) -> tuple[int, int]:
 
 
 def _check_signature_shape(sig: SquirrelsSignature, n: int) -> np.ndarray:
-    if len(sig.s_vec) != n:
-        raise MalformedSignature(f"signature has {len(sig.s_vec)} coords, expected {n}")
-    try:
-        s_vec = np.asarray(sig.s_vec, dtype=np.int64)
-    except OverflowError:
-        raise MalformedSignature("signature coordinate outside 16-bit range") from None
-    bound = 1 << (COORD_BITS - 1)
-    if s_vec.min() < -bound or s_vec.max() >= bound:
-        raise MalformedSignature("signature coordinate outside 16-bit range")
-    return s_vec
+    """The signature's coordinates, if there are n of them; their range
+    was checked when the signature was built."""
+    if sig.s_vec.size != n:
+        raise MalformedSignature(f"signature has {sig.s_vec.size} coords, expected {n}")
+    return sig.s_vec
 
 
 def verify(
@@ -300,8 +326,8 @@ def cverify(
     computed over all primes and combined at the end (no early exit on
     secret data).
 
-    The int64 fold is exact: |c_i| < 2^15 + 2^16 (shape gate and
-    ``hash_to_point``), rows < r_j < 2^31 (``compression_key``) and
+    The int64 fold is exact: |c_i| < 2^15 + 2^16 (``SquirrelsSignature``
+    and ``hash_to_point``), rows < r_j < 2^31 (``compression_key``) and
     n < 2^15 (``SquirrelsParams``) keep |sum| below 2^63, and the
     reduced sum times inv_delta_j stays below 2^62.
     """
@@ -506,5 +532,5 @@ def toy_sign(
         nearby = coeffs @ secret.basis
         s_vec = nearby - h
         if int(s_vec @ s_vec) <= params.beta_sq:
-            return SquirrelsSignature(salt=salt, s_vec=tuple(int(x) for x in s_vec))
+            return SquirrelsSignature(salt=salt, s_vec=s_vec)
     raise ResampleLimit(f"no short signature after {max_retries} salts")

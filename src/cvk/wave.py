@@ -16,7 +16,8 @@ exercise both verifiers end to end.
 import hashlib
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 
 import numpy as np
@@ -89,17 +90,26 @@ def named_params(tag: str) -> WaveParams:
 @dataclass(frozen=True)
 class WaveSignature:
     """Full-length (non-truncated) signature: compressed verification
-    needs every coordinate, so truncated encodings are rejected."""
+    needs every coordinate, so truncated encodings are rejected.
+
+    The packed trits are unpacked once, here, which also validates them
+    (``MalformedSignature`` on a field equal to 3, dirty padding or a
+    wrong byte count); the verifiers read the kept read-only array
+    through ``trits()``.  Equality compares salt, packed bytes and n.
+    """
 
     salt: bytes
     s_packed: bytes
     n: int
+    _trits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            unpack_trits(self.s_packed, self.n)
+            trits = unpack_trits(self.s_packed, self.n)
         except ValueError as exc:
             raise MalformedSignature(str(exc)) from None
+        trits.setflags(write=False)
+        object.__setattr__(self, "_trits", trits)
 
     @classmethod
     def from_trits(cls, salt: bytes, trits) -> "WaveSignature":
@@ -107,7 +117,9 @@ class WaveSignature:
         return cls(salt=salt, s_packed=pack_trits(arr), n=arr.size)
 
     def trits(self) -> np.ndarray:
-        return unpack_trits(self.s_packed, self.n)
+        """The n trits as a read-only uint8 array, the same object on
+        every call."""
+        return self._trits
 
     def weight(self) -> int:
         return trit_weight_packed(self.s_packed)
@@ -116,7 +128,14 @@ class WaveSignature:
 @dataclass(eq=False)
 class WaveVerificationKey:
     """Bottom n-c rows of the projected parity-check matrix; the top c
-    rows are an identity block and are never stored."""
+    rows are an identity block and are never stored.
+
+    ``vk_bottom`` is the packed block that is serialized.
+    ``fold_block`` is its float32 transpose, shape (c, n-c), the operand
+    of ``wave_cverify``'s fold, built on first use and kept with the key.
+    The transpose makes the fold read each output's row contiguously,
+    which at Wave 822 halves the product's time.
+    """
 
     vk_bottom: TernaryMatrix
     c: int
@@ -128,6 +147,12 @@ class WaveVerificationKey:
                 f"stored block is {self.vk_bottom.shape}, expected "
                 f"{(self.n - self.c, self.c)}"
             )
+
+    @cached_property
+    def fold_block(self) -> np.ndarray:
+        block = np.ascontiguousarray(self.vk_bottom.to_array().T, dtype=np.float32)
+        block.setflags(write=False)
+        return block
 
 
 def hash_to_trits(message: bytes, salt: bytes, length: int) -> np.ndarray:
@@ -155,6 +180,19 @@ def _signature_trits(sig: WaveSignature, params: WaveParams) -> np.ndarray:
     return sig.trits()
 
 
+def syndrome_target(s: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """t = s - (h | 0) mod 3 as a new uint8 trit vector.
+
+    The head is s + 3 - h, which lies in [1, 5]; one conditional
+    subtract of 3, by a 0/3 mask, reduces it with no division."""
+    t = s.copy()
+    head = t[: h.size]
+    head += 3
+    head -= h
+    head -= (head >= 3) * np.uint8(3)
+    return t
+
+
 def wave_verify(
     sig: WaveSignature,
     message: bytes,
@@ -170,10 +208,7 @@ def wave_verify(
     s = _signature_trits(sig, params)
     if sig.weight() != params.w:
         return False
-    h = hash_to_trits(message, sig.salt, nk)
-    t = s.astype(np.int64)
-    t[:nk] -= h
-    t %= 3
+    t = syndrome_target(s, hash_to_trits(message, sig.salt, nk))
     syndrome = (t[:nk] + t[nk:] @ pk.to_array().astype(np.int64)) % 3
     if counter is not None:
         counter.add(*verify_cost(params))
@@ -226,20 +261,17 @@ def wave_cverify(
     """Weight gate, then the c-coordinate projected syndrome check,
     reconstructing the implicit identity rows.
 
-    The fold is one float32 BLAS product of t[c:] with the cached uint8
-    VK view; it is exact because n < 2^22 (``MAX_LENGTH``)."""
+    The fold is one float32 BLAS product of the key's ``fold_block``
+    with t[c:]; it is exact because n < 2^22 (``MAX_LENGTH``)."""
     if vk.n != params.n:
         raise DimensionMismatch(f"key length {vk.n} != code length {params.n}")
     nk = params.redundancy
     s = _signature_trits(sig, params)
     if sig.weight() != params.w:
         return False
-    h = hash_to_trits(message, sig.salt, nk)
-    t = s.astype(np.float32)
-    t[:nk] -= h
-    t %= 3
+    t = syndrome_target(s, hash_to_trits(message, sig.salt, nk))
     c = vk.c
-    folded = (t[:c] + t[c:] @ vk.vk_bottom.to_array()) % 3
+    folded = (t[:c] + vk.fold_block @ t[c:].astype(np.float32)) % 3
     if counter is not None:
         counter.add(*cverify_cost(params, c))
     return not folded.any()

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
 
 import numpy as np
@@ -141,6 +142,42 @@ def test_setup_oracle_random_instances(rng):
             assert pre.product_res[k] == product % r
             for i, p in enumerate(basis.primes):
                 assert pre.cofactor_res[k][i] == (product // p) % r
+
+
+def _loop_setup(public, secret):
+    """Per-prime accumulate loops: the scalar reference for the scans in
+    ``mod_ecrt_setup``.  Returns (product_res, cofactor_res)."""
+    product_rows, cofactor_rows = [], []
+    for r in secret.primes:
+        units = [p % r for p in public.primes]
+        before = list(accumulate(units[:-1], lambda a, b: a * b % r, initial=1))
+        after = list(accumulate(units[:0:-1], lambda a, b: a * b % r, initial=1))[::-1]
+        product_rows.append(before[-1] * units[-1] % r)
+        cofactor_rows.append(tuple(a * b % r for a, b in zip(before, after)))
+    return tuple(product_rows), tuple(cofactor_rows)
+
+
+@pytest.mark.parametrize(
+    "public_width,secret_width,s,t",
+    [
+        (31, 31, 1, 3),
+        (31, 31, 2, 1),
+        (31, 31, 165, 5),  # Squirrels I
+        (31, 31, 339, 11),  # Squirrels V
+        (16, 30, 257, 2),  # one past a power of two
+        (40, 31, 33, 4),  # public primes above 2^31, int64 scans
+        (31, 40, 33, 4),  # secret primes above 2^31, Python-int scans
+        (62, 62, 9, 2),
+    ],
+)
+def test_setup_matches_loop_oracle(public_width, secret_width, s, t):
+    rng = Random(public_width * 1000 + s)
+    public = PrimeBasis(sample_distinct_primes(public_width, s, rng))
+    secret = PrimeBasis(sample_distinct_primes(secret_width, t, rng, exclude=public.primes))
+    pre = mod_ecrt_setup(public, secret)
+    assert (pre.product_res, pre.cofactor_res) == _loop_setup(public, secret)
+    assert all(type(v) is int for row in pre.cofactor_res for v in row)
+    assert all(type(v) is int for v in pre.product_res)
 
 
 def test_setup_oracle_165_prime_basis():

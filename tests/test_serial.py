@@ -4,6 +4,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cvk import rw, serial
 from cvk import squirrels as sq
@@ -108,6 +110,25 @@ def test_squirrels_sig_roundtrip(sq_world):
     again = serial.decode_squirrels_sig(blob, params)
     assert again == sig
     assert serial.encode_squirrels_sig(again, params) == blob
+
+
+SQ_I = sq.named_params("I")
+
+
+@given(st.binary(min_size=2 * SQ_I.n, max_size=2 * SQ_I.n))
+@example(b"\x00\x80" * SQ_I.n)  # -2^15 everywhere
+@example(b"\xff\x7f" * SQ_I.n)  # 2^15 - 1 everywhere
+def test_squirrels_sig_decode_any_words_in_range(words):
+    # Every 16-bit word decodes, as one read-only int64 coordinate in
+    # [-2^15, 2^15), and re-encodes to the same bytes.
+    blob = serial.wrap(serial.SCHEME_SQUIRRELS, serial.KIND_SIG, 1, b"s" * sq.SALT_BYTES + words)
+    sig = serial.decode_squirrels_sig(blob, SQ_I)
+    assert sig.s_vec.dtype == np.int64 and sig.s_vec.shape == (SQ_I.n,)
+    assert not sig.s_vec.flags.writeable
+    bound = 1 << (sq.COORD_BITS - 1)
+    assert -bound <= sig.s_vec.min() and sig.s_vec.max() < bound
+    assert sig.s_vec.tolist() == list(struct.unpack(f"<{SQ_I.n}h", words))
+    assert serial.encode_squirrels_sig(sig, SQ_I) == blob
 
 
 def test_squirrels_sk_roundtrip(sq_world):

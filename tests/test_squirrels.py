@@ -218,8 +218,9 @@ def test_verify_malformed_signature(toy):
 
 
 def test_shape_gate_16_bit_edges(toy, toy_keys):
-    # Both verifiers share the gate: -2^15 passes it (and then fails the
-    # norm gate), 2^15 and anything too wide for int64 are malformed.
+    # The 16-bit range is checked where a signature is built: -2^15 is
+    # built and passes both verifiers' shape gate (and then fails the
+    # norm gate), 2^15 and anything too wide for int64 cannot be built.
     pk, params, secret = toy
     _, vk = toy_keys
     rest = (0,) * (params.n - 1)
@@ -227,11 +228,46 @@ def test_shape_gate_16_bit_edges(toy, toy_keys):
     assert not sq.verify(edge, MESSAGE, pk, params)
     assert not sq.cverify(edge, MESSAGE, vk, params)
     for x in (1 << 15, -(1 << 15) - 1, 1 << 63, 1 << 70, -(1 << 70)):
-        bad = sq.SquirrelsSignature(b"x" * 16, (x,) + rest)
         with pytest.raises(MalformedSignature):
-            sq.verify(bad, MESSAGE, pk, params)
+            sq.SquirrelsSignature(b"x" * 16, (x,) + rest)
+
+
+@pytest.mark.parametrize("x", [-(1 << 15), (1 << 15) - 1])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_signature_keeps_16_bit_edges(x, as_array):
+    coords = [x, 0, -1]
+    sig = sq.SquirrelsSignature(b"x" * 16, np.array(coords) if as_array else coords)
+    assert sig.s_vec.dtype == np.int64
+    assert sig.s_vec.tolist() == coords
+
+
+@pytest.mark.parametrize("x", [1 << 15, -(1 << 15) - 1, 1 << 63, 1 << 70, -(1 << 70)])
+def test_signature_rejects_coordinate_outside_16_bits(x):
+    with pytest.raises(MalformedSignature):
+        sq.SquirrelsSignature(b"x" * 16, (0, x, 0))
+    if -(1 << 63) <= x < 1 << 64:  # also as a numpy array, where one holds it
         with pytest.raises(MalformedSignature):
-            sq.cverify(bad, MESSAGE, vk, params)
+            sq.SquirrelsSignature(b"x" * 16, np.array([0, x, 0]))
+
+
+@pytest.mark.parametrize("coords", [[0.5, 1.0], [[1, 2]], [True, False], ["1"]])
+def test_signature_rejects_non_integer_or_nested_coordinates(coords):
+    with pytest.raises(MalformedSignature):
+        sq.SquirrelsSignature(b"x" * 16, coords)
+
+
+def test_signature_coordinates_are_a_read_only_copy():
+    source = np.array([1, -2, 3], dtype=np.int16)
+    sig = sq.SquirrelsSignature(b"x" * 16, source)
+    with pytest.raises(ValueError):
+        sig.s_vec[0] = 5
+    source[0] = 7
+    assert sig.s_vec.tolist() == [1, -2, 3]
+    assert sig == sq.SquirrelsSignature(b"x" * 16, (1, -2, 3))
+    assert sig != sq.SquirrelsSignature(b"y" * 16, (1, -2, 3))
+    assert sig != sq.SquirrelsSignature(b"x" * 16, (1, -2, 4))
+    assert sig != sq.SquirrelsSignature(b"x" * 16, (1, -2))
+    assert hash(sig) == hash(sq.SquirrelsSignature(b"x" * 16, [1, -2, 3]))
 
 
 def test_params_reject_dimension_beyond_fold_bound():
@@ -504,7 +540,9 @@ def _scalar_cverify(sig, message, vk, params):
 def _differential_inputs(secret, params, rng):
     """Honest signatures, 1-4 coordinate tampers, over-norm multiples,
     and uniform vectors both inside the norm ball and over the 16-bit
-    range: (kind, message, signature) triples."""
+    range: (kind, message, signature) triples.  The tampers and
+    over-norm multiples come both as tuples and, like decoded
+    signatures, as arrays."""
     n = params.n
     bound = 1 << (sq.COORD_BITS - 1)
     small = math.isqrt(params.beta_sq // n)
@@ -519,6 +557,10 @@ def _differential_inputs(secret, params, rng):
         yield "over-norm", message, sq.SquirrelsSignature(
             sig.salt, tuple(30 * x + 1 for x in sig.s_vec)
         )
+        tampered = sig.s_vec.copy()
+        tampered[rng.randrange(n)] += rng.choice((-1, 1))
+        yield "tamper-array", message, sq.SquirrelsSignature(sig.salt, tampered)
+        yield "over-norm-array", message, sq.SquirrelsSignature(sig.salt, 30 * sig.s_vec + 1)
         yield "uniform-ball", message, sq.SquirrelsSignature(
             sig.salt, tuple(rng.randint(-small, small) for _ in range(n))
         )
@@ -540,7 +582,9 @@ def test_cverify_matches_scalar_oracle(toy, t, width):
         verdicts.setdefault(kind, set()).add(got)
     assert verdicts["honest"] == {True}
     assert verdicts["over-norm"] == verdicts["uniform-16"] == {False}
+    assert verdicts["over-norm-array"] == {False}
     assert False in verdicts["tamper"]
+    assert False in verdicts["tamper-array"]
 
 
 # Squirrels I dimension with a norm bound that admits every coordinate
@@ -564,7 +608,7 @@ def _full_size_fold(offsets):
     sig = sq.SquirrelsSignature(
         b"e" * 16, tuple(rng.choice((-edge, -edge, -edge, edge - 1)) for _ in range(n))
     )
-    c = [s + int(h) for s, h in zip(sig.s_vec, sq.hash_to_point(MESSAGE, sig.salt, q, n))]
+    c = [int(s) + int(h) for s, h in zip(sig.s_vec, sq.hash_to_point(MESSAGE, sig.salt, q, n))]
     k_min, k_max = sq.k_prime_bounds(FULL_SIZE)
     mid = (k_max - k_min) // 2
     inv_delta = []

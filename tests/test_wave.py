@@ -233,6 +233,48 @@ def test_signature_rejects_invalid_packed_bytes():
         wv.WaveSignature(salt=b"x" * 16, s_packed=b"\x03", n=4)
 
 
+def test_signature_trits_unpacked_once_and_read_only(toy):
+    pk, params = toy
+    sig = wv.wave_toy_sign(pk, MESSAGE, params, Random(6))
+    trits = sig.trits()
+    assert sig.trits() is trits
+    assert trits.dtype == np.uint8 and trits.size == params.n
+    with pytest.raises(ValueError):
+        trits[0] = 1
+    again = wv.WaveSignature(sig.salt, sig.s_packed, sig.n)
+    assert again == sig and hash(again) == hash(sig)
+    assert np.array_equal(again.trits(), trits)
+
+
+def _float_target(s, h):
+    """The float32 t = s - (h | 0) mod 3 that ``syndrome_target`` replaced."""
+    t = s.astype(np.float32)
+    t[: h.size] -= h
+    t %= 3
+    return t
+
+
+def test_syndrome_target_matches_float_path_on_every_pair():
+    s = np.repeat(np.arange(3, dtype=np.uint8), 3)
+    h = np.tile(np.arange(3, dtype=np.uint8), 3)
+    for tail in (0, 2):  # with and without coordinates past the hash
+        padded = np.concatenate([s, np.full(tail, 2, dtype=np.uint8)])
+        t = wv.syndrome_target(padded, h)
+        assert t.dtype == np.uint8
+        assert np.array_equal(t, _float_target(padded, h))
+        assert np.array_equal(t[: h.size], (s.astype(int) - h) % 3)
+
+
+def test_syndrome_target_matches_float_path_at_wave822():
+    params = wv.named_params("822")
+    s = random_trits(params.n, Random(822))
+    s.setflags(write=False)  # as a signature holds it: the helper copies
+    h = wv.hash_to_trits(MESSAGE, b"s" * 16, params.redundancy)
+    t = wv.syndrome_target(s, h)
+    assert np.array_equal(t, _float_target(s, h))
+    assert np.array_equal(t[params.redundancy :], s[params.redundancy :])
+
+
 # ── compression keys ─────────────────────────────────────────────────────
 
 
@@ -375,6 +417,18 @@ def _int64_cverify(sig, message, vk, params) -> bool:
     c = vk.c
     folded = (t[:c] + t[c:] @ vk.vk_bottom.to_array().astype(np.int64)) % 3
     return not folded.any()
+
+
+def test_vk_fold_block_built_once(toy, toy_keys):
+    pk, params = toy
+    _, vk = toy_keys
+    assert "fold_block" not in vars(wv.WaveVerificationKey(vk.vk_bottom, vk.c, vk.n))
+    block = vk.fold_block
+    assert vk.fold_block is block
+    assert block.dtype == np.float32 and block.flags.c_contiguous
+    assert np.array_equal(block, vk.vk_bottom.to_array().T)
+    with pytest.raises(ValueError):
+        block[0, 0] = 1
 
 
 def test_cverify_matches_int64_oracle(toy, toy_keys):
