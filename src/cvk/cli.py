@@ -41,10 +41,6 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _rng(seed) -> Random:
-    return Random(seed)
-
-
 def _message(args) -> bytes:
     if args.message_file is not None:
         return _read(args.message_file)
@@ -59,20 +55,30 @@ def _require(value, flag: str):
     return value
 
 
+def _int_fields(doc: dict, path: str, *keys: str) -> dict:
+    for key in keys:
+        if type(doc.get(key)) is not int:
+            raise CvkError(f"{path}: {key!r} must be an integer")
+    return {key: doc[key] for key in keys}
+
+
 def _load_params(path: str):
     doc = json.loads(_read(_require(path, "--params")).decode())
-    scheme = doc["scheme"]
+    if not isinstance(doc, dict):
+        raise CvkError(f"{path}: params must be a JSON object")
+    scheme = doc.get("scheme")
     if scheme == "squirrels":
+        primes = doc.get("primes")
+        if not isinstance(primes, list) or any(type(p) is not int for p in primes):
+            raise CvkError(f"{path}: 'primes' must be a list of integers")
         return sq.SquirrelsParams(
-            n=doc["n"],
-            q=doc["q"],
-            beta_sq=doc["beta_sq"],
-            s=len(doc["primes"]),
+            **_int_fields(doc, path, "n", "q", "beta_sq"),
+            s=len(primes),
             tag=doc.get("tag", "toy"),
-            public_basis=PrimeBasis(tuple(doc["primes"])),
+            public_basis=PrimeBasis(tuple(primes)),
         )
     if scheme == "wave":
-        return wv.WaveParams(n=doc["n"], k=doc["k"], w=doc["w"], tag=doc.get("tag", "toy"))
+        return wv.WaveParams(**_int_fields(doc, path, "n", "k", "w"), tag=doc.get("tag", "toy"))
     raise CvkError(f"unknown scheme {scheme!r} in {path}")
 
 
@@ -101,6 +107,7 @@ def squirrels_table_row(tag: str) -> dict:
     t, mu = sq.choose_t(params.classical_bits)
     pk = sq.pk_bytes(params)
     vk = sq.vk_bytes(params, t)
+    k_min, k_max = sq.k_prime_bounds(params)
     return {
         "instance": tag,
         "lambda": params.classical_bits,
@@ -112,6 +119,8 @@ def squirrels_table_row(tag: str) -> dict:
         "ck_bytes": sq.ck_bytes(params, t),
         "vk_bytes": vk,
         "ratio": pk / vk,
+        "k_min": k_min,
+        "k_max": k_max,
     }
 
 
@@ -137,13 +146,16 @@ def wave_table_row(tag: str) -> dict:
 def cmd_params(args) -> int:
     if args.scheme == "squirrels":
         tags = [args.instance] if args.instance else list(sq.SQUIRRELS_TAGS)
-        print("instance  lambda     n    s   t     mu       |PK|     |CK|    |VK|  ratio")
+        print(
+            "instance  lambda     n    s   t     mu       |PK|     |CK|    |VK|  ratio"
+            "     k_min     k_max"
+        )
         for tag in tags:
             r = squirrels_table_row(tag)
             print(
                 f"{r['instance']:>8}  {r['lambda']:>6}  {r['n']:>4} {r['s']:>4} "
                 f"{r['t']:>3}  {r['mu']:>5.1f}  {r['pk_bytes']:>9} {r['ck_bytes']:>8} "
-                f"{r['vk_bytes']:>7}  {r['ratio']:>5.2f}"
+                f"{r['vk_bytes']:>7}  {r['ratio']:>5.2f} {r['k_min']:>9} {r['k_max']:>9}"
             )
     elif args.scheme == "wave":
         tags = [args.instance] if args.instance else list(wv.WAVE_TAGS)
@@ -164,7 +176,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_keygen(args) -> int:
-    rng = _rng(args.seed)
+    rng = Random(args.seed)
     if args.scheme == "squirrels":
         pk, params, secret = sq.toy_keygen(args.n, args.entry_bound, rng, q=args.q)
         _dump_squirrels_params(params, _require(args.out_params, "--out-params"))
@@ -183,7 +195,7 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_ck_gen(args) -> int:
-    rng = _rng(args.seed)
+    rng = Random(args.seed)
     if args.scheme == "squirrels":
         params = _load_params(args.params)
         ck = sq.ckeygen(params, args.t, rng, secret_width=args.secret_width)
@@ -220,7 +232,7 @@ def cmd_vk_gen(args) -> int:
 
 
 def cmd_sign_toy(args) -> int:
-    rng = _rng(args.seed)
+    rng = Random(args.seed)
     message = _message(args)
     if args.scheme == "squirrels":
         params = _load_params(args.params)
@@ -305,7 +317,7 @@ def cmd_bench_ops(args) -> int:
 
 
 def cmd_simulate_forgery(args) -> int:
-    rng = _rng(args.seed)
+    rng = Random(args.seed)
     if args.scheme == "wave":
         instance = security.wave_segp_instance(args.nk, args.c)
     elif args.scheme == "squirrels":
@@ -320,6 +332,7 @@ def cmd_simulate_forgery(args) -> int:
         / max(report.trials, 1)
     )
     print(f"instance          {report.instance}")
+    print(f"keyspace, kappa   {instance.s_size}, {instance.kappa}")
     print(f"strategy          {report.strategy}")
     print(f"trials x queries  {report.trials} x {report.queries_per_trial}")
     print(f"success rate      {report.success_rate:.6f}  ({report.successes} hits)")

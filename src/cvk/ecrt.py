@@ -204,18 +204,18 @@ def floor_accumulate(x_i: int, q_i: int, p_i: int, precision: int) -> int:
     return acc
 
 
-def approx_floor(x_res: RnsResidues, q: tuple[int, ...], precision: int) -> int:
-    """Fixed-point recovery of floor(sum_i x_i q_i / p_i), possibly +1.
+def approx_floor(x: np.ndarray, q: np.ndarray, p: np.ndarray, precision: int) -> np.ndarray:
+    """Fixed-point recovery of floor(sum_j x[i, j] q_j / p_j) for each row
+    i of the (m, s) residue table ``x``: m floors, each possibly +1.
 
-    Exact whenever the fractional part of the sum is below
-    1 - s/2^precision.
+    Each term is truncated to ``precision`` fractional bits by
+    ``floor_accumulate``; the s truncation errors sum below s, so adding
+    s before the final shift turns the sum into an overestimate by less
+    than s / 2^precision.  A floor is exact whenever the fractional part
+    of its sum is below 1 - s/2^precision.  ``q`` and ``p`` are the
+    length-s coefficient and prime vectors, of ``x``'s dtype.
     """
-    primes = x_res.basis.primes
-    s = len(primes)
-    f = s
-    for x, qi, p in zip(x_res.values, q, primes):
-        f += floor_accumulate(x, qi, p, precision)
-    return f >> precision
+    return (x.shape[1] + floor_accumulate(x, q, p, precision).sum(axis=1)) >> precision
 
 
 def mod_ecrt_rows(
@@ -223,8 +223,14 @@ def mod_ecrt_rows(
 ) -> np.ndarray:
     """Transfer m values, one per row of the (m, s) array ``x`` of reduced
     residues (checked where they enter), to the secret basis: row i of the
-    (m, t) result represents value i or value i - D.  Runs in int64 when
-    all primes are below 2^31 and s * 2^(31 + precision) < 2^63."""
+    (m, t) result represents value i or value i - D.
+
+    Rows go in blocks of ``TRANSFER_BLOCK_ROWS``: ``approx_floor`` pins
+    down floor(a) for the block, then each secret prime r_k takes the
+    block's residues to sum_j x_j q_j (D/p_j) - floor(a) D mod r_k.  Runs
+    in int64 when all primes are below 2^31 and s * 2^(31 + precision) <
+    2^63; in Python ints otherwise.
+    """
     s = len(basis)
     if s != len(pre.cofactor_res[0]):
         raise ValueError("residues do not match the precomputed public basis")
@@ -245,7 +251,7 @@ def mod_ecrt_rows(
     for start in range(0, x.shape[0], TRANSFER_BLOCK_ROWS):
         rows = slice(start, start + TRANSFER_BLOCK_ROWS)
         block = x[rows].astype(dtype)
-        f = (s + floor_accumulate(block, qv, p, a).sum(axis=1)) >> a
+        f = approx_floor(block, qv, p, a)
         for k, r in enumerate(secret):
             z = (block * w[k] % r).sum(axis=1)
             out[rows, k] = (z - f % r * pre.product_res[k]) % r

@@ -148,10 +148,6 @@ class TernaryMatrix:
     def random(cls, rows: int, cols: int, rng: Random) -> "TernaryMatrix":
         return cls.from_array(random_trits(rows * cols, rng).reshape(rows, cols))
 
-    @classmethod
-    def identity(cls, n: int) -> "TernaryMatrix":
-        return cls.from_array(np.eye(n, dtype=np.uint8))
-
     @cached_property
     def _array(self) -> np.ndarray:
         raw = np.frombuffer(self.data, np.uint8).reshape(self.rows, row_stride(self.cols))

@@ -5,10 +5,10 @@ single-word modular operations: moduli fit 63 bits so that any product of
 two reduced operands fits 126 bits, i.e. a double word.  No routine here
 ever manipulates an integer wider than that.
 
-Secret moduli (the verifier's hidden primes) flow through ``mul_mod`` and
-``inv_mod``; both are written without operand-dependent early exits, and
-``inv_mod`` runs a binary-gcd ladder for a fixed number of divsteps so its
-iteration count depends only on the modulus width.
+Secret moduli (the verifier's hidden primes) reach ``inv_mod`` when a
+Squirrels compression key is built; it runs a binary-gcd ladder for a
+fixed number of divsteps, so its iteration count depends only on the
+modulus width.
 """
 
 import math
@@ -51,16 +51,6 @@ def check_modulus(m: int) -> int:
     if m % 2 == 0:
         raise ValueError(f"modulus {m} must be odd")
     return m
-
-
-def mul_mod(a: int, b: int, m: int) -> int:
-    """(a * b) mod m for reduced operands.
-
-    Single expression, no branches; the double-width product fits two
-    words by the modulus bound.  Preconditions (0 <= a, b < m) are the
-    caller's contract.
-    """
-    return a * b % m
 
 
 def _divsteps_for_bits(bits: int) -> int:

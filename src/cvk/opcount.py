@@ -22,7 +22,3 @@ class OpCounter:
     def add(self, muls: int = 0, reductions: int = 0) -> None:
         self.word_muls += muls
         self.reductions += reductions
-
-    def reset(self) -> None:
-        self.word_muls = 0
-        self.reductions = 0

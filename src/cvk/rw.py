@@ -147,6 +147,7 @@ def rw_sign(sk: RwKeypair, message: bytes, rng: Random) -> RwSignature:
 
 
 def _check_shape(sig: RwSignature, n: int) -> None:
+    """Public range gate; ``n`` is N, or 2^n_bits when only the VK is held."""
     if sig.e not in (-1, 1):
         raise MalformedSignature(f"e must be +-1, got {sig.e}")
     if sig.f not in (1, 2):
@@ -178,15 +179,7 @@ def rw_vkeygen(ck: int, pk: int) -> RwVerificationKey:
 def rw_cverify(sig: RwSignature, message: bytes, vk: RwVerificationKey) -> bool:
     """Compressed verification: e*f*s^2 - t*N = digest (mod ell)."""
     ell = vk.ell
-    n_upper = 1 << vk.n_bits
-    if sig.e not in (-1, 1):
-        raise MalformedSignature(f"e must be +-1, got {sig.e}")
-    if sig.f not in (1, 2):
-        raise MalformedSignature(f"f must be 1 or 2, got {sig.f}")
-    if not 1 < sig.s < n_upper:
-        raise MalformedSignature("s out of range")
-    if not -2 * n_upper < sig.t < 2 * n_upper:
-        raise MalformedSignature("t out of range")
+    _check_shape(sig, 1 << vk.n_bits)
     h = message_digest(sig.salt, message, vk.n_bits)
     s_l = sig.s % ell
     t_l = sig.t % ell

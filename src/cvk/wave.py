@@ -320,10 +320,6 @@ def wave_toy_sign(
     raise ResampleLimit(f"no weight-{params.w} signature after {max_retries} salts")
 
 
-def pk_trits(params: WaveParams) -> int:
-    return params.k * params.redundancy
-
-
 def pk_bytes(params: WaveParams) -> int:
     """Our packed serialization: four trits per byte, rows byte-aligned."""
     return params.k * row_stride(params.redundancy)

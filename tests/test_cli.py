@@ -66,6 +66,9 @@ def test_params_command_prints_rows(capsys):
     assert run("params", "--scheme", "squirrels") == 0
     out = read_out(capsys)
     assert "681780" in out and "20700" in out and "32.94" in out
+    rows = {line.split()[0]: line.split() for line in out.splitlines()[1:]}
+    assert rows["I"][-2:] == ["-91554", "8551824"]
+    assert rows["V"][-2:] == ["-210152", "17040602"]
     assert run("params", "--scheme", "wave", "--instance", "1644") == 0
     out = read_out(capsys)
     assert "253.6" in out
@@ -118,6 +121,30 @@ def test_tampered_signature_bytes_reject_or_malform(sq_files, tmp_path):
         "--pk", sq_files["pk"], "--sig", bad, "--message", "hello",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: {**doc, "n": str(doc["n"])},
+        lambda doc: [doc],
+        lambda doc: {**doc, "primes": [float(doc["primes"][0]), *doc["primes"][1:]]},
+        lambda doc: {k: v for k, v in doc.items() if k != "beta_sq"},
+    ],
+    ids=["string-field", "top-level-list", "float-prime", "missing-field"],
+)
+def test_malformed_params_sidecar_is_exit_2(sq_files, tmp_path, capsys, corrupt):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads(sq_files["params"].read_text()))))
+    assert run(
+        "verify", "--scheme", "squirrels", "--params", bad,
+        "--pk", sq_files["pk"], "--sig", sq_files["sig"], "--message", "hello",
+    ) == 2
+    assert run(
+        "cverify", "--scheme", "squirrels", "--params", bad,
+        "--vk", sq_files["vk"], "--sig", sq_files["sig"], "--message", "hello",
+    ) == 2
+    assert capsys.readouterr().err.count("error:") == 2
 
 
 def test_private_key_files_are_owner_only(sq_files):
@@ -235,6 +262,7 @@ def test_simulate_forgery_command(capsys):
     ) == 0
     out = read_out(capsys)
     assert "within bound" in out
+    assert "keyspace, kappa   130, 13" in out.splitlines()
 
 
 def test_missing_file_is_exit_2(tmp_path, capsys):

@@ -230,11 +230,15 @@ def test_floor_accumulate_wide_operands():
 # ── approx_floor (fixed-point multiplier recovery) ───────────────────────
 
 
+def _vectors(basis, qc):
+    return np.array(qc, dtype=np.int64), np.array(basis.primes, dtype=np.int64)
+
+
 def test_approx_floor_matches_worked_trace():
     basis = PrimeBasis((3, 5, 7))
     qc = q_coefficients(basis)
-    assert approx_floor(RnsResidues.from_int(104, basis), qc, 3) == 3
-    assert approx_floor(RnsResidues.from_int(52, basis), qc, 3) == 1
+    table = np.array([[v % p for p in basis] for v in (104, 52)], dtype=np.int64)
+    assert approx_floor(table, *_vectors(basis, qc), 3).tolist() == [3, 1]
 
 
 def test_approx_floor_within_one_of_true_floor(rng):
@@ -243,16 +247,17 @@ def test_approx_floor_within_one_of_true_floor(rng):
         qc = q_coefficients(basis)
         product = math.prod(basis.primes)
         a = ecrt.default_precision(len(basis))
-        x = rng.randrange(product)
-        res = RnsResidues.from_int(x, basis)
-        alpha = sum(
-            Fraction(xi * qi, p)
-            for xi, qi, p in zip(res.values, qc, basis.primes)
-        )
-        f = approx_floor(res, qc, a)
-        assert f in (math.floor(alpha), math.floor(alpha) + 1)
-        if alpha - math.floor(alpha) < 1 - Fraction(len(basis), 2**a):
-            assert f == math.floor(alpha)
+        xs = [rng.randrange(product) for _ in range(4)]
+        table = np.array([[x % p for p in basis] for x in xs], dtype=np.int64)
+        floors = approx_floor(table, *_vectors(basis, qc), a)
+        assert floors.shape == (len(xs),)
+        for row, f in zip(table.tolist(), floors.tolist()):
+            alpha = sum(
+                Fraction(xi * qi, p) for xi, qi, p in zip(row, qc, basis.primes)
+            )
+            assert f in (math.floor(alpha), math.floor(alpha) + 1)
+            if alpha - math.floor(alpha) < 1 - Fraction(len(basis), 2**a):
+                assert f == math.floor(alpha)
 
 
 # ── mod_ecrt ─────────────────────────────────────────────────────────────

@@ -12,39 +12,6 @@ from cvk import modmath as mm
 odd_moduli = st.integers(min_value=3, max_value=(1 << 63) - 1).map(lambda m: m | 1)
 
 
-def test_mul_mod_zero_annihilates():
-    assert mm.mul_mod(0, 123456, 1000003) == 0
-
-
-def test_mul_mod_identity():
-    assert mm.mul_mod(1, 987654, 1000003) == 987654
-
-
-def test_mul_mod_wide_product():
-    # 2^60 mod (2^31 - 1), frozen from a wide-integer schoolbook oracle.
-    assert mm.mul_mod(1 << 30, 1 << 30, 2147483647) == 536870912
-
-
-@given(odd_moduli, st.data())
-def test_mul_mod_matches_oracle(m, data):
-    a = data.draw(st.integers(min_value=0, max_value=m - 1))
-    b = data.draw(st.integers(min_value=0, max_value=m - 1))
-    assert mm.mul_mod(a, b, m) == (a * b) % m
-
-
-def test_mul_mod_bulk_random_triples():
-    # Module invariant: agreement with the wide-integer oracle over at
-    # least 1e6 random triples across widths.
-    rng = Random(1)
-    for _ in range(1_000_000):
-        m = rng.getrandbits(rng.randrange(4, 63)) | 1
-        if m < 3:
-            continue
-        a = rng.randrange(m)
-        b = rng.randrange(m)
-        assert mm.mul_mod(a, b, m) == a * b % m
-
-
 def test_inv_mod_trivial_and_derived():
     assert mm.inv_mod(1, 101) == 1
     assert mm.inv_mod(2, 7) == 4

@@ -85,18 +85,24 @@ def test_verify_rejects_flipped_e(keypair, signatures):
 
 def test_verify_malformed(keypair, signatures):
     message, sig = signatures[0]
+    n = keypair.n
+    vk = rw.rw_vkeygen(rw.rw_ckeygen(31, Random(4)), n)
+    upper = 1 << vk.n_bits
     with pytest.raises(MalformedSignature):
-        rw.rw_verify(rw.RwSignature(2, sig.f, sig.salt, sig.s, sig.t), message, keypair.n)
-    with pytest.raises(MalformedSignature):
-        rw.rw_verify(rw.RwSignature(sig.e, 3, sig.salt, sig.s, sig.t), message, keypair.n)
-    with pytest.raises(MalformedSignature):
-        rw.rw_verify(rw.RwSignature(sig.e, sig.f, sig.salt, 1, sig.t), message, keypair.n)
-    with pytest.raises(MalformedSignature):
-        rw.rw_verify(
-            rw.RwSignature(sig.e, sig.f, sig.salt, sig.s, 2 * keypair.n),
-            message,
-            keypair.n,
-        )
+        # t = 2N passes the compressed gate, which knows only 2^n_bits > N
+        rw.rw_verify(rw.RwSignature(sig.e, sig.f, sig.salt, sig.s, 2 * n), message, n)
+    malformed = [
+        rw.RwSignature(2, sig.f, sig.salt, sig.s, sig.t),
+        rw.RwSignature(sig.e, 3, sig.salt, sig.s, sig.t),
+        rw.RwSignature(sig.e, sig.f, sig.salt, 1, sig.t),
+        rw.RwSignature(sig.e, sig.f, sig.salt, upper, sig.t),
+        rw.RwSignature(sig.e, sig.f, sig.salt, sig.s, 2 * upper),
+    ]
+    for bad in malformed:
+        with pytest.raises(MalformedSignature):
+            rw.rw_verify(bad, message, n)
+        with pytest.raises(MalformedSignature):
+            rw.rw_cverify(bad, message, vk)
 
 
 def test_vkeygen_small_modulus():

@@ -367,7 +367,7 @@ def test_vkeygen_matches_schoolbook_product(toy, toy_keys):
 def test_vkeygen_dimension_mismatch(toy):
     pk, params = toy
     with pytest.raises(DimensionMismatch):
-        wv.wave_vkeygen(pk, TernaryMatrix.identity(params.redundancy + 1), params)
+        wv.wave_vkeygen(pk, TernaryMatrix.from_array(np.eye(params.redundancy + 1)), params)
 
 
 # ── compressed verification ──────────────────────────────────────────────
