@@ -2,9 +2,10 @@
 
 Trits are stored four to a byte in 2-bit fields, least significant field
 first, rows padded to a byte boundary.  The 2-bit layout (rather than
-five trits per byte in base 243) keeps extraction branch-free in the
-verification hot loop; weight is a popcount-style scan over the packed
-limbs, no tables.
+five trits per byte in base 243) keeps extraction branch-free: one
+(256, 4) table, ``BYTE_LANES``, maps each byte to its four fields, and
+every 2-bit read (unpacking here, hash-to-trits in ``wave``) is one
+gather from it.  Weights are counted on the unpacked trits.
 
 Validation happens once, on the packed bytes: byte masks reject any
 field equal to 3 and any nonzero row padding.
@@ -32,6 +33,9 @@ MAX_INNER_DIMENSION = 1 << 22  # 4 * 2^22 = 2^24, float32's exact-integer limit
 MATMUL_BLOCK_ROWS = 128
 # Mersenne Twister words per getrandbits call in random_trits (4 MiB).
 SAMPLER_WORDS = 1 << 20
+# BYTE_LANES[b] is byte b's four 2-bit fields, least significant first.
+BYTE_LANES = (np.arange(256, dtype=np.uint8)[:, None] >> np.uint8([0, 2, 4, 6])) & 3
+BYTE_LANES.setflags(write=False)
 
 
 def row_stride(cols: int) -> int:
@@ -59,13 +63,13 @@ def _check_packed(raw: np.ndarray, cols: int) -> None:
 
 
 def _unpack(raw: np.ndarray, cols: int) -> np.ndarray:
-    """(rows, stride) packed bytes to (rows, cols) trits."""
-    out = np.empty((raw.shape[0], cols), dtype=np.uint8)
-    for k in range(TRITS_PER_BYTE):
-        lane = out[:, k::TRITS_PER_BYTE]
-        np.right_shift(raw[:, : lane.shape[1]], 2 * k, out=lane)
-        lane &= 3
-    return out
+    """(rows, stride) packed bytes to (rows, cols) C-contiguous trits,
+    one ``BYTE_LANES`` gather."""
+    rows, stride = raw.shape
+    lanes = BYTE_LANES.take(raw, axis=0).reshape(rows, TRITS_PER_BYTE * stride)
+    if cols == lanes.shape[1]:
+        return lanes
+    return np.ascontiguousarray(lanes[:, :cols])
 
 
 def pack_trits(values) -> bytes:
@@ -104,17 +108,6 @@ def random_trits(count: int, rng: Random) -> np.ndarray:
         out[filled : filled + kept.size] = kept
         filled += kept.size
     return out
-
-
-def trit_weight_packed(data: bytes) -> int:
-    """Number of nonzero trits, scanned on the packed limbs.
-
-    A field is nonzero iff either of its bits is set: OR the limb with
-    itself shifted right once, mask the low lane bits, popcount.
-    """
-    x = int.from_bytes(data, "little")
-    mask = int.from_bytes(b"\x55" * len(data), "little")
-    return ((x | (x >> 1)) & mask).bit_count()
 
 
 class TernaryMatrix:
@@ -161,9 +154,6 @@ class TernaryMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
-
-    def weight(self) -> int:
-        return trit_weight_packed(self.data)
 
     def __eq__(self, other) -> bool:
         return (

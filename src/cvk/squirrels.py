@@ -71,8 +71,10 @@ class SquirrelsParams:
     def __post_init__(self):
         if self.q < 1 or self.q & (self.q - 1):
             raise ValueError(f"hash bound q must be a power of two, got {self.q}")
-        if self.n >= MAX_DIMENSION:
-            raise ValueError(f"dimension {self.n} not below {MAX_DIMENSION}")
+        if not 2 <= self.n < MAX_DIMENSION:
+            raise ValueError(f"dimension {self.n} not in [2, {MAX_DIMENSION})")
+        if self.beta_sq < 0:
+            raise ValueError(f"squared norm bound must be nonnegative, got {self.beta_sq}")
         if self.public_basis is not None and len(self.public_basis) != self.s:
             raise ValueError("public basis length disagrees with s")
 

@@ -130,8 +130,14 @@ def test_tampered_signature_bytes_reject_or_malform(sq_files, tmp_path):
         lambda doc: [doc],
         lambda doc: {**doc, "primes": [float(doc["primes"][0]), *doc["primes"][1:]]},
         lambda doc: {k: v for k, v in doc.items() if k != "beta_sq"},
+        lambda doc: {**doc, "n": -3},
+        lambda doc: {**doc, "n": 1},
+        lambda doc: {**doc, "beta_sq": -1},
     ],
-    ids=["string-field", "top-level-list", "float-prime", "missing-field"],
+    ids=[
+        "string-field", "top-level-list", "float-prime", "missing-field",
+        "negative-n", "n-one", "negative-beta-sq",
+    ],
 )
 def test_malformed_params_sidecar_is_exit_2(sq_files, tmp_path, capsys, corrupt):
     bad = tmp_path / "bad.json"

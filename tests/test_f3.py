@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cvk import f3
 from cvk.f3 import (
+    BYTE_LANES,
     MATMUL_BLOCK_ROWS,
     MAX_INNER_DIMENSION,
     TernaryMatrix,
@@ -14,9 +15,9 @@ from cvk.f3 import (
     pack_trits,
     random_trits,
     row_stride,
-    trit_weight_packed,
     unpack_trits,
 )
+from cvk.wave import WaveSignature
 
 trit_rows = st.integers(min_value=1, max_value=16)
 
@@ -41,7 +42,60 @@ def test_unpack_rejects_dirty_padding():
 
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=0, max_size=64))
 def test_weight_matches_naive(trits):
-    assert trit_weight_packed(pack_trits(trits)) == sum(1 for t in trits if t)
+    sig = WaveSignature.from_trits(b"s" * 16, trits)
+    assert sig.weight() == sum(1 for t in trits if t)
+
+
+def _unpack_four_pass(raw: np.ndarray, cols: int) -> np.ndarray:
+    """Shift-and-mask reference for ``f3._unpack``, one pass per lane."""
+    out = np.empty((raw.shape[0], cols), dtype=np.uint8)
+    for k in range(4):
+        lane = out[:, k::4]
+        np.right_shift(raw[:, : lane.shape[1]], 2 * k, out=lane)
+        lane &= 3
+    return out
+
+
+def test_byte_lanes_table():
+    assert BYTE_LANES.dtype == np.uint8 and BYTE_LANES.shape == (256, 4)
+    assert not BYTE_LANES.flags.writeable
+    for b in range(256):
+        assert BYTE_LANES[b].tolist() == [(b >> shift) & 3 for shift in (0, 2, 4, 6)]
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [
+        (0, 9),  # no rows
+        (0, 0),
+        (5, 0),
+        (7, 12),  # cols % 4 == 0
+        (7, 13),
+        (7, 14),
+        (7, 15),
+        (1, 8576),  # a Wave 822 signature
+        (8496, 80),  # a Wave 822 VK block
+    ],
+)
+def test_unpack_matches_four_pass_oracle(rows, cols):
+    # Arbitrary bytes, fields equal to 3 and padding included: the gather
+    # and the oracle must agree on every byte, valid or not.
+    raw = np.random.default_rng(rows * 100_000 + cols).integers(
+        0, 256, (rows, row_stride(cols)), dtype=np.uint8
+    )
+    got = f3._unpack(raw, cols)
+    assert got.dtype == np.uint8 and got.shape == (rows, cols)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _unpack_four_pass(raw, cols))
+
+
+def test_unpack_pk_slice_matches_four_pass_oracle():
+    # 64 rows of a Wave 822 public key, read back through TernaryMatrix.
+    m = TernaryMatrix.random(64, 4288, Random(4288))
+    raw = np.frombuffer(m.data, np.uint8).reshape(64, row_stride(4288))
+    got = m.to_array()
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    assert np.array_equal(got, _unpack_four_pass(raw, 4288))
 
 
 def test_matrix_validates_payload_length():

@@ -12,7 +12,7 @@ from cvk import squirrels as sq
 from cvk import wave as wv
 from cvk.ecrt import PrimeBasis, mod_ecrt_setup
 from cvk.errors import MalformedSignature
-from cvk.f3 import row_stride
+from cvk.f3 import pack_trits, row_stride
 from cvk.modmath import inv_mod, sample_prime
 
 
@@ -234,6 +234,58 @@ def test_wave_sig_rejects_truncation(wv_world):
     blob = serial.encode_wave_sig(sig, params)
     with pytest.raises(MalformedSignature):
         serial.decode_wave_sig(blob[:-1], params)
+
+
+def _wave_sig_trits_loop(packed: bytes, n: int) -> list[int] | None:
+    """Field-at-a-time reference for a packed Wave signature: its n
+    trits, or None when a field holds 3 or a padding field is set."""
+    trits = []
+    for i, byte in enumerate(packed):
+        for k in range(4):
+            field = (byte >> (2 * k)) & 3
+            if 4 * i + k >= n:
+                if field:
+                    return None
+            elif field == 3:
+                return None
+            else:
+                trits.append(field)
+    return trits
+
+
+def _packed_with_noise(n: int):
+    """Exactly row_stride(n) bytes: arbitrary, or a valid packing with
+    up to two bytes rewritten, so both outcomes are drawn often."""
+    valid = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(pack_trits)
+    edits = st.lists(st.tuples(st.integers(0, row_stride(n) - 1), st.integers(0, 255)), max_size=2)
+
+    def rewrite(args):
+        packed, changes = bytearray(args[0]), args[1]
+        for pos, value in changes:
+            packed[pos] = value
+        return bytes(packed)
+
+    arbitrary = st.binary(min_size=row_stride(n), max_size=row_stride(n))
+    return st.one_of(arbitrary, st.tuples(valid, edits).map(rewrite))
+
+
+@pytest.mark.parametrize("n", [24, 25, 26, 27])
+@given(data=st.data())
+def test_wave_sig_decode_matches_field_loop(n, data):
+    # Every payload of the right size either decodes to the loop's trits
+    # or raises MalformedSignature exactly when the loop finds a field
+    # equal to 3 or a set padding field.
+    params = wv.WaveParams(n=n, k=n // 2, w=n // 2, tag="toy")
+    packed = data.draw(_packed_with_noise(n))
+    blob = serial.wrap(serial.SCHEME_WAVE, serial.KIND_SIG, 0, b"s" * wv.SALT_BYTES + packed)
+    want = _wave_sig_trits_loop(packed, n)
+    try:
+        sig = serial.decode_wave_sig(blob, params)
+    except MalformedSignature:
+        assert want is None
+    else:
+        assert sig.trits().tolist() == want
+        assert serial.encode_wave_sig(sig, params) == blob
 
 
 def test_wave_pk_rejects_invalid_trits(wv_world):

@@ -88,7 +88,7 @@ def test_k_prime_bounds_named(tag):
 
 
 def test_k_prime_bounds_degenerate():
-    params = sq.SquirrelsParams(n=1, q=1, beta_sq=0, s=1, tag="toy")
+    params = sq.SquirrelsParams(n=2, q=1, beta_sq=0, s=1, tag="toy")
     assert sq.k_prime_bounds(params) == (-1, 1)
 
 
@@ -274,6 +274,13 @@ def test_params_reject_dimension_beyond_fold_bound():
     sq.SquirrelsParams(n=(1 << 15) - 1, q=4096, beta_sq=1, s=1, tag="edge")
     with pytest.raises(ValueError):
         sq.SquirrelsParams(n=1 << 15, q=4096, beta_sq=1, s=1, tag="edge")
+
+
+@pytest.mark.parametrize("n, beta_sq", [(-3, 1), (0, 1), (1, 1), (12, -1)])
+def test_params_reject_short_dimension_or_negative_norm_bound(n, beta_sq):
+    sq.SquirrelsParams(n=2, q=16, beta_sq=0, s=1, tag="edge")
+    with pytest.raises(ValueError):
+        sq.SquirrelsParams(n=n, q=16, beta_sq=beta_sq, s=1, tag="edge")
 
 
 # ── compression and verification keys ────────────────────────────────────

@@ -93,7 +93,7 @@ def _hash_to_trits_loop(message: bytes, salt: bytes, length: int) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("length", [0, 1, 5, 24, 4288])
+@pytest.mark.parametrize("length", [0, 1, 5, 24, 4288, 6272, 8256])
 def test_hash_to_trits_matches_byte_loop(length):
     for i in range(100):
         message, salt = b"oracle %d" % i, b"%016d" % length
@@ -103,23 +103,36 @@ def test_hash_to_trits_matches_byte_loop(length):
 
 
 def test_hash_to_trits_rereads_a_short_prefix(monkeypatch):
-    # Prepending 40 bytes of rejected lanes to the XOF forces a re-read
-    # past the first prefix (twice at short lengths), and must leave the
-    # kept symbols as they were.
-    expected = {n: wv.hash_to_trits(MESSAGE, b"s" * 16, n) for n in (1, 24, 100)}
+    # Prepending as many bytes of rejected lanes as the first read asks
+    # for leaves that read with no kept symbol, so every call must re-read
+    # past it, and must keep the symbols it kept before.
+    expected = {n: wv.hash_to_trits(MESSAGE, b"s" * 16, n) for n in (1, 24, 100, 4288)}
     real = hashlib.shake_128
 
     class Padded:
         def __init__(self, data):
             self.xof = real(data)
+            self.pad = None
+            self.calls = 0
 
         def digest(self, nbytes):
-            return (b"\xff" * 40 + self.xof.digest(nbytes))[:nbytes]
+            self.calls += 1
+            if self.pad is None:
+                self.pad = nbytes
+            return (b"\xff" * self.pad + self.xof.digest(nbytes))[:nbytes]
 
-    monkeypatch.setattr(hashlib, "shake_128", Padded)
+    made = []
+
+    def shake(data):
+        made.append(Padded(data))
+        return made[-1]
+
+    monkeypatch.setattr(hashlib, "shake_128", shake)
     for n, want in expected.items():
         assert np.array_equal(wv.hash_to_trits(MESSAGE, b"s" * 16, n), want)
+        assert made[-1].calls >= 2
         assert np.array_equal(_hash_to_trits_loop(MESSAGE, b"s" * 16, n), want)
+        assert made[-1].calls >= 2
 
 
 # ── named parameters ─────────────────────────────────────────────────────
