@@ -62,11 +62,16 @@ def _int_fields(doc: dict, path: str, *keys: str) -> dict:
     return {key: doc[key] for key in keys}
 
 
-def _load_params(path: str):
+def _load_params(args):
+    """The ``--params`` sidecar, which must be for ``--scheme``; None for rw."""
+    scheme, path = args.scheme, args.params
+    if scheme == "rw":
+        return None
     doc = json.loads(_read(_require(path, "--params")).decode())
     if not isinstance(doc, dict):
         raise CvkError(f"{path}: params must be a JSON object")
-    scheme = doc.get("scheme")
+    if doc.get("scheme") != scheme:
+        raise CvkError(f"{path}: params are for scheme {doc.get('scheme')!r}, expected {scheme!r}")
     if scheme == "squirrels":
         primes = doc.get("primes")
         if not isinstance(primes, list) or any(type(p) is not int for p in primes):
@@ -77,9 +82,7 @@ def _load_params(path: str):
             tag=doc.get("tag", "toy"),
             public_basis=PrimeBasis(tuple(primes)),
         )
-    if scheme == "wave":
-        return wv.WaveParams(**_int_fields(doc, path, "n", "k", "w"), tag=doc.get("tag", "toy"))
-    raise CvkError(f"unknown scheme {scheme!r} in {path}")
+    return wv.WaveParams(**_int_fields(doc, path, "n", "k", "w"), tag=doc.get("tag", "toy"))
 
 
 def _dump_squirrels_params(params: sq.SquirrelsParams, path: str) -> None:
@@ -157,7 +160,7 @@ def cmd_params(args) -> int:
                 f"{r['t']:>3}  {r['mu']:>5.1f}  {r['pk_bytes']:>9} {r['ck_bytes']:>8} "
                 f"{r['vk_bytes']:>7}  {r['ratio']:>5.2f} {r['k_min']:>9} {r['k_max']:>9}"
             )
-    elif args.scheme == "wave":
+    else:
         tags = [args.instance] if args.instance else list(wv.WAVE_TAGS)
         print("instance  lambda      n     k    c     mu      |PK|     |CK|    |VK|  ratio")
         for tag in tags:
@@ -167,8 +170,6 @@ def cmd_params(args) -> int:
                 f"{r['c']:>4}  {r['mu']:>5.1f}  {r['pk_bytes']:>8} {r['ck_bytes']:>8} "
                 f"{r['vk_bytes']:>7}  {r['ratio']:>5.2f}"
             )
-    else:
-        raise CvkError("params tables exist for squirrels and wave")
     return 0
 
 
@@ -196,12 +197,11 @@ def cmd_keygen(args) -> int:
 
 def cmd_ck_gen(args) -> int:
     rng = Random(args.seed)
+    params = _load_params(args)
     if args.scheme == "squirrels":
-        params = _load_params(args.params)
         ck = sq.ckeygen(params, args.t, rng, secret_width=args.secret_width)
         _write(args.out, serial.encode_squirrels_ck(ck, params), private=True)
     elif args.scheme == "wave":
-        params = _load_params(args.params)
         ck = wv.wave_ckeygen(params, args.c, rng)
         _write(args.out, serial.encode_wave_ck(ck, params), private=True)
     else:
@@ -211,14 +211,13 @@ def cmd_ck_gen(args) -> int:
 
 
 def cmd_vk_gen(args) -> int:
+    params = _load_params(args)
     if args.scheme == "squirrels":
-        params = _load_params(args.params)
         pk = serial.decode_squirrels_pk(_read(args.pk), params)
         ck = serial.decode_squirrels_ck(_read(args.ck), params)
         vk = sq.vkeygen(ck, pk, params)
         _write(args.out, serial.encode_squirrels_vk(vk, params), private=True)
     elif args.scheme == "wave":
-        params = _load_params(args.params)
         pk = serial.decode_wave_pk(_read(args.pk), params)
         ck = serial.decode_wave_ck(_read(args.ck), params, args.c)
         vk = wv.wave_vkeygen(pk, ck, params)
@@ -234,13 +233,12 @@ def cmd_vk_gen(args) -> int:
 def cmd_sign_toy(args) -> int:
     rng = Random(args.seed)
     message = _message(args)
+    params = _load_params(args)
     if args.scheme == "squirrels":
-        params = _load_params(args.params)
         secret = serial.decode_squirrels_sk(_read(_require(args.sk, "--sk")), params)
         sig = sq.toy_sign(secret, message, params, rng)
         _write(args.out, serial.encode_squirrels_sig(sig, params))
     elif args.scheme == "wave":
-        params = _load_params(args.params)
         pk = serial.decode_wave_pk(_read(_require(args.pk, "--pk")), params)
         sig = wv.wave_toy_sign(pk, message, params, rng)
         _write(args.out, serial.encode_wave_sig(sig, params))
@@ -253,13 +251,12 @@ def cmd_sign_toy(args) -> int:
 
 def cmd_verify(args) -> int:
     message = _message(args)
+    params = _load_params(args)
     if args.scheme == "squirrels":
-        params = _load_params(args.params)
         pk = serial.decode_squirrels_pk(_read(args.pk), params)
         sig = serial.decode_squirrels_sig(_read(args.sig), params)
         ok = sq.verify(sig, message, pk, params)
     elif args.scheme == "wave":
-        params = _load_params(args.params)
         pk = serial.decode_wave_pk(_read(args.pk), params)
         sig = serial.decode_wave_sig(_read(args.sig), params)
         ok = wv.wave_verify(sig, message, pk, params)
@@ -273,13 +270,12 @@ def cmd_verify(args) -> int:
 
 def cmd_cverify(args) -> int:
     message = _message(args)
+    params = _load_params(args)
     if args.scheme == "squirrels":
-        params = _load_params(args.params)
         vk = serial.decode_squirrels_vk(_read(args.vk), params)
         sig = serial.decode_squirrels_sig(_read(args.sig), params)
         ok = sq.cverify(sig, message, vk, params)
     elif args.scheme == "wave":
-        params = _load_params(args.params)
         vk = serial.decode_wave_vk(_read(args.vk), params, args.c)
         sig = serial.decode_wave_sig(_read(args.sig), params)
         ok = wv.wave_cverify(sig, message, vk, params)
@@ -299,15 +295,13 @@ def cmd_bench_ops(args) -> int:
         c_muls, c_reds = sq.cverify_cost(params, t)
         threshold = params.s / (t + 1)
         label = f"s/(t+1) = {params.s}/{t + 1}"
-    elif args.scheme == "wave":
+    else:
         params = wv.named_params(args.instance)
         c = args.c if args.c else wv.wave_choose_c(params.classical_bits)[0]
         v_muls, v_reds = wv.verify_cost(params)
         c_muls, c_reds = wv.cverify_cost(params, c)
         threshold = params.redundancy / (2 * c)
         label = f"(n-k)/(2c) = {params.redundancy}/{2 * c}"
-    else:
-        raise CvkError("bench-ops covers squirrels and wave")
     ratio = v_muls / c_muls
     print(f"scheme={args.scheme} instance={args.instance}")
     print(f"verify   word-muls={v_muls:>12}  reductions={v_reds}")
@@ -320,10 +314,8 @@ def cmd_simulate_forgery(args) -> int:
     rng = Random(args.seed)
     if args.scheme == "wave":
         instance = security.wave_segp_instance(args.nk, args.c)
-    elif args.scheme == "squirrels":
-        instance = security.squirrels_segp_instance(args.width, args.query_bound)
     else:
-        raise CvkError("simulate-forgery covers squirrels and wave")
+        instance = security.squirrels_segp_instance(args.width, args.query_bound)
     report = security.simulate_segp_game(
         instance, args.strategy, args.trials, args.queries, rng
     )

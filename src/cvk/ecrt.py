@@ -5,13 +5,14 @@ A value 0 <= x < D, D the product of the public primes p_1..p_s, is held
 as residues (x mod p_i).  Writing q_i for the inverse of the i-th
 cofactor D/p_i modulo p_i, x equals a*D - floor(a)*D with
 a = sum_i x_i q_i / p_i; evaluating both terms modulo each secret prime
-r_k needs only word arithmetic once floor(a) is pinned down.  A
-fixed-point accumulator recovers floor(a) up to +1, so the transfer lands
-on x or on x - D -- downstream consumers absorb that single-D ambiguity
-by design.  Its precision is fixed by the basis length: ceil(log2 s) + 2
-fractional bits, one above the ceil(log2 s) + 1 that floor recovery
-needs (Bernstein, "Multidigit modular multiplication with the explicit
-Chinese remainder theorem", 1995).
+r_k needs only word arithmetic once floor(a) is pinned down.  Exact
+integer division truncates each term x_i q_i / p_i to a fixed number of
+fractional bits, and their sum recovers floor(a) up to +1, so the
+transfer lands on x or on x - D -- downstream consumers absorb that
+single-D ambiguity by design.  The precision is ceil(log2 s) + 2 bits,
+one above the ceil(log2 s) + 1 that floor recovery needs (Bernstein,
+"Multidigit modular multiplication with the explicit Chinese remainder
+theorem", 1995).
 
 The basis product D is never materialized: setup runs prefix and
 suffix products over word residues, and the transfer itself touches
@@ -26,7 +27,7 @@ from .errors import SharedFactor
 from .modmath import check_modulus, is_prime_word
 
 # Cap on s, which fixes the precision a = ceil(log2 s) + 2.  It does not
-# keep the accumulator, which reaches s * 2^(31 + a), within 64 bits: the
+# keep the summed floors, which reach s * 2^(31 + a), within 64 bits: the
 # transfer checks that itself.
 MAX_BASIS_LEN = 1 << 16
 
@@ -187,21 +188,13 @@ def mod_ecrt_setup(public: PrimeBasis, secret: PrimeBasis) -> EcrtPrecomp:
 
 
 def floor_accumulate(x_i: int, q_i: int, p_i: int, precision: int) -> int:
-    """floor(2^precision * (x_i * q_i) / p_i) without dividing by p_i.
-
-    The double-word product is split once, then a doubling loop of
-    exactly ``precision`` iterations shifts the remainder up bit by bit,
-    counting overflows past p_i.  Runs on Python ints and elementwise on
-    numpy arrays alike.
+    """floor(2^a * y / p_i), a = ``precision`` and y = x_i * q_i, by exact
+    integer division: (y // p_i) 2^a + floor((y mod p_i) 2^a / p_i).  On
+    word operands (x_i, q_i < p_i < 2^31) both parts stay below 2^(31 + a).
+    Runs on Python ints and elementwise on numpy arrays alike.
     """
     y = x_i * q_i
-    acc, rem = y // p_i, y % p_i
-    for _ in range(precision):
-        rem <<= 1
-        over = rem >= p_i
-        rem -= p_i * over
-        acc = (acc << 1) | over
-    return acc
+    return (y // p_i << precision) + (y % p_i << precision) // p_i
 
 
 def approx_floor(x: np.ndarray, q: np.ndarray, p: np.ndarray, precision: int) -> np.ndarray:

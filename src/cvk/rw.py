@@ -19,6 +19,7 @@ from random import Random
 
 from .errors import MalformedSignature
 from .modmath import (
+    DETERMINISTIC_MR_BASES,
     PRIME_COUNT_31BIT,
     count_primes_bounds,
     inv_mod,
@@ -93,7 +94,7 @@ def _sample_congruent_prime(bits: int, residue: int, rng: Random) -> int:
         c += (residue - c) % 8
         if c.bit_length() != bits:
             continue
-        if all(is_strong_pseudoprime(c, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+        if all(is_strong_pseudoprime(c, a) for a in DETERMINISTIC_MR_BASES):
             return c
     raise RuntimeError("prime search ran too long")  # pragma: no cover
 

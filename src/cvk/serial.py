@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rw
 from . import squirrels as sq
 from . import wave as wv
 from .ecrt import PrimeBasis
 from .errors import MalformedSignature, SharedFactor
 from .f3 import TernaryMatrix, row_stride
+from .modmath import MAX_PRIME_WIDTH, MIN_PRIME_WIDTH, is_prime_word
 
 MAGIC = b"CVK1"
 HEADER = struct.Struct("<4sBBHQ")
@@ -310,26 +312,34 @@ def encode_rw_sk(kp) -> bytes:
     return wrap(SCHEME_RW, KIND_SK, 0, payload)
 
 
-def decode_rw_sk(blob: bytes):
-    from .rw import RwKeypair
-
+def decode_rw_sk(blob: bytes) -> rw.RwKeypair:
     _, payload = unwrap(blob, SCHEME_RW, KIND_SK)
     p, pos = _decode_biguint(payload, 0)
     q, pos = _decode_biguint(payload, pos)
     if pos != len(payload):
         raise MalformedSignature("trailing bytes in SK")
-    return RwKeypair(p=p, q=q)
+    try:
+        return rw.RwKeypair(p=p, q=q)
+    except ValueError as exc:
+        raise MalformedSignature(f"SK: {exc}") from None
 
 
 def encode_rw_ck(ell: int) -> bytes:
     return wrap(SCHEME_RW, KIND_CK, 0, struct.pack("<Q", ell))
 
 
+def _rw_ell(ell: int, what: str) -> int:
+    """A prime of a width ``rw_ckeygen`` draws; ell = 1 would accept anything."""
+    if not (1 << (MIN_PRIME_WIDTH - 1) < ell < 1 << MAX_PRIME_WIDTH and is_prime_word(ell)):
+        raise MalformedSignature(f"{what}: ell = {ell} is not a compression-key prime")
+    return ell
+
+
 def decode_rw_ck(blob: bytes) -> int:
     _, payload = unwrap(blob, SCHEME_RW, KIND_CK)
     if len(payload) != 8:
         raise MalformedSignature("CK payload must be 8 bytes")
-    return struct.unpack("<Q", payload)[0]
+    return _rw_ell(struct.unpack("<Q", payload)[0], "CK")
 
 
 def encode_rw_vk(vk) -> bytes:
@@ -337,14 +347,14 @@ def encode_rw_vk(vk) -> bytes:
     return wrap(SCHEME_RW, KIND_VK, 0, payload)
 
 
-def decode_rw_vk(blob: bytes):
-    from .rw import RwVerificationKey
-
+def decode_rw_vk(blob: bytes) -> rw.RwVerificationKey:
     _, payload = unwrap(blob, SCHEME_RW, KIND_VK)
     if len(payload) != 18:
         raise MalformedSignature("VK payload must be 18 bytes")
     ell, n_ell, n_bits = struct.unpack("<QQH", payload)
-    return RwVerificationKey(ell=ell, n_ell=n_ell, n_bits=n_bits)
+    if n_ell >= _rw_ell(ell, "VK"):
+        raise MalformedSignature("VK: N mod ell not reduced")
+    return rw.RwVerificationKey(ell=ell, n_ell=n_ell, n_bits=n_bits)
 
 
 def encode_rw_sig(sig) -> bytes:
@@ -358,19 +368,17 @@ def encode_rw_sig(sig) -> bytes:
     return wrap(SCHEME_RW, KIND_SIG, 0, payload)
 
 
-def decode_rw_sig(blob: bytes):
-    from .rw import SALT_BYTES, RwSignature
-
+def decode_rw_sig(blob: bytes) -> rw.RwSignature:
     _, payload = unwrap(blob, SCHEME_RW, KIND_SIG)
-    if len(payload) < 2 + SALT_BYTES:
+    if len(payload) < 2 + rw.SALT_BYTES:
         raise MalformedSignature("signature payload truncated")
     e, f = struct.unpack_from("<bB", payload, 0)
-    salt = payload[2 : 2 + SALT_BYTES]
-    s, pos = _decode_biguint(payload, 2 + SALT_BYTES)
+    salt = payload[2 : 2 + rw.SALT_BYTES]
+    s, pos = _decode_biguint(payload, 2 + rw.SALT_BYTES)
     if pos + 1 > len(payload):
         raise MalformedSignature("signature payload truncated")
     (sign,) = struct.unpack_from("<b", payload, pos)
     t_abs, pos = _decode_biguint(payload, pos + 1)
     if pos != len(payload):
         raise MalformedSignature("trailing bytes in signature")
-    return RwSignature(e=e, f=f, salt=salt, s=s, t=sign * t_abs)
+    return rw.RwSignature(e=e, f=f, salt=salt, s=s, t=sign * t_abs)

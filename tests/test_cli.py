@@ -4,6 +4,7 @@ import stat
 
 import pytest
 
+from cvk import rw, serial
 from cvk.cli import main, squirrels_table_row, wave_table_row
 
 
@@ -186,28 +187,31 @@ def test_pipeline_is_deterministic_under_seeds(tmp_path, sq_files):
     )
 
 
-def test_wave_pipeline(tmp_path):
-    pk = tmp_path / "pk.cvk"
-    params = tmp_path / "params.json"
-    ck = tmp_path / "ck.cvk"
-    vk = tmp_path / "vk.cvk"
-    sig = tmp_path / "sig.cvk"
+@pytest.fixture
+def wave_files(tmp_path):
+    paths = {k: tmp_path / f"wave_{k}.cvk" for k in ("pk", "ck", "vk", "sig")}
+    paths["params"] = tmp_path / "wave_params.json"
     assert run(
         "keygen", "--scheme", "wave", "--seed", 3, "--n", 24, "--k", 12, "--w", 16,
-        "--out-pk", pk, "--out-params", params,
+        "--out-pk", paths["pk"], "--out-params", paths["params"],
     ) == 0
     assert run(
-        "ck-gen", "--scheme", "wave", "--params", params, "--c", 4, "--seed", 4,
-        "--out", ck,
+        "ck-gen", "--scheme", "wave", "--params", paths["params"], "--c", 4, "--seed", 4,
+        "--out", paths["ck"],
     ) == 0
     assert run(
-        "vk-gen", "--scheme", "wave", "--params", params, "--pk", pk, "--ck", ck,
-        "--c", 4, "--out", vk,
+        "vk-gen", "--scheme", "wave", "--params", paths["params"], "--pk", paths["pk"],
+        "--ck", paths["ck"], "--c", 4, "--out", paths["vk"],
     ) == 0
     assert run(
-        "sign-toy", "--scheme", "wave", "--params", params, "--pk", pk,
-        "--message", "surf", "--seed", 5, "--out", sig,
+        "sign-toy", "--scheme", "wave", "--params", paths["params"], "--pk", paths["pk"],
+        "--message", "surf", "--seed", 5, "--out", paths["sig"],
     ) == 0
+    return paths
+
+
+def test_wave_pipeline(wave_files):
+    params, pk, vk, sig = (wave_files[k] for k in ("params", "pk", "vk", "sig"))
     assert run(
         "verify", "--scheme", "wave", "--params", params, "--pk", pk, "--sig", sig,
         "--message", "surf",
@@ -220,6 +224,25 @@ def test_wave_pipeline(tmp_path):
         "cverify", "--scheme", "wave", "--params", params, "--vk", vk, "--sig", sig,
         "--c", 4, "--message", "other",
     ) == 1
+
+
+@pytest.mark.parametrize("scheme", ["squirrels", "wave"])
+def test_params_sidecar_for_the_other_scheme_is_exit_2(
+    sq_files, wave_files, tmp_path, capsys, scheme
+):
+    own, other = (sq_files, wave_files) if scheme == "squirrels" else (wave_files, sq_files)
+    signer = ("--sk", own["sk"]) if scheme == "squirrels" else ("--pk", own["pk"])
+    commands = [
+        ("ck-gen", "--out", tmp_path / "ck.out"),
+        ("vk-gen", "--pk", own["pk"], "--ck", own["ck"], "--out", tmp_path / "vk.out"),
+        ("sign-toy", *signer, "--message", "hello", "--out", tmp_path / "sig.out"),
+        ("verify", "--pk", own["pk"], "--sig", own["sig"], "--message", "hello"),
+        ("cverify", "--vk", own["vk"], "--sig", own["sig"], "--message", "hello"),
+    ]
+    for command, *rest in commands:
+        assert run(command, "--scheme", scheme, "--params", other["params"], *rest) == 2, command
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "expected" in err, command
 
 
 def test_rw_pipeline(tmp_path):
@@ -276,3 +299,21 @@ def test_missing_file_is_exit_2(tmp_path, capsys):
         "verify", "--scheme", "rw", "--pk", tmp_path / "nope.cvk",
         "--sig", tmp_path / "nope.sig", "--message", "m",
     ) == 2
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+def test_rw_key_with_ell_that_is_not_a_compression_key_is_exit_2(tmp_path, capsys, ell):
+    # With ell = 1 every signature would pass the compressed check.
+    pk, sk, sig = tmp_path / "pk.cvk", tmp_path / "sk.cvk", tmp_path / "sig.cvk"
+    ck, vk = tmp_path / "ck.cvk", tmp_path / "vk.cvk"
+    assert run("keygen", "--scheme", "rw", "--seed", 1, "--bits", 96,
+               "--out-pk", pk, "--out-sk", sk) == 0
+    assert run("sign-toy", "--scheme", "rw", "--sk", sk, "--message", "rw", "--seed", 3,
+               "--out", sig) == 0
+    n = serial.decode_rw_pk(pk.read_bytes())
+    ck.write_bytes(serial.encode_rw_ck(ell))
+    vk.write_bytes(serial.encode_rw_vk(rw.RwVerificationKey(ell, 0, n.bit_length())))
+    assert run("vk-gen", "--scheme", "rw", "--pk", pk, "--ck", ck,
+               "--out", tmp_path / "vk.out") == 2
+    assert run("cverify", "--scheme", "rw", "--vk", vk, "--sig", sig, "--message", "other") == 2
+    assert capsys.readouterr().err.count("error:") == 2

@@ -227,6 +227,53 @@ def test_floor_accumulate_wide_operands():
     assert floor_accumulate(x, q, p, a) == ((x * q) << a) // p
 
 
+def _restoring_division_floor(x, q, p, precision):
+    """Oracle: the quotient of x*q by p, then one fractional bit per step,
+    doubling the remainder and counting its overflows past p."""
+    y = x * q
+    acc, rem = y // p, y % p
+    for _ in range(precision):
+        rem <<= 1
+        over = rem >= p
+        rem -= p * over
+        acc = (acc << 1) | over
+    return acc
+
+
+def _assert_floor_matches_oracle(x, q, p, precision):
+    got = floor_accumulate(x, q, p, precision)
+    assert got.dtype == x.dtype
+    assert np.array_equal(got, _restoring_division_floor(x, q, p, precision))
+
+
+@pytest.mark.parametrize("precision", range(2, ecrt.default_precision(ecrt.MAX_BASIS_LEN) + 1))
+def test_floor_accumulate_matches_oracle_at_word_edge(precision):
+    # The largest int64 operands: each shifted part just below 2^(31 + a).
+    p = (1 << 31) - 1
+    full = np.full(4, p - 1, dtype=np.int64)
+    _assert_floor_matches_oracle(full, full, np.full(4, p, dtype=np.int64), precision)
+
+
+@pytest.mark.parametrize("s", [165, 339])
+def test_floor_accumulate_matches_oracle_on_int64_blocks(s):
+    rng = Random(s)
+    np_rng = np.random.default_rng(s)
+    p = np.array(sample_distinct_primes(31, s, rng), dtype=np.int64)
+    x = np_rng.integers(0, p, size=(ecrt.TRANSFER_BLOCK_ROWS, s))
+    q = np_rng.integers(1, p)
+    _assert_floor_matches_oracle(x, q, p, ecrt.default_precision(s))
+
+
+def test_floor_accumulate_matches_oracle_on_object_arrays():
+    rng = Random(40)
+    s = 12
+    primes = sample_distinct_primes(40, s, rng)
+    p = np.array(primes, dtype=object)
+    x = np.array([[rng.randrange(pi) for pi in primes] for _ in range(64)], dtype=object)
+    q = np.array([rng.randrange(1, pi) for pi in primes], dtype=object)
+    _assert_floor_matches_oracle(x, q, p, ecrt.default_precision(s))
+
+
 # ── approx_floor (fixed-point multiplier recovery) ───────────────────────
 
 

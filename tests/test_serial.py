@@ -1,6 +1,7 @@
 import math
 import struct
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -481,3 +482,65 @@ def test_rw_sig_rejects_trailing_bytes():
     broken += blob[serial.HEADER.size :] + b"\x00"
     with pytest.raises(MalformedSignature):
         serial.decode_rw_sig(broken)
+
+
+# ── rabin-williams load checks ───────────────────────────────────────────
+
+# Just outside (2^7, 2^62): the largest 7-bit prime and the first prime
+# above 2^62; inside it, a product of two primes.
+_RW_BAD_ELLS = [0, 1, 4, 127, (1 << 62) + 135, 131 * 137]
+
+
+@pytest.mark.parametrize("ell", _RW_BAD_ELLS)
+def test_rw_ck_rejects_ell_that_is_not_a_compression_key(ell):
+    with pytest.raises(MalformedSignature):
+        serial.decode_rw_ck(serial.encode_rw_ck(ell))
+
+
+@pytest.mark.parametrize("ell", _RW_BAD_ELLS)
+def test_rw_vk_rejects_ell_that_is_not_a_compression_key(ell):
+    with pytest.raises(MalformedSignature):
+        serial.decode_rw_vk(serial.encode_rw_vk(rw.RwVerificationKey(ell, 0, 96)))
+
+
+@pytest.mark.parametrize("ell", [131, (1 << 62) - 57])
+def test_rw_keys_accept_ell_at_the_width_edges(ell):
+    vk = rw.RwVerificationKey(ell, ell - 1, 96)
+    assert serial.decode_rw_ck(serial.encode_rw_ck(ell)) == ell
+    assert serial.decode_rw_vk(serial.encode_rw_vk(vk)) == vk
+
+
+def test_rw_vk_rejects_unreduced_n_mod_ell():
+    ell = rw.rw_ckeygen(20, Random(34))
+    with pytest.raises(MalformedSignature):
+        serial.decode_rw_vk(serial.encode_rw_vk(rw.RwVerificationKey(ell, ell, 96)))
+
+
+def test_rw_sk_rejects_primes_of_the_wrong_class():
+    kp = rw.rw_keygen(96, Random(35))
+    swapped = serial.encode_rw_sk(SimpleNamespace(p=kp.q, q=kp.p))
+    with pytest.raises(MalformedSignature):
+        serial.decode_rw_sk(swapped)
+
+
+def test_rw_decoders_reject_corrupted_bytes():
+    # Rewrite 1-4 payload bytes per run: every decoder either returns a
+    # key or raises MalformedSignature.
+    rng = Random(3001)
+    kp = rw.rw_keygen(96, rng)
+    ell = rw.rw_ckeygen(31, rng)
+    cases = [
+        (serial.encode_rw_pk(kp.n), serial.decode_rw_pk),
+        (serial.encode_rw_sk(kp), serial.decode_rw_sk),
+        (serial.encode_rw_ck(ell), serial.decode_rw_ck),
+        (serial.encode_rw_vk(rw.rw_vkeygen(ell, kp.n)), serial.decode_rw_vk),
+        (serial.encode_rw_sig(rw.rw_sign(kp, b"fuzz", rng)), serial.decode_rw_sig),
+    ]
+    for blob, decode in cases:
+        rejected = 0
+        for bad in _corrupted(blob, rng, 600):
+            try:
+                decode(bad)
+            except MalformedSignature:
+                rejected += 1
+        assert rejected > 0, decode.__name__
