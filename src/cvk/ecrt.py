@@ -15,8 +15,10 @@ one above the ceil(log2 s) + 1 that floor recovery needs (Bernstein,
 theorem", 1995).
 
 The basis product D is never materialized: setup runs prefix and
-suffix products over word residues, and the transfer itself touches
-nothing wider than a double word.
+suffix products over word residues, and the transfer is two exact
+int64 matrix products per block of values, over the 16-bit halves of
+the word weights (the exact-product-by-limbs approach of FFLAS-FFPACK),
+touching nothing wider than a double word.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,8 @@ from .modmath import check_modulus, is_prime_word
 
 # Cap on s, which fixes the precision a = ceil(log2 s) + 2.  It does not
 # keep the summed floors, which reach s * 2^(31 + a), within 64 bits: the
-# transfer checks that itself.
+# transfer checks that itself, and its int64 rule admits only s < 2^15,
+# which also keeps its split-word products exact.
 MAX_BASIS_LEN = 1 << 16
 
 # Rows per transfer pass: bounds the temporaries, so peak memory stays flat.
@@ -96,9 +99,8 @@ class EcrtPrecomp:
     ``product_res[k]``    = (p_1 ... p_s)       mod r_k
     ``cofactor_res[k][i]`` = (p_1 ... p_s)/p_i  mod r_k
 
-    Storage is keyed by secret prime first (k-major): the verification
-    loop walks one secret prime at a time and wants its row contiguous.
-    Built by ``mod_ecrt_setup`` only.
+    Storage is keyed by secret prime first (k-major), the (t, s) layout
+    the setup scans run along.  Built by ``mod_ecrt_setup`` only.
     """
 
     secret_basis: PrimeBasis
@@ -219,10 +221,19 @@ def mod_ecrt_rows(
     (m, t) result represents value i or value i - D.
 
     Rows go in blocks of ``TRANSFER_BLOCK_ROWS``: ``approx_floor`` pins
-    down floor(a) for the block, then each secret prime r_k takes the
-    block's residues to sum_j x_j q_j (D/p_j) - floor(a) D mod r_k.  Runs
-    in int64 when all primes are below 2^31 and s * 2^(31 + precision) <
-    2^63; in Python ints otherwise.
+    down floor(a) for the block, then two matrix products take the
+    block's residues to sum_j x_j q_j (D/p_j) - floor(a) D mod every
+    secret prime r_k at once.  The weights w[k, j] = q_j (D/p_j) mod r_k
+    are split into 16-bit halves, w = w_hi 2^16 + w_lo, and
+
+        z = ((x @ w_hi) mod r * 2^16 + x @ w_lo) mod r.
+
+    Runs in int64 when all primes are below 2^31 and s * 2^(31 + a) <
+    2^63, a = ``pre.precision``; in Python ints otherwise.  The int64
+    rule, with a = ceil(log2 s) + 2, forces s < 2^15, so every x @ w_lo
+    sum is below 2^15 * 2^31 * 2^16 = 2^62, every x @ w_hi sum below
+    2^15 * 2^31 * 2^15 = 2^61, and (x @ w_hi mod r) 2^16 + x @ w_lo
+    below 2^47 + 2^62 < 2^63: the products are exact.
     """
     s = len(basis)
     if s != len(pre.cofactor_res[0]):
@@ -237,17 +248,18 @@ def mod_ecrt_rows(
     dtype = np.int64 if narrow else object  # else Python ints
     p = np.array(basis.primes, dtype=dtype)
     qv = np.array(q, dtype=dtype)
-    # w[k, j] = q_j * (D / p_j) mod r_k, so each term x_j * w[k, j] is one
-    # double-word product, reduced mod r_k before it is summed.
-    w = qv * np.array(pre.cofactor_res, dtype=dtype) % np.array(secret, dtype=dtype)[:, None]
+    r = np.array(secret, dtype=dtype)
+    product_res = np.array(pre.product_res, dtype=dtype)
+    # w[k, j] = q_j * (D / p_j) mod r_k, split into (s, t) halves.
+    w = qv * np.array(pre.cofactor_res, dtype=dtype) % r[:, None]
+    w_hi, w_lo = (w >> 16).T, (w & 0xFFFF).T
     out = np.empty((x.shape[0], len(secret)), dtype=dtype)
     for start in range(0, x.shape[0], TRANSFER_BLOCK_ROWS):
         rows = slice(start, start + TRANSFER_BLOCK_ROWS)
         block = x[rows].astype(dtype)
         f = approx_floor(block, qv, p, a)
-        for k, r in enumerate(secret):
-            z = (block * w[k] % r).sum(axis=1)
-            out[rows, k] = (z - f % r * pre.product_res[k]) % r
+        z = ((block @ w_hi) % r * (1 << 16) + block @ w_lo) % r
+        out[rows] = (z - f[:, None] % r * product_res) % r
     return out
 
 

@@ -64,12 +64,17 @@ def _check_packed(raw: np.ndarray, cols: int) -> None:
 
 def _unpack(raw: np.ndarray, cols: int) -> np.ndarray:
     """(rows, stride) packed bytes to (rows, cols) C-contiguous trits,
-    one ``BYTE_LANES`` gather."""
+    one ``BYTE_LANES`` gather per ``MATMUL_BLOCK_ROWS`` rows.  The gather
+    casts its byte indices to intp, 8 bytes per packed byte, so blocking
+    it holds that transient to one block rather than the whole matrix."""
     rows, stride = raw.shape
-    lanes = BYTE_LANES.take(raw, axis=0).reshape(rows, TRITS_PER_BYTE * stride)
-    if cols == lanes.shape[1]:
-        return lanes
-    return np.ascontiguousarray(lanes[:, :cols])
+    out = np.empty((rows, cols), dtype=np.uint8)
+    for start in range(0, rows, MATMUL_BLOCK_ROWS):
+        block = raw[start : start + MATMUL_BLOCK_ROWS]
+        lanes = BYTE_LANES.take(block, axis=0).reshape(len(block), TRITS_PER_BYTE * stride)
+        out[start : start + len(block)] = lanes[:, :cols]
+        del lanes  # free before the next block's gather
+    return out
 
 
 def pack_trits(values) -> bytes:

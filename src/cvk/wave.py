@@ -333,11 +333,6 @@ def pk_bytes(params: WaveParams) -> int:
     return params.k * row_stride(params.redundancy)
 
 
-def vk_stored_trits(params: WaveParams, c: int) -> int:
-    """Trit payload of the stored verification-key block."""
-    return c * (params.n - c)
-
-
 def vk_bytes(params: WaveParams, c: int) -> int:
     return (params.n - c) * row_stride(c)
 

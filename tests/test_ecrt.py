@@ -20,7 +20,7 @@ from cvk.ecrt import (
     q_coefficients,
 )
 from cvk.errors import SharedFactor
-from cvk.modmath import sample_distinct_primes, sample_prime
+from cvk.modmath import is_prime_word, sample_distinct_primes, sample_prime
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -383,3 +383,104 @@ def test_mod_ecrt_rows_rejects_wrong_width():
     basis, pre, qc = _transfer_setup()
     with pytest.raises(ValueError):
         mod_ecrt_rows(pre, qc, basis, np.zeros((4, 2), dtype=np.int64))
+
+
+# ── mod_ecrt_rows against the per-prime loop ─────────────────────────────
+
+
+def _per_prime_transfer(pre, q, basis, x):
+    """Oracle for ``mod_ecrt_rows``: each secret prime r_k in turn, with
+    every term x_j * w[k, j] reduced mod r_k before it is summed."""
+    a = pre.precision
+    secret = pre.secret_basis.primes
+    s = len(basis)
+    narrow = max(basis.primes + secret) < (1 << 31) and s << (31 + a) < (1 << 63)
+    dtype = np.int64 if narrow else object
+    p = np.array(basis.primes, dtype=dtype)
+    qv = np.array(q, dtype=dtype)
+    w = qv * np.array(pre.cofactor_res, dtype=dtype) % np.array(secret, dtype=dtype)[:, None]
+    out = np.empty((x.shape[0], len(secret)), dtype=dtype)
+    for start in range(0, x.shape[0], ecrt.TRANSFER_BLOCK_ROWS):
+        rows = slice(start, start + ecrt.TRANSFER_BLOCK_ROWS)
+        block = x[rows].astype(dtype)
+        f = approx_floor(block, qv, p, a)
+        for k, r in enumerate(secret):
+            z = (block * w[k] % r).sum(axis=1)
+            out[rows, k] = (z - f % r * pre.product_res[k]) % r
+    return out
+
+
+def _assert_transfer_matches_oracle(pre, q, basis, x):
+    got = mod_ecrt_rows(pre, q, basis, x)
+    expected = _per_prime_transfer(pre, q, basis, x)
+    assert got.dtype == expected.dtype
+    assert got.shape == (x.shape[0], len(pre.secret_basis))
+    assert np.array_equal(got, expected)
+    return got
+
+
+def _random_table(basis, rows, seed):
+    p = np.array(basis.primes, dtype=np.int64)
+    return np.random.default_rng(seed).integers(0, p, size=(rows, len(basis)))
+
+
+@pytest.mark.parametrize("s,t", [(165, 5), (339, 11)])  # Squirrels I and V
+@pytest.mark.parametrize("rows", [600, 0])  # 600: a partial last block
+def test_mod_ecrt_rows_matches_per_prime_oracle(s, t, rows):
+    rng = Random(s * 1000 + t)
+    basis = PrimeBasis(sample_distinct_primes(31, s, rng))
+    secret = PrimeBasis(sample_distinct_primes(31, t, rng, exclude=basis.primes))
+    pre = mod_ecrt_setup(basis, secret)
+    got = _assert_transfer_matches_oracle(
+        pre, q_coefficients(basis), basis, _random_table(basis, rows, s)
+    )
+    assert got.dtype == np.int64
+
+
+def _primes_below(limit, count):
+    """The ``count`` largest primes below ``limit``, descending, from a
+    segmented sieve."""
+    span = 32 * count
+    low = limit - span
+    composite = np.zeros(span, dtype=bool)
+    for d in range(2, math.isqrt(limit) + 1):
+        composite[(-low) % d :: d] = True
+    primes = tuple(int(v) for v in np.flatnonzero(~composite)[::-1][:count] + low)
+    assert len(primes) == count
+    return primes
+
+
+def _sieved_basis(primes):
+    """A ``PrimeBasis`` of sieved primes, built without its per-entry
+    Miller-Rabin check (4 s at 2^15 entries): the sieve already proves
+    each entry prime."""
+    basis = object.__new__(PrimeBasis)
+    object.__setattr__(basis, "primes", primes)
+    return basis
+
+
+def test_mod_ecrt_rows_matches_oracle_at_int64_edge():
+    # The largest s the int64 rule admits, every other operand at its
+    # largest: primes just below 2^31, x = p - 1 and q = p - 1 as given.
+    s, t = (1 << 15) - 1, 11
+    a = ecrt.default_precision(s)
+    assert s << (31 + a) < (1 << 63) <= (s + 1) << (31 + ecrt.default_precision(s + 1))
+    primes = _primes_below(1 << 31, s + t)
+    assert all(is_prime_word(p) for p in primes[::1024])
+    secret, basis = PrimeBasis(primes[:t]), _sieved_basis(primes[t:])
+    pre = mod_ecrt_setup(basis, secret)
+    q = tuple(p - 1 for p in basis.primes)
+    x = np.tile(np.array(q, dtype=np.int64), (3, 1))
+    got = _assert_transfer_matches_oracle(pre, q, basis, x)
+    assert got.dtype == np.int64
+
+
+def test_mod_ecrt_rows_matches_oracle_on_object_path():
+    rng = Random(4040)
+    basis = PrimeBasis(sample_distinct_primes(31, 33, rng))
+    secret = PrimeBasis(sample_distinct_primes(40, 4, rng))
+    pre = mod_ecrt_setup(basis, secret)
+    got = _assert_transfer_matches_oracle(
+        pre, q_coefficients(basis), basis, _random_table(basis, 300, 33)
+    )
+    assert got.dtype == object

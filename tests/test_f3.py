@@ -1,3 +1,4 @@
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -10,6 +11,7 @@ from cvk.f3 import (
     BYTE_LANES,
     MATMUL_BLOCK_ROWS,
     MAX_INNER_DIMENSION,
+    TRITS_PER_BYTE,
     TernaryMatrix,
     f3_matmul,
     pack_trits,
@@ -86,6 +88,23 @@ def test_unpack_matches_four_pass_oracle(rows, cols):
     got = f3._unpack(raw, cols)
     assert got.dtype == np.uint8 and got.shape == (rows, cols)
     assert got.flags.c_contiguous
+    assert np.array_equal(got, _unpack_four_pass(raw, cols))
+
+
+def test_unpack_transient_stays_within_one_block():
+    # The gather's intp indices and its lanes are held for one block of
+    # rows at a time, never for the whole matrix.
+    rows, cols = 1000, 2001  # a partial last block, cols % 4 != 0
+    stride = row_stride(cols)
+    raw = np.random.default_rng(1000).integers(0, 256, (rows, stride), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        got = f3._unpack(raw, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = MATMUL_BLOCK_ROWS * stride * (np.dtype(np.intp).itemsize + TRITS_PER_BYTE)
+    assert peak <= got.nbytes + block + (64 << 10)
     assert np.array_equal(got, _unpack_four_pass(raw, cols))
 
 

@@ -167,7 +167,6 @@ def test_choose_c_byte_aligned():
 def test_vk_size_identities():
     for tag, c in [("822", 80), ("1249", 120), ("1644", 160)]:
         p = wv.named_params(tag)
-        assert wv.vk_stored_trits(p, c) == c * (p.n - c)
         # byte-aligned c: the packed payload is exactly c(n-c)/4 bytes
         assert wv.vk_bytes(p, c) == c * (p.n - c) // 4
 
