@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import os
-import struct
 import sys
 from random import Random
 
@@ -72,6 +71,10 @@ def _load_params(args):
         raise CvkError(f"{path}: params must be a JSON object")
     if doc.get("scheme") != scheme:
         raise CvkError(f"{path}: params are for scheme {doc.get('scheme')!r}, expected {scheme!r}")
+    tag = doc.get("tag", "toy")
+    code = serial.SCHEME_SQUIRRELS if scheme == "squirrels" else serial.SCHEME_WAVE
+    if not isinstance(tag, str) or serial.tag_code(code, tag) >= 1 << 16:
+        raise CvkError(f"{path}: 'tag' must be a string whose instance code fits 16 bits")
     if scheme == "squirrels":
         primes = doc.get("primes")
         if not isinstance(primes, list) or any(type(p) is not int for p in primes):
@@ -79,10 +82,10 @@ def _load_params(args):
         return sq.SquirrelsParams(
             **_int_fields(doc, path, "n", "q", "beta_sq"),
             s=len(primes),
-            tag=doc.get("tag", "toy"),
+            tag=tag,
             public_basis=PrimeBasis(tuple(primes)),
         )
-    return wv.WaveParams(**_int_fields(doc, path, "n", "k", "w"), tag=doc.get("tag", "toy"))
+    return wv.WaveParams(**_int_fields(doc, path, "n", "k", "w"), tag=tag)
 
 
 def _dump_squirrels_params(params: sq.SquirrelsParams, path: str) -> None:
@@ -441,7 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (CvkError, OSError, json.JSONDecodeError, ValueError, KeyError, struct.error) as exc:
+    except (CvkError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

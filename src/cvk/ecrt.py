@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SharedFactor
-from .modmath import check_modulus, is_prime_word
+from .modmath import MAX_MODULUS_BITS, is_prime_word
 
 # Cap on s, which fixes the precision a = ceil(log2 s) + 2.  It does not
 # keep the summed floors, which reach s * 2^(31 + a), within 64 bits: the
@@ -59,9 +59,8 @@ class PrimeBasis:
         if len(set(self.primes)) != len(self.primes):
             raise ValueError("prime basis entries must be distinct")
         for p in self.primes:
-            check_modulus(p)
-            if not is_prime_word(p):
-                raise ValueError(f"basis entry {p} is not prime")
+            if not (isinstance(p, int) and p < 1 << MAX_MODULUS_BITS and is_prime_word(p)):
+                raise ValueError(f"basis entry {p!r} is not a prime below 2^63")
 
     def __len__(self) -> int:
         return len(self.primes)

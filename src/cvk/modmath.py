@@ -9,6 +9,20 @@ Secret moduli (the verifier's hidden primes) reach ``inv_mod`` when a
 Squirrels compression key is built; it runs a binary-gcd ladder for a
 fixed number of divsteps, so its iteration count depends only on the
 modulus width.
+
+``is_prime_word`` is the one primality rule: every prime that is
+sampled (Squirrels and Rabin-Williams secret primes, RW key halves) or
+loaded (public and secret prime bases, RW compression and signing keys)
+passes through it.  After trial division by the primes up to 61 it runs
+strong-pseudoprime tests: bases 2, 7 and 61 below 2^32, exact there
+because the least composite passing all three is 4,759,123,141 > 2^32
+(Jaeschke, "On strong pseudoprimes to several bases", Math. Comp. 61,
+1993); the twelve prime bases 2..37 from 2^32 up, exact below
+psi_12 = 318,665,857,834,031,151,167,461 ~ 3.2e23 (Sorenson and
+Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+2017).  Above psi_12, reached only by Rabin-Williams key halves wider
+than 78 bits, it is a probable-prime test: psi_12 itself passes, and
+a composite built to pass all twelve bases would too.
 """
 
 import math
@@ -22,35 +36,19 @@ MAX_MODULUS_BITS = 63
 MIN_PRIME_WIDTH = 8
 MAX_PRIME_WIDTH = 62
 
-# Deterministic Miller-Rabin witness set: correct for every n < 3.3e24,
-# far above the 62-bit sampling cap.
+# Strong-pseudoprime bases of ``is_prime_word``: the first set is exact
+# below 2^32, the second below psi_12 ~ 3.2e23, far above the 62-bit
+# sampling cap (see the module docstring).
+WORD32_MR_BASES = (2, 7, 61)
 DETERMINISTIC_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# The unique odd composite in (2^30, 2^31) that is a strong pseudoprime
-# to bases 2, 3 and 5 simultaneously: 24061 * 48121.  The 31-bit sampler
-# runs only those three bases and rejects this value by inequality.
-STRONG_PSEUDOPRIME_31BIT_EXCEPTION = 1157839381
+# Trial divisors: every n that reaches a base test exceeds every base.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 # Exact count of 31-bit primes, pi(2^31) - pi(2^30).  Known from prime
 # tables; used wherever a bound needs the true size of the 31-bit pool.
 PRIME_COUNT_31BIT = 50_697_537
-
-
-def check_modulus(m: int) -> int:
-    """Validate a word modulus: odd (or the prime 2), below 2^63.
-
-    The prime 2 is admitted because squarefree toy determinants may be
-    even; every *sampled* (secret) modulus is odd.
-    """
-    if not isinstance(m, int):
-        raise TypeError(f"modulus must be int, got {type(m).__name__}")
-    if m == 2:
-        return m
-    if m <= 2 or m >= (1 << MAX_MODULUS_BITS):
-        raise ValueError(f"modulus {m} outside (2, 2^63)")
-    if m % 2 == 0:
-        raise ValueError(f"modulus {m} must be odd")
-    return m
 
 
 def _divsteps_for_bits(bits: int) -> int:
@@ -124,51 +122,38 @@ def is_strong_pseudoprime(r: int, a: int) -> bool:
 
 
 def is_prime_word(n: int) -> bool:
-    """Deterministic primality for word-sized n (< 2^63)."""
-    if n < 2:
+    """Primality of n: exact below psi_12 ~ 3.2e23, which covers every
+    word (< 2^63); a twelve-base probable-prime test above it.
+
+    Trial division by the primes up to 61, then bases 2, 7 and 61 below
+    2^32 and the twelve prime bases 2..37 from 2^32 up.
+    """
+    if n <= _SMALL_PRIMES[-1]:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return False
-    for p in DETERMINISTIC_MR_BASES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    return all(is_strong_pseudoprime(n, a) for a in DETERMINISTIC_MR_BASES)
+    bases = WORD32_MR_BASES if n < 1 << 32 else DETERMINISTIC_MR_BASES
+    return all(is_strong_pseudoprime(n, a) for a in bases)
 
 
-def sample_prime(
-    width: int,
-    rng: Random,
-    exclude: Collection[int] = (),
-    max_draws: int | None = None,
-) -> int:
+def sample_prime(width: int, rng: Random, exclude: Collection[int] = ()) -> int:
     """Sample a uniform prime r with 2^(width-1) < r < 2^width.
 
-    Candidates are drawn uniformly over odd ``width``-bit integers.  At
-    width 31 a candidate is accepted iff it is a strong pseudoprime to
-    bases 2, 3 and 5 and differs from the single composite exception to
-    that test; at every other width the full deterministic witness set
-    is used (the three-base shortcut is a 31-bit fact only).
+    Candidates are drawn uniformly over odd ``width``-bit integers and
+    accepted by ``is_prime_word``, exact at every supported width.
 
     Raises:
-        Exhausted: after ``max_draws`` candidates (default 10 * 2^width
-            / width) without an acceptable prime.
+        Exhausted: after 10 * 2^width / width candidates (at least 64)
+            without a prime outside ``exclude``.
     """
     if not MIN_PRIME_WIDTH <= width <= MAX_PRIME_WIDTH:
         raise ValueError(f"prime width must be in [8, 62], got {width}")
-    if max_draws is None:
-        max_draws = max(64, (10 << width) // width)
+    max_draws = max(64, (10 << width) // width)
     excluded = frozenset(exclude)
     top = 1 << (width - 1)
     for _ in range(max_draws):
         candidate = top | rng.getrandbits(width - 1) | 1
-        if candidate in excluded:
-            continue
-        if width == 31:
-            if candidate == STRONG_PSEUDOPRIME_31BIT_EXCEPTION:
-                continue
-            if all(is_strong_pseudoprime(candidate, a) for a in (2, 3, 5)):
-                return candidate
-        elif is_prime_word(candidate):
+        if candidate not in excluded and is_prime_word(candidate):
             return candidate
     raise Exhausted(f"no {width}-bit prime found in {max_draws} draws")
 

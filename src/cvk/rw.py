@@ -19,13 +19,11 @@ from random import Random
 
 from .errors import MalformedSignature
 from .modmath import (
-    DETERMINISTIC_MR_BASES,
     PRIME_COUNT_31BIT,
     count_primes_bounds,
     inv_mod,
     is_prime_word,
     is_quadratic_residue,
-    is_strong_pseudoprime,
     sample_prime,
     sqrt_mod,
 )
@@ -94,7 +92,7 @@ def _sample_congruent_prime(bits: int, residue: int, rng: Random) -> int:
         c += (residue - c) % 8
         if c.bit_length() != bits:
             continue
-        if all(is_strong_pseudoprime(c, a) for a in DETERMINISTIC_MR_BASES):
+        if is_prime_word(c):
             return c
     raise RuntimeError("prime search ran too long")  # pragma: no cover
 

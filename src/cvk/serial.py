@@ -245,9 +245,16 @@ def encode_wave_ck(ck: TernaryMatrix, params: wv.WaveParams) -> bytes:
     return wrap(SCHEME_WAVE, KIND_CK, tag_code(SCHEME_WAVE, params.tag), payload)
 
 
+def _wave_c(c: int, params: wv.WaveParams) -> int:
+    """A compression dimension ``wave_ckeygen`` draws; c = 0 would accept anything."""
+    if not 1 <= c <= params.redundancy:
+        raise MalformedSignature(f"c = {c} outside [1, n-k = {params.redundancy}]")
+    return c
+
+
 def decode_wave_ck(blob: bytes, params: wv.WaveParams, c: int) -> TernaryMatrix:
     _, payload = unwrap(blob, SCHEME_WAVE, KIND_CK)
-    return _decode_matrix(payload, params.redundancy, c)
+    return _decode_matrix(payload, params.redundancy, _wave_c(c, params))
 
 
 def encode_wave_vk(vk: wv.WaveVerificationKey, params: wv.WaveParams) -> bytes:
@@ -258,7 +265,7 @@ def encode_wave_vk(vk: wv.WaveVerificationKey, params: wv.WaveParams) -> bytes:
 
 def decode_wave_vk(blob: bytes, params: wv.WaveParams, c: int) -> wv.WaveVerificationKey:
     _, payload = unwrap(blob, SCHEME_WAVE, KIND_VK)
-    bottom = _decode_matrix(payload, params.n - c, c)
+    bottom = _decode_matrix(payload, params.n - c, _wave_c(c, params))
     return wv.WaveVerificationKey(vk_bottom=bottom, c=c, n=params.n)
 
 
@@ -299,11 +306,25 @@ def encode_rw_pk(n: int) -> bytes:
     return wrap(SCHEME_RW, KIND_PK, 0, _encode_biguint(n))
 
 
+def _rw_width(n_bits: int, what: str) -> None:
+    """A modulus width ``rw_keygen`` makes; ``encode_rw_vk`` stores it in 16 bits."""
+    if not rw.MIN_MODULUS_BITS <= n_bits <= rw.MAX_MODULUS_BITS:
+        raise MalformedSignature(
+            f"{what}: modulus width {n_bits} outside "
+            f"[{rw.MIN_MODULUS_BITS}, {rw.MAX_MODULUS_BITS}]"
+        )
+
+
 def decode_rw_pk(blob: bytes) -> int:
+    """An N of the shape ``rw_keygen`` makes: 64 to 512 bits, and
+    p*q = 3*7 = 5 (mod 8)."""
     _, payload = unwrap(blob, SCHEME_RW, KIND_PK)
     n, pos = _decode_biguint(payload, 0)
     if pos != len(payload):
         raise MalformedSignature("trailing bytes in PK")
+    _rw_width(n.bit_length(), "PK")
+    if n % 8 != 5:
+        raise MalformedSignature(f"PK: N = {n % 8} (mod 8), expected 5")
     return n
 
 
@@ -319,9 +340,14 @@ def decode_rw_sk(blob: bytes) -> rw.RwKeypair:
     if pos != len(payload):
         raise MalformedSignature("trailing bytes in SK")
     try:
-        return rw.RwKeypair(p=p, q=q)
+        kp = rw.RwKeypair(p=p, q=q)
     except ValueError as exc:
         raise MalformedSignature(f"SK: {exc}") from None
+    # The width check first bounds the cost of the primality tests.
+    _rw_width(kp.n.bit_length(), "SK")
+    if not (is_prime_word(p) and is_prime_word(q)):
+        raise MalformedSignature("SK: p and q must be prime")
+    return kp
 
 
 def encode_rw_ck(ell: int) -> bytes:
@@ -354,6 +380,7 @@ def decode_rw_vk(blob: bytes) -> rw.RwVerificationKey:
     ell, n_ell, n_bits = struct.unpack("<QQH", payload)
     if n_ell >= _rw_ell(ell, "VK"):
         raise MalformedSignature("VK: N mod ell not reduced")
+    _rw_width(n_bits, "VK")
     return rw.RwVerificationKey(ell=ell, n_ell=n_ell, n_bits=n_bits)
 
 

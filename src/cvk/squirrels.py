@@ -69,8 +69,8 @@ class SquirrelsParams:
     classical_bits: int | None = None
 
     def __post_init__(self):
-        if self.q < 1 or self.q & (self.q - 1):
-            raise ValueError(f"hash bound q must be a power of two, got {self.q}")
+        if self.q < 1 or self.q & (self.q - 1) or self.q > 1 << 16:
+            raise ValueError(f"hash bound q must be a power of two in [1, 2^16], got {self.q}")
         if not 2 <= self.n < MAX_DIMENSION:
             raise ValueError(f"dimension {self.n} not in [2, {MAX_DIMENSION})")
         if self.beta_sq < 0:
@@ -328,10 +328,10 @@ def cverify(
     computed over all primes and combined at the end (no early exit on
     secret data).
 
-    The int64 fold is exact: |c_i| < 2^15 + 2^16 (``SquirrelsSignature``
-    and ``hash_to_point``), rows < r_j < 2^31 (``compression_key``) and
-    n < 2^15 (``SquirrelsParams``) keep |sum| below 2^63, and the
-    reduced sum times inv_delta_j stays below 2^62.
+    The int64 fold is exact: |c_i| < 2^15 + 2^16 (``SquirrelsSignature``,
+    and ``SquirrelsParams``, which caps q at 2^16), rows < r_j < 2^31
+    (``compression_key``) and n < 2^15 (``SquirrelsParams``) keep |sum|
+    below 2^63, and the reduced sum times inv_delta_j stays below 2^62.
     """
     s_vec = _check_signature_shape(sig, params.n)
     if int(s_vec @ s_vec) > params.beta_sq:

@@ -143,6 +143,8 @@ class WaveVerificationKey:
     n: int
 
     def __post_init__(self):
+        if self.c < 1:
+            raise ValueError(f"compression dimension must be at least 1, got {self.c}")
         if self.vk_bottom.shape != (self.n - self.c, self.c):
             raise ValueError(
                 f"stored block is {self.vk_bottom.shape}, expected "

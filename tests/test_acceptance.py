@@ -23,7 +23,7 @@ from cvk import squirrels as sq
 from cvk import wave as wv
 from cvk.ecrt import PrimeBasis, RnsResidues, mod_ecrt, mod_ecrt_setup, q_coefficients
 from cvk.f3 import TernaryMatrix
-from cvk.modmath import STRONG_PSEUDOPRIME_31BIT_EXCEPTION, sample_prime
+from cvk.modmath import sample_prime
 from cvk.opcount import OpCounter
 
 
@@ -323,7 +323,7 @@ def criterion_09_prime_sampler() -> str:
                 return self._queue.pop(0)
             return super().getrandbits(k)
 
-    bad = STRONG_PSEUDOPRIME_31BIT_EXCEPTION
+    bad = 1157839381
     forced = Forced([bad ^ (1 << 30)])
     r = sample_prime(31, forced)
     assert r != bad and sympy.isprime(r)

@@ -1,8 +1,10 @@
 import json
 import os
 import stat
+from random import Random
 
 import pytest
+import sympy
 
 from cvk import rw, serial
 from cvk.cli import main, squirrels_table_row, wave_table_row
@@ -317,3 +319,210 @@ def test_rw_key_with_ell_that_is_not_a_compression_key_is_exit_2(tmp_path, capsy
                "--out", tmp_path / "vk.out") == 2
     assert run("cverify", "--scheme", "rw", "--vk", vk, "--sig", sig, "--message", "other") == 2
     assert capsys.readouterr().err.count("error:") == 2
+
+
+def _wave_header_only(path, kind):
+    path.write_bytes(serial.wrap(serial.SCHEME_WAVE, kind, 0, b""))
+    return path
+
+
+def test_wave_c_zero_is_exit_2(wave_files, tmp_path, capsys):
+    # With c = 0 the compressed check has no rows and would accept anything.
+    params, pk, sig = wave_files["params"], wave_files["pk"], wave_files["sig"]
+    vk = _wave_header_only(tmp_path / "vk0.cvk", serial.KIND_VK)
+    ck = _wave_header_only(tmp_path / "ck0.cvk", serial.KIND_CK)
+    assert run(
+        "cverify", "--scheme", "wave", "--params", params, "--vk", vk, "--sig", sig,
+        "--c", 0, "--message", "other",
+    ) == 2
+    assert run(
+        "vk-gen", "--scheme", "wave", "--params", params, "--pk", pk, "--ck", ck,
+        "--c", 0, "--out", tmp_path / "vk.out",
+    ) == 2
+    assert not (tmp_path / "vk.out").exists()
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_wave_c_above_redundancy_is_exit_2(wave_files, tmp_path):
+    params, sig = wave_files["params"], wave_files["sig"]
+    assert run(
+        "cverify", "--scheme", "wave", "--params", params, "--vk", wave_files["vk"],
+        "--sig", sig, "--c", 13, "--message", "surf",
+    ) == 2
+
+
+@pytest.fixture
+def rw_files(tmp_path):
+    paths = {k: tmp_path / f"rw_{k}.cvk" for k in ("pk", "sk", "ck", "vk", "sig")}
+    assert run("keygen", "--scheme", "rw", "--seed", 1, "--bits", 96,
+               "--out-pk", paths["pk"], "--out-sk", paths["sk"]) == 0
+    assert run("ck-gen", "--scheme", "rw", "--mu", 20, "--seed", 2, "--out", paths["ck"]) == 0
+    assert run("vk-gen", "--scheme", "rw", "--pk", paths["pk"], "--ck", paths["ck"],
+               "--out", paths["vk"]) == 0
+    assert run("sign-toy", "--scheme", "rw", "--sk", paths["sk"], "--message", "rw",
+               "--seed", 3, "--out", paths["sig"]) == 0
+    return paths
+
+
+@pytest.mark.parametrize(
+    "n", [3, 1 << 100, (1 << 69_999) + 5], ids=["three", "power-of-two", "70000-bit"]
+)
+def test_rw_pk_that_rw_keygen_cannot_make_is_exit_2(rw_files, tmp_path, capsys, n):
+    pk = tmp_path / "bad_pk.cvk"
+    pk.write_bytes(serial.encode_rw_pk(n))
+    assert run("vk-gen", "--scheme", "rw", "--pk", pk, "--ck", rw_files["ck"],
+               "--out", tmp_path / "vk.out") == 2
+    assert run("verify", "--scheme", "rw", "--pk", pk, "--sig", rw_files["sig"],
+               "--message", "rw") == 2
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_rw_vk_with_out_of_range_width_is_exit_2(rw_files, tmp_path):
+    vk = serial.decode_rw_vk(rw_files["vk"].read_bytes())
+    for n_bits in (0, 63, 513, 0xFFFF):
+        bad = tmp_path / f"vk{n_bits}.cvk"
+        bad.write_bytes(serial.encode_rw_vk(rw.RwVerificationKey(vk.ell, vk.n_ell, n_bits)))
+        assert run("cverify", "--scheme", "rw", "--vk", bad, "--sig", rw_files["sig"],
+                   "--message", "rw") == 2, n_bits
+
+
+def test_rw_sk_with_composite_factor_is_exit_2(rw_files, tmp_path, capsys):
+    kp = serial.decode_rw_sk(rw_files["sk"].read_bytes())
+    q = kp.q + 8
+    while sympy.isprime(q):
+        q += 8
+    sk = tmp_path / "bad_sk.cvk"
+    sk.write_bytes(serial.encode_rw_sk(rw.RwKeypair(kp.p, q)))
+    assert run("sign-toy", "--scheme", "rw", "--sk", sk, "--message", "rw", "--seed", 3,
+               "--out", tmp_path / "sig.out") == 2
+    assert "prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scheme, tag",
+    [(scheme, tag) for scheme in ("squirrels", "wave") for tag in (5, ["x"], None)]
+    + [("wave", "99999")],
+    ids=["squirrels-int", "squirrels-list", "squirrels-null",
+         "wave-int", "wave-list", "wave-null", "wave-overflow"],
+)
+def test_sidecar_tag_that_cannot_be_written_is_exit_2(
+    sq_files, wave_files, tmp_path, capsys, scheme, tag
+):
+    files = sq_files if scheme == "squirrels" else wave_files
+    doc = {**json.loads(files["params"].read_text()), "tag": tag}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run("ck-gen", "--scheme", scheme, "--params", bad, "--seed", 1,
+               "--out", tmp_path / "ck.out") == 2
+    assert capsys.readouterr().err.count("error:") == 1
+
+
+def test_squirrels_q_above_two_to_the_16_is_exit_2(sq_files, tmp_path, capsys):
+    assert run(
+        "keygen", "--scheme", "squirrels", "--seed", 7, "--n", 10, "--q", 1 << 17,
+        "--out-pk", tmp_path / "pk", "--out-sk", tmp_path / "sk",
+        "--out-params", tmp_path / "params.json",
+    ) == 2
+    doc = {**json.loads(sq_files["params"].read_text()), "q": 1 << 17}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run("ck-gen", "--scheme", "squirrels", "--params", bad, "--seed", 1,
+               "--out", tmp_path / "ck.out") == 2
+    assert run("vk-gen", "--scheme", "squirrels", "--params", bad, "--pk", sq_files["pk"],
+               "--ck", sq_files["ck"], "--out", tmp_path / "vk.out") == 2
+    assert capsys.readouterr().err.count("error:") == 3
+
+
+_JSON_VALUES = (
+    0, -1, 1, 2, 3, 16, 1 << 16, 1 << 17, 1 << 31, 1 << 63, 1 << 80, -(1 << 70),
+    1.5, True, None, "", "x", "5", "99999", "I", [], ["x"], [3, 5], {}, {"n": 1},
+)
+
+
+def _corrupt_sidecar(text: str, rng: Random) -> str:
+    doc = json.loads(text)
+    roll = rng.randrange(10)
+    if roll == 0:
+        return text[: rng.randrange(len(text))]
+    if roll == 1:
+        return json.dumps(rng.choice(_JSON_VALUES))
+    if roll == 2 and "primes" in doc:
+        primes = doc["primes"]
+        primes[rng.randrange(len(primes))] = rng.choice(_JSON_VALUES)
+        return json.dumps(doc)
+    key = rng.choice([*doc, "tag"])
+    if rng.randrange(4):
+        doc[key] = rng.choice(_JSON_VALUES)
+    else:
+        doc.pop(key, None)
+    return json.dumps(doc)
+
+
+def _corrupt_file(blob: bytes, rng: Random) -> bytes:
+    blob = bytearray(blob)
+    roll = rng.randrange(5)
+    if roll == 0:
+        return bytes(blob[: rng.randrange(len(blob))])
+    if roll == 1:
+        return bytes(blob) + rng.randbytes(rng.randrange(1, 16))
+    # Mostly inside the payload, where the header still matches.
+    start = serial.HEADER.size if len(blob) > serial.HEADER.size and rng.randrange(4) else 0
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(start, len(blob))
+        if roll == 2:
+            blob[i] ^= 1 << rng.randrange(8)
+        else:
+            blob[i] = rng.randrange(256)
+    return bytes(blob)
+
+
+_FUZZ_PIPELINES = {
+    "squirrels": [
+        ("ck-gen", ("params",), ("--seed", "1", "--t", "2", "--secret-width", "16")),
+        ("vk-gen", ("params", "pk", "ck"), ()),
+        ("sign-toy", ("params", "sk"), ("--seed", "2", "--message", "hello")),
+        ("verify", ("params", "pk", "sig"), ("--message", "hello")),
+        ("cverify", ("params", "vk", "sig"), ("--message", "hello")),
+    ],
+    "wave": [
+        ("ck-gen", ("params",), ("--seed", "1", "--c", "4")),
+        ("vk-gen", ("params", "pk", "ck"), ("--c", "4")),
+        ("sign-toy", ("params", "pk"), ("--seed", "2", "--message", "surf")),
+        ("verify", ("params", "pk", "sig"), ("--message", "surf")),
+        ("cverify", ("params", "vk", "sig"), ("--c", "4", "--message", "surf")),
+    ],
+    "rw": [
+        ("vk-gen", ("pk", "ck"), ()),
+        ("sign-toy", ("sk",), ("--seed", "2", "--message", "rw")),
+        ("verify", ("pk", "sig"), ("--message", "rw")),
+        ("cverify", ("vk", "sig"), ("--message", "rw")),
+    ],
+}
+
+
+def test_cli_survives_corrupted_inputs(sq_files, wave_files, rw_files, tmp_path, capsys):
+    # Every subcommand that reads a file, for every scheme, with one input
+    # corrupted per call: each call ends in an exit code, never an exception.
+    files = {"squirrels": sq_files, "wave": wave_files, "rw": rw_files}
+    bad = tmp_path / "bad"
+    rng = Random(13)
+    codes = {0: 0, 1: 0, 2: 0}
+    for _ in range(30):
+        for scheme, commands in _FUZZ_PIPELINES.items():
+            for command, inputs, extra in commands:
+                victim = rng.choice(inputs)
+                original = files[scheme][victim].read_bytes()
+                if victim == "params":
+                    bad.write_text(_corrupt_sidecar(original.decode(), rng))
+                else:
+                    bad.write_bytes(_corrupt_file(original, rng))
+                argv = [command, "--scheme", scheme, *extra]
+                for name in inputs:
+                    argv += [f"--{name}", str(bad if name == victim else files[scheme][name])]
+                if command in ("ck-gen", "vk-gen", "sign-toy"):
+                    argv += ["--out", str(tmp_path / "out")]
+                code = main(argv)
+                assert code in codes, (argv, code)
+                codes[code] += 1
+    capsys.readouterr()
+    assert codes[2] > 0 and codes[0] + codes[1] > 0, codes

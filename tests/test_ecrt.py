@@ -452,7 +452,7 @@ def _primes_below(limit, count):
 
 def _sieved_basis(primes):
     """A ``PrimeBasis`` of sieved primes, built without its per-entry
-    Miller-Rabin check (4 s at 2^15 entries): the sieve already proves
+    primality check (about 1 s at 2^15 entries): the sieve already proves
     each entry prime."""
     basis = object.__new__(PrimeBasis)
     object.__setattr__(basis, "primes", primes)

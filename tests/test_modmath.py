@@ -1,6 +1,7 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given
@@ -76,10 +77,86 @@ def test_strong_pseudoprime_composites_mostly_fail():
 
 def test_31bit_exception_value():
     # The single composite passing bases 2, 3 and 5 in the 31-bit range.
-    n = mm.STRONG_PSEUDOPRIME_31BIT_EXCEPTION
-    assert n == 1157839381 == 24061 * 48121
+    n = 1157839381
+    assert n == 24061 * 48121
     assert all(mm.is_strong_pseudoprime(n, a) for a in (2, 3, 5))
     assert not sympy.isprime(n)
+
+
+def test_is_prime_word_matches_sieve():
+    limit = 1 << 20
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    got = np.fromiter(map(mm.is_prime_word, range(limit)), dtype=bool, count=limit)
+    assert np.array_equal(got, sieve)
+
+
+@pytest.mark.parametrize("bits", [31, 32, 33, 48, 62])
+def test_is_prime_word_matches_sympy(bits):
+    rng = Random(bits)
+    primes = 0
+    for _ in range(3000):
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        expected = sympy.isprime(n)
+        assert mm.is_prime_word(n) == expected, n
+        primes += expected
+    assert primes > 0
+
+
+# Composites at the edge of each base set: the least strong pseudoprimes
+# to the first 1, 2, 3 and 4 prime bases; the one odd 31-bit composite
+# that passes bases 2, 3 and 5; the least that passes every prime base up
+# to 31; and the least that passes 2, 7 and 61, which lies just above 2^32.
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 1157839381, 3825123056546413051, 4759123141,
+)
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+def test_is_prime_word_rejects_strong_pseudoprimes(n):
+    assert not sympy.isprime(n)
+    assert not mm.is_prime_word(n)
+
+
+def test_word32_bases_switch_at_two_to_the_32():
+    n = 4759123141
+    assert 1 << 32 < n
+    assert all(mm.is_strong_pseudoprime(n, a) for a in mm.WORD32_MR_BASES)
+
+
+def _sample_prime_removed_rule(width, rng, exclude=()):
+    """The sampler's rule before ``is_prime_word`` was its only test: bases
+    2, 3 and 5 plus the one composite exception at width 31, otherwise
+    trial division by the twelve bases and all twelve base tests."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    top = 1 << (width - 1)
+    while True:
+        candidate = top | rng.getrandbits(width - 1) | 1
+        if candidate in exclude:
+            continue
+        if width == 31:
+            if candidate != 1157839381 and all(
+                mm.is_strong_pseudoprime(candidate, a) for a in (2, 3, 5)
+            ):
+                return candidate
+        elif all(candidate % a for a in bases) and all(
+            mm.is_strong_pseudoprime(candidate, a) for a in bases
+        ):
+            return candidate
+
+
+def test_sample_prime_matches_removed_rule():
+    for width in range(mm.MIN_PRIME_WIDTH, mm.MAX_PRIME_WIDTH + 1):
+        for seed in range(4):
+            new, old = Random(seed), Random(seed)
+            taken = set()
+            for _ in range(6):
+                r = mm.sample_prime(width, new, exclude=taken)
+                assert r == _sample_prime_removed_rule(width, old, taken), (width, seed)
+                taken.add(r)
 
 
 class _ForcedCandidateRng(Random):
@@ -101,7 +178,7 @@ class _ForcedCandidateRng(Random):
 
 
 def test_sample_prime_rejects_31bit_exception():
-    bad = mm.STRONG_PSEUDOPRIME_31BIT_EXCEPTION
+    bad = 1157839381
     rng = _ForcedCandidateRng([bad], 31, seed=7)
     r = mm.sample_prime(31, rng)
     assert r != bad

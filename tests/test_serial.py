@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -521,6 +522,48 @@ def test_rw_sk_rejects_primes_of_the_wrong_class():
     swapped = serial.encode_rw_sk(SimpleNamespace(p=kp.q, q=kp.p))
     with pytest.raises(MalformedSignature):
         serial.decode_rw_sk(swapped)
+
+
+# Moduli rw_keygen cannot make: N = 1 (mod 8), and N = 5 (mod 8) just
+# outside [64, 512] bits.
+@pytest.mark.parametrize(
+    "n",
+    [3, (1 << 95) + 1, 1 << 100, (1 << 62) + 5, (1 << 512) + 5],
+    ids=["three", "one-mod-8", "power-of-two", "63-bit", "513-bit"],
+)
+def test_rw_pk_rejects_modulus_rw_keygen_cannot_make(n):
+    with pytest.raises(MalformedSignature):
+        serial.decode_rw_pk(serial.encode_rw_pk(n))
+
+
+@pytest.mark.parametrize("n", [(1 << 63) + 5, (1 << 511) + 5], ids=["64-bit", "512-bit"])
+def test_rw_pk_accepts_modulus_at_the_width_edges(n):
+    assert serial.decode_rw_pk(serial.encode_rw_pk(n)) == n
+
+
+@pytest.mark.parametrize("n_bits", [0, 63, 513, 0xFFFF])
+def test_rw_vk_rejects_modulus_width_outside_keygen_range(n_bits):
+    ell = rw.rw_ckeygen(20, Random(36))
+    with pytest.raises(MalformedSignature):
+        serial.decode_rw_vk(serial.encode_rw_vk(rw.RwVerificationKey(ell, 0, n_bits)))
+
+
+def _prime_in_class(low, residue):
+    p = sympy.nextprime(low)
+    while p % 8 != residue:
+        p = sympy.nextprime(p)
+    return int(p)
+
+
+def test_rw_sk_rejects_composite_or_too_wide_factors():
+    kp = rw.rw_keygen(96, Random(37))
+    composite_p, composite_q = (
+        next(v for v in range(x + 8, x + 8000, 8) if not sympy.isprime(v)) for x in (kp.p, kp.q)
+    )
+    wide = (_prime_in_class(1 << 256, 3), _prime_in_class(1 << 256, 7))
+    for p, q in ((kp.p, composite_q), (composite_p, kp.q), wide):
+        with pytest.raises(MalformedSignature):
+            serial.decode_rw_sk(serial.encode_rw_sk(SimpleNamespace(p=p, q=q)))
 
 
 def test_rw_decoders_reject_corrupted_bytes():

@@ -276,6 +276,12 @@ def test_params_reject_dimension_beyond_fold_bound():
         sq.SquirrelsParams(n=1 << 15, q=4096, beta_sq=1, s=1, tag="edge")
 
 
+def test_params_reject_hash_bound_beyond_fold_bound():
+    sq.SquirrelsParams(n=12, q=1 << 16, beta_sq=1, s=1, tag="edge")
+    with pytest.raises(ValueError):
+        sq.SquirrelsParams(n=12, q=1 << 17, beta_sq=1, s=1, tag="edge")
+
+
 @pytest.mark.parametrize("n, beta_sq", [(-3, 1), (0, 1), (1, 1), (12, -1)])
 def test_params_reject_short_dimension_or_negative_norm_bound(n, beta_sq):
     sq.SquirrelsParams(n=2, q=16, beta_sq=0, s=1, tag="edge")

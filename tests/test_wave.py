@@ -431,6 +431,12 @@ def _int64_cverify(sig, message, vk, params) -> bool:
     return not folded.any()
 
 
+def test_vk_refuses_c_below_one():
+    # With c = 0 the compressed check has no rows and accepts anything.
+    with pytest.raises(ValueError):
+        wv.WaveVerificationKey(TernaryMatrix(24, 0, b""), c=0, n=24)
+
+
 def test_vk_fold_block_built_once(toy, toy_keys):
     pk, params = toy
     _, vk = toy_keys
