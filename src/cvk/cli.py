@@ -165,7 +165,10 @@ def cmd_params(args) -> int:
             )
     else:
         tags = [args.instance] if args.instance else list(wv.WAVE_TAGS)
-        print("instance  lambda      n     k    c     mu      |PK|     |CK|    |VK|  ratio")
+        print(
+            "instance  lambda      n     k    c     mu      |PK|     |CK|    |VK|  ratio"
+            " (|PK| at 4 trits per byte)"
+        )
         for tag in tags:
             r = wave_table_row(tag)
             print(

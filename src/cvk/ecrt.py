@@ -3,12 +3,12 @@ basis without ever reconstructing the integer.
 
 A value 0 <= x < D, D the product of the public primes p_1..p_s, is held
 as residues (x mod p_i).  Writing q_i for the inverse of the i-th
-cofactor D/p_i modulo p_i, x equals a*D - floor(a)*D with
-a = sum_i x_i q_i / p_i; evaluating both terms modulo each secret prime
-r_k needs only word arithmetic once floor(a) is pinned down.  Exact
-integer division truncates each term x_i q_i / p_i to a fixed number of
-fractional bits, and their sum recovers floor(a) up to +1, so the
-transfer lands on x or on x - D -- downstream consumers absorb that
+cofactor D/p_i modulo p_i and u_i = x_i q_i mod p_i, x equals
+a*D - floor(a)*D with a = sum_i u_i / p_i; evaluating both terms modulo
+each secret prime r_k needs only word arithmetic once floor(a) is pinned
+down.  Exact integer division truncates each term u_i / p_i to a fixed
+number of fractional bits, and their sum recovers floor(a) up to +1, so
+the transfer lands on x or on x - D -- downstream consumers absorb that
 single-D ambiguity by design.  The precision is ceil(log2 s) + 2 bits,
 one above the ceil(log2 s) + 1 that floor recovery needs (Bernstein,
 "Multidigit modular multiplication with the explicit Chinese remainder
@@ -17,8 +17,8 @@ theorem", 1995).
 The basis product D is never materialized: setup runs prefix and
 suffix products over word residues, and the transfer is two exact
 int64 matrix products per block of values, over the 16-bit halves of
-the word weights (the exact-product-by-limbs approach of FFLAS-FFPACK),
-touching nothing wider than a double word.
+the cofactor residues (the exact-product-by-limbs approach of
+FFLAS-FFPACK), touching nothing wider than a double word.
 """
 
 from dataclasses import dataclass
@@ -29,9 +29,9 @@ from .errors import SharedFactor
 from .modmath import MAX_MODULUS_BITS, is_prime_word
 
 # Cap on s, which fixes the precision a = ceil(log2 s) + 2.  It does not
-# keep the summed floors, which reach s * 2^(31 + a), within 64 bits: the
-# transfer checks that itself, and its int64 rule admits only s < 2^15,
-# which also keeps its split-word products exact.
+# keep the transfer within 64 bits: the transfer checks that itself, and
+# its int64 rule, s * 2^(31 + a) < 2^63, admits only s < 2^15, which keeps
+# its shifted terms and split-word products exact.
 MAX_BASIS_LEN = 1 << 16
 
 # Rows per transfer pass: bounds the temporaries, so peak memory stays flat.
@@ -188,28 +188,19 @@ def mod_ecrt_setup(public: PrimeBasis, secret: PrimeBasis) -> EcrtPrecomp:
     )
 
 
-def floor_accumulate(x_i: int, q_i: int, p_i: int, precision: int) -> int:
-    """floor(2^a * y / p_i), a = ``precision`` and y = x_i * q_i, by exact
-    integer division: (y // p_i) 2^a + floor((y mod p_i) 2^a / p_i).  On
-    word operands (x_i, q_i < p_i < 2^31) both parts stay below 2^(31 + a).
-    Runs on Python ints and elementwise on numpy arrays alike.
+def approx_floor(u: np.ndarray, p: np.ndarray, precision: int) -> np.ndarray:
+    """Fixed-point recovery of floor(sum_j u[i, j] / p_j) for each row i
+    of the (m, s) table ``u`` of reduced terms (0 <= u[i, j] < p_j): m
+    floors, each possibly +1.
+
+    Each term is truncated to ``precision`` fractional bits by one exact
+    division, (u << a) // p_j; the s truncation errors sum below s, so
+    adding s before the final shift turns the sum into an overestimate
+    by less than s / 2^precision.  A floor is exact whenever the
+    fractional part of its sum is below 1 - s/2^precision.  ``p`` is the
+    length-s prime vector, of ``u``'s dtype.
     """
-    y = x_i * q_i
-    return (y // p_i << precision) + (y % p_i << precision) // p_i
-
-
-def approx_floor(x: np.ndarray, q: np.ndarray, p: np.ndarray, precision: int) -> np.ndarray:
-    """Fixed-point recovery of floor(sum_j x[i, j] q_j / p_j) for each row
-    i of the (m, s) residue table ``x``: m floors, each possibly +1.
-
-    Each term is truncated to ``precision`` fractional bits by
-    ``floor_accumulate``; the s truncation errors sum below s, so adding
-    s before the final shift turns the sum into an overestimate by less
-    than s / 2^precision.  A floor is exact whenever the fractional part
-    of its sum is below 1 - s/2^precision.  ``q`` and ``p`` are the
-    length-s coefficient and prime vectors, of ``x``'s dtype.
-    """
-    return (x.shape[1] + floor_accumulate(x, q, p, precision).sum(axis=1)) >> precision
+    return (u.shape[1] + ((u << precision) // p).sum(axis=1)) >> precision
 
 
 def mod_ecrt_rows(
@@ -219,20 +210,23 @@ def mod_ecrt_rows(
     residues (checked where they enter), to the secret basis: row i of the
     (m, t) result represents value i or value i - D.
 
-    Rows go in blocks of ``TRANSFER_BLOCK_ROWS``: ``approx_floor`` pins
-    down floor(a) for the block, then two matrix products take the
-    block's residues to sum_j x_j q_j (D/p_j) - floor(a) D mod every
-    secret prime r_k at once.  The weights w[k, j] = q_j (D/p_j) mod r_k
-    are split into 16-bit halves, w = w_hi 2^16 + w_lo, and
+    Rows go in blocks of ``TRANSFER_BLOCK_ROWS``.  Each block is reduced
+    once, u = x q mod p; ``approx_floor`` pins down floor(a) for it, then
+    two matrix products take u to sum_j u_j (D/p_j) - floor(a) D mod
+    every secret prime r_k at once.  The cofactor residues
+    c[j, k] = (D/p_j) mod r_k are split into 16-bit halves,
+    c = c_hi 2^16 + c_lo, and
 
-        z = ((x @ w_hi) mod r * 2^16 + x @ w_lo) mod r.
+        z = ((u @ c_hi) mod r * 2^16 + u @ c_lo) mod r.
 
     Runs in int64 when all primes are below 2^31 and s * 2^(31 + a) <
     2^63, a = ``pre.precision``; in Python ints otherwise.  The int64
-    rule, with a = ceil(log2 s) + 2, forces s < 2^15, so every x @ w_lo
-    sum is below 2^15 * 2^31 * 2^16 = 2^62, every x @ w_hi sum below
-    2^15 * 2^31 * 2^15 = 2^61, and (x @ w_hi mod r) 2^16 + x @ w_lo
-    below 2^47 + 2^62 < 2^63: the products are exact.
+    rule, with a = ceil(log2 s) + 2, forces s < 2^15.  With u < p < 2^31
+    every u @ c_lo sum is below 2^15 * 2^31 * 2^16 = 2^62, every
+    u @ c_hi sum below 2^15 * 2^31 * 2^15 = 2^61, (u @ c_hi mod r) 2^16 +
+    u @ c_lo below 2^47 + 2^62 < 2^63, and in ``approx_floor`` each
+    shifted term u << a is below 2^(31 + a) and the floors sum below
+    s * 2^a, both under s * 2^(31 + a) < 2^63: all exact.
     """
     s = len(basis)
     if s != len(pre.cofactor_res[0]):
@@ -249,15 +243,14 @@ def mod_ecrt_rows(
     qv = np.array(q, dtype=dtype)
     r = np.array(secret, dtype=dtype)
     product_res = np.array(pre.product_res, dtype=dtype)
-    # w[k, j] = q_j * (D / p_j) mod r_k, split into (s, t) halves.
-    w = qv * np.array(pre.cofactor_res, dtype=dtype) % r[:, None]
-    w_hi, w_lo = (w >> 16).T, (w & 0xFFFF).T
+    c = np.array(pre.cofactor_res, dtype=dtype).T  # (s, t)
+    c_hi, c_lo = c >> 16, c & 0xFFFF
     out = np.empty((x.shape[0], len(secret)), dtype=dtype)
     for start in range(0, x.shape[0], TRANSFER_BLOCK_ROWS):
         rows = slice(start, start + TRANSFER_BLOCK_ROWS)
-        block = x[rows].astype(dtype)
-        f = approx_floor(block, qv, p, a)
-        z = ((block @ w_hi) % r * (1 << 16) + block @ w_lo) % r
+        u = x[rows].astype(dtype) * qv % p
+        f = approx_floor(u, p, a)
+        z = ((u @ c_hi) % r * (1 << 16) + u @ c_lo) % r
         out[rows] = (z - f[:, None] % r * product_res) % r
     return out
 

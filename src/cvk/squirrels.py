@@ -38,6 +38,9 @@ logger = logging.getLogger(__name__)
 
 SALT_BYTES = 16
 MAX_TOY_DIMENSION = 32
+# Resampling caps of the toy signer's keygen and salt loops.
+TOY_KEYGEN_ATTEMPTS = 2000
+TOY_SIGN_SALTS = 200
 COORD_BITS = 16  # serialized signature coordinates: signed 16-bit
 # Exactness bounds of the int64 fold in ``cverify``, enforced where
 # parameters and keys are built rather than on every call.
@@ -45,13 +48,13 @@ MAX_DIMENSION = 1 << 15
 MAX_SECRET_PRIME = 1 << 31
 
 # Named instances: dimension, hash bound, max squared norm, public prime
-# count, determinant bit length, classical security target.
+# count, classical security target.
 _NAMED = {
-    "I": (1034, 4096, 2_026_590, 165, 5048, 128),
-    "II": (1164, 4096, 2_442_439, 188, 5738, 128),
-    "III": (1556, 4096, 4_512_242, 262, 8017, 192),
-    "IV": (1718, 4096, 3_659_372, 275, 8402, 192),
-    "V": (2056, 4096, 5_370_115, 339, 10347, 256),
+    "I": (1034, 4096, 2_026_590, 165, 128),
+    "II": (1164, 4096, 2_442_439, 188, 128),
+    "III": (1556, 4096, 4_512_242, 262, 192),
+    "IV": (1718, 4096, 3_659_372, 275, 192),
+    "V": (2056, 4096, 5_370_115, 339, 256),
 }
 
 SQUIRRELS_TAGS = tuple(_NAMED)
@@ -65,7 +68,6 @@ class SquirrelsParams:
     s: int
     tag: str
     public_basis: PrimeBasis | None = None
-    delta_bits: int | None = None
     classical_bits: int | None = None
 
     def __post_init__(self):
@@ -82,11 +84,8 @@ class SquirrelsParams:
 def named_params(tag: str) -> SquirrelsParams:
     if tag not in _NAMED:
         raise ValueError(f"unknown Squirrels instance {tag!r}")
-    n, q, beta_sq, s, delta_bits, lam = _NAMED[tag]
-    return SquirrelsParams(
-        n=n, q=q, beta_sq=beta_sq, s=s, tag=tag,
-        delta_bits=delta_bits, classical_bits=lam,
-    )
+    n, q, beta_sq, s, lam = _NAMED[tag]
+    return SquirrelsParams(n=n, q=q, beta_sq=beta_sq, s=s, tag=tag, classical_bits=lam)
 
 
 @dataclass(eq=False)
@@ -461,7 +460,6 @@ def toy_keygen(
     entry_bound: int,
     rng: Random,
     q: int = 16,
-    max_attempts: int = 2000,
 ) -> tuple[SquirrelsPublicKey, SquirrelsParams, ToySquirrelsSecret]:
     """Random co-cyclic lattice small enough to cross-check with big
     integers.
@@ -477,7 +475,7 @@ def toy_keygen(
     if entry_bound < 1:
         raise ValueError("entry bound must be positive")
     cocyclic_hits = 0
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, TOY_KEYGEN_ATTEMPTS + 1):
         g = [[rng.randint(-entry_bound, entry_bound) for _ in range(n)] for _ in range(n)]
         h = _row_hnf(g)
         if h is None:
@@ -513,7 +511,7 @@ def toy_keygen(
         g_arr = np.array(g, dtype=np.int64)
         secret = ToySquirrelsSecret(basis=g_arr, inv=np.linalg.inv(g_arr.astype(float)))
         return SquirrelsPublicKey(residues), params, secret
-    raise ResampleLimit(f"no usable co-cyclic lattice in {max_attempts} attempts")
+    raise ResampleLimit(f"no usable co-cyclic lattice in {TOY_KEYGEN_ATTEMPTS} attempts")
 
 
 def toy_sign(
@@ -521,13 +519,12 @@ def toy_sign(
     message: bytes,
     params: SquirrelsParams,
     rng: Random,
-    max_retries: int = 200,
 ) -> SquirrelsSignature:
     """Round-off signer: snap the hashed point to a nearby lattice point
     with the short basis, retrying salts until the difference clears the
     norm gate.  Stands in for the trapdoor sampler, which is out of
     scope."""
-    for _ in range(max_retries):
+    for _ in range(TOY_SIGN_SALTS):
         salt = rng.randbytes(SALT_BYTES)
         h = hash_to_point(message, salt, params.q, params.n)
         coeffs = np.rint(h.astype(float) @ secret.inv).astype(np.int64)
@@ -535,4 +532,4 @@ def toy_sign(
         s_vec = nearby - h
         if int(s_vec @ s_vec) <= params.beta_sq:
             return SquirrelsSignature(salt=salt, s_vec=s_vec)
-    raise ResampleLimit(f"no short signature after {max_retries} salts")
+    raise ResampleLimit(f"no short signature after {TOY_SIGN_SALTS} salts")

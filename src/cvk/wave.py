@@ -39,6 +39,7 @@ logger = logging.getLogger(__name__)
 
 SALT_BYTES = 16
 MAX_TOY_LENGTH = 64
+TOY_SIGN_SALTS = 5000  # resampling cap of the toy signer's salt loop
 # Products sum at most n terms of at most 4; n below 2^22 keeps them below
 # 2^24, so the float32 products of f3_matmul and wave_cverify are exact.
 MAX_LENGTH = MAX_INNER_DIMENSION
@@ -308,7 +309,6 @@ def wave_toy_sign(
     message: bytes,
     params: WaveParams,
     rng: Random,
-    max_retries: int = 5000,
 ) -> WaveSignature:
     """Solve the identity block directly: draw the last k coordinates,
     derive the first n-k from the hash, retry salts until the weight
@@ -318,7 +318,7 @@ def wave_toy_sign(
         raise ValueError(f"toy signing capped at n <= {MAX_TOY_LENGTH}")
     nk = params.redundancy
     r_arr = pk.to_array().astype(np.int64)
-    for attempt in range(1, max_retries + 1):
+    for attempt in range(1, TOY_SIGN_SALTS + 1):
         salt = rng.randbytes(SALT_BYTES)
         h = hash_to_trits(message, salt, nk).astype(np.int64)
         tail = random_trits(params.k, rng).astype(np.int64)
@@ -327,7 +327,7 @@ def wave_toy_sign(
         if int(np.count_nonzero(s)) == params.w:
             logger.debug("toy sign: hit weight %d after %d salts", params.w, attempt)
             return WaveSignature.from_trits(salt, s)
-    raise ResampleLimit(f"no weight-{params.w} signature after {max_retries} salts")
+    raise ResampleLimit(f"no weight-{params.w} signature after {TOY_SIGN_SALTS} salts")
 
 
 def pk_bytes(params: WaveParams) -> int:

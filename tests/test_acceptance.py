@@ -109,7 +109,20 @@ def criterion_03_wave_mu_and_vk_size() -> str:
     for tag, cc in (("1249", 120), ("1644", 160)):
         p = wv.named_params(tag)
         assert wv.vk_bytes(p, cc) == cc * (p.n - cc) // 4
-    return "mu column within 0.05; serialized VK payload = c(n-c)/4 (169920 B at level 1)"
+    # The abstract's Wave822 sizes, 3.5 MB -> 207.97 kB, against the code's
+    # own 4 trits per byte (README "File formats").  Its PK matches 5 trits
+    # per byte; its VK matches c n / 4 at c = 97, and no c gives it under
+    # c(n-c)/4, so that figure stays unexplained.
+    assert wv.pk_bytes(params) == params.k * -(-params.redundancy // 4) == 4_596_736
+    assert params.k * -(-params.redundancy // 5) == 3_679_104  # 3.51 MiB
+    assert 97 * params.n // 4 == 207_968
+    assert not any(
+        207_965 <= cc * (params.n - cc) // 4 < 207_975 for cc in range(1, params.redundancy + 1)
+    )
+    return (
+        "mu column within 0.05; serialized VK payload = c(n-c)/4 (169920 B at level 1); "
+        "abstract's 3.5 MB PK = 5 trits per byte"
+    )
 
 
 # ── 4: CRT-transfer oracle equivalence ───────────────────────────────────

@@ -75,6 +75,7 @@ def test_params_command_prints_rows(capsys):
     assert run("params", "--scheme", "wave", "--instance", "1644") == 0
     out = read_out(capsys)
     assert "253.6" in out
+    assert "ratio (|PK| at 4 trits per byte)" in out.splitlines()[0]
 
 
 def test_params_unknown_instance_errors(capsys):

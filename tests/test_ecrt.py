@@ -13,7 +13,6 @@ from cvk.ecrt import (
     PrimeBasis,
     RnsResidues,
     approx_floor,
-    floor_accumulate,
     mod_ecrt,
     mod_ecrt_rows,
     mod_ecrt_setup,
@@ -195,18 +194,52 @@ def test_setup_oracle_165_prime_basis():
             assert pre.cofactor_res[k][i] == (product // basis.primes[i]) % r
 
 
-# ── floor_accumulate ─────────────────────────────────────────────────────
+# ── approx_floor on reduced terms ────────────────────────────────────────
+#
+# ``floor_accumulate`` in these names is the per-term floor (u << a) // p
+# that ``approx_floor`` accumulates.  Each input is an unreduced pair
+# (x, q), reduced to u = x q mod p as ``mod_ecrt_rows`` reduces it, and
+# ``approx_floor`` is checked against the restoring-division loop.
+
+
+def _restoring_division_floor(u, p, precision):
+    """Oracle: the quotient of u by p, then one fractional bit per step,
+    doubling the remainder and counting its overflows past p."""
+    acc, rem = u // p, u % p
+    for _ in range(precision):
+        rem <<= 1
+        over = rem >= p
+        rem -= p * over
+        acc = (acc << 1) | over
+    return acc
+
+
+def _assert_floor_matches_oracle(x, q, p, precision):
+    """Reduce u = x q mod p, then compare ``approx_floor`` with the sum of
+    the oracle's per-term floors plus s, shifted down."""
+    u = x * q % p
+    got = approx_floor(u, p, precision)
+    expected = (u.shape[1] + _restoring_division_floor(u, p, precision).sum(axis=1)) >> precision
+    assert got.dtype == u.dtype
+    assert np.array_equal(got, expected)
+    return got
 
 
 def test_floor_accumulate_zero():
-    assert floor_accumulate(0, 3, 7, 5) == 0
+    zero = np.zeros((1, 1), dtype=np.int64)
+    p = np.array([7], dtype=np.int64)
+    got = _assert_floor_matches_oracle(zero, np.array([3], dtype=np.int64), p, 5)
+    assert got.tolist() == [0]
 
 
 def test_floor_accumulate_frozen_examples():
-    # scaled value 4 against modulus 3 at 3 fractional bits: floor(32/3)
-    assert floor_accumulate(2, 2, 3, 3) == 10
-    # scaled value 6 against modulus 7: floor(48/7)
-    assert floor_accumulate(2, 3, 7, 3) == 6
+    # x = (2, 2), q = (2, 3) against p = (3, 7) reduce to u = (1, 6).  At 3
+    # fractional bits the terms are floor(8/3) = 2 and floor(48/7) = 6, so
+    # the floor is (2 + 2 + 6) >> 3 = 1 = floor(1/3 + 6/7).
+    x = np.array([[2, 2]], dtype=np.int64)
+    q, p = np.array([2, 3], dtype=np.int64), np.array([3, 7], dtype=np.int64)
+    assert _assert_floor_matches_oracle(x, q, p, 3).tolist() == [1]
+    assert (x * q % p).tolist() == [[1, 6]]
 
 
 @given(
@@ -217,41 +250,29 @@ def test_floor_accumulate_frozen_examples():
 def test_floor_accumulate_rational_oracle(p, a, data):
     x = data.draw(st.integers(min_value=0, max_value=p - 1))
     q = data.draw(st.integers(min_value=1, max_value=p - 1))
-    expected = ((x * q) << a) // p
-    assert floor_accumulate(x, q, p, a) == expected
+    pv = np.array([p], dtype=np.int64)
+    got = _assert_floor_matches_oracle(np.array([[x]]), np.array([q]), pv, a)
+    # One term u/p < 1: the floor is 0, or 1 where u/p >= 1 - 1/2^a.
+    u = Fraction(x * q % p, p)
+    assert got.tolist() == [int(u >= 1 - Fraction(1, 2**a))]
 
 
 def test_floor_accumulate_wide_operands():
     p = (1 << 61) - 1  # Mersenne prime
-    x, q, a = p - 2, p - 5, 20
-    assert floor_accumulate(x, q, p, a) == ((x * q) << a) // p
-
-
-def _restoring_division_floor(x, q, p, precision):
-    """Oracle: the quotient of x*q by p, then one fractional bit per step,
-    doubling the remainder and counting its overflows past p."""
-    y = x * q
-    acc, rem = y // p, y % p
-    for _ in range(precision):
-        rem <<= 1
-        over = rem >= p
-        rem -= p * over
-        acc = (acc << 1) | over
-    return acc
-
-
-def _assert_floor_matches_oracle(x, q, p, precision):
-    got = floor_accumulate(x, q, p, precision)
-    assert got.dtype == x.dtype
-    assert np.array_equal(got, _restoring_division_floor(x, q, p, precision))
+    x = np.array([[p - 2], [p - 1]], dtype=object)
+    q = np.array([[p - 5], [1]], dtype=object)
+    got = _assert_floor_matches_oracle(x, q, np.array([p], dtype=object), 20)
+    assert got.tolist() == [0, 1]  # u = 10 and u = p - 1
 
 
 @pytest.mark.parametrize("precision", range(2, ecrt.default_precision(ecrt.MAX_BASIS_LEN) + 1))
 def test_floor_accumulate_matches_oracle_at_word_edge(precision):
-    # The largest int64 operands: each shifted part just below 2^(31 + a).
+    # p = 2^31 - 1 and x = p - 1, with q = p - 1 (u = 1) and with q = 1
+    # (u = p - 1, each shifted term just below 2^(31 + a)).
     p = (1 << 31) - 1
-    full = np.full(4, p - 1, dtype=np.int64)
-    _assert_floor_matches_oracle(full, full, np.full(4, p, dtype=np.int64), precision)
+    x = np.full((2, 4), p - 1, dtype=np.int64)
+    q = np.array([[p - 1] * 4, [1] * 4], dtype=np.int64)
+    _assert_floor_matches_oracle(x, q, np.full(4, p, dtype=np.int64), precision)
 
 
 @pytest.mark.parametrize("s", [165, 339])
@@ -277,15 +298,24 @@ def test_floor_accumulate_matches_oracle_on_object_arrays():
 # ── approx_floor (fixed-point multiplier recovery) ───────────────────────
 
 
-def _vectors(basis, qc):
-    return np.array(qc, dtype=np.int64), np.array(basis.primes, dtype=np.int64)
+def _reduced_table(basis, qc, values):
+    """Rows u_i = (x mod p_i) q_i mod p_i for each value x, and the
+    prime vector."""
+    table = np.array(
+        [[x % p * qi % p for p, qi in zip(basis.primes, qc)] for x in values], dtype=np.int64
+    )
+    return table, np.array(basis.primes, dtype=np.int64)
 
 
 def test_approx_floor_matches_worked_trace():
+    # 104 reduces to u = (1, 4, 6) and 52 to u = (2, 2, 3).  At 3 bits the
+    # term floors sum to 2 + 6 + 6 = 14 and 5 + 3 + 3 = 11; adding s = 3
+    # and shifting gives 2 (floor 1 + 1: 104 sits in the ambiguous tail)
+    # and 1 (exact).
     basis = PrimeBasis((3, 5, 7))
-    qc = q_coefficients(basis)
-    table = np.array([[v % p for p in basis] for v in (104, 52)], dtype=np.int64)
-    assert approx_floor(table, *_vectors(basis, qc), 3).tolist() == [3, 1]
+    table, p = _reduced_table(basis, q_coefficients(basis), (104, 52))
+    assert table.tolist() == [[1, 4, 6], [2, 2, 3]]
+    assert approx_floor(table, p, 3).tolist() == [2, 1]
 
 
 def test_approx_floor_within_one_of_true_floor(rng):
@@ -295,13 +325,11 @@ def test_approx_floor_within_one_of_true_floor(rng):
         product = math.prod(basis.primes)
         a = ecrt.default_precision(len(basis))
         xs = [rng.randrange(product) for _ in range(4)]
-        table = np.array([[x % p for p in basis] for x in xs], dtype=np.int64)
-        floors = approx_floor(table, *_vectors(basis, qc), a)
+        table, p = _reduced_table(basis, qc, xs)
+        floors = approx_floor(table, p, a)
         assert floors.shape == (len(xs),)
         for row, f in zip(table.tolist(), floors.tolist()):
-            alpha = sum(
-                Fraction(xi * qi, p) for xi, qi, p in zip(row, qc, basis.primes)
-            )
+            alpha = sum(Fraction(ui, pi) for ui, pi in zip(row, basis.primes))
             assert f in (math.floor(alpha), math.floor(alpha) + 1)
             if alpha - math.floor(alpha) < 1 - Fraction(len(basis), 2**a):
                 assert f == math.floor(alpha)
@@ -389,8 +417,12 @@ def test_mod_ecrt_rows_rejects_wrong_width():
 
 
 def _per_prime_transfer(pre, q, basis, x):
-    """Oracle for ``mod_ecrt_rows``: each secret prime r_k in turn, with
-    every term x_j * w[k, j] reduced mod r_k before it is summed."""
+    """Oracle for ``mod_ecrt_rows``: the unreduced formulation, one secret
+    prime at a time.  Each term keeps y = x_j q_j whole; its floor has
+    the two parts (y // p_j) 2^a + ((y mod p_j) 2^a) // p_j, and the sum
+    runs over x_j w[k, j] mod r_k with the weights w[k, j] = q_j (D/p_j)
+    mod r_k.  Writing y = u + k p_j, the extra D sum_j k_j enters both the
+    sum and floor(a) D, so the result equals the reduced transfer's."""
     a = pre.precision
     secret = pre.secret_basis.primes
     s = len(basis)
@@ -403,7 +435,8 @@ def _per_prime_transfer(pre, q, basis, x):
     for start in range(0, x.shape[0], ecrt.TRANSFER_BLOCK_ROWS):
         rows = slice(start, start + ecrt.TRANSFER_BLOCK_ROWS)
         block = x[rows].astype(dtype)
-        f = approx_floor(block, qv, p, a)
+        y = block * qv
+        f = (s + ((y // p << a) + (y % p << a) // p).sum(axis=1)) >> a
         for k, r in enumerate(secret):
             z = (block * w[k] % r).sum(axis=1)
             out[rows, k] = (z - f % r * pre.product_res[k]) % r
@@ -461,7 +494,9 @@ def _sieved_basis(primes):
 
 def test_mod_ecrt_rows_matches_oracle_at_int64_edge():
     # The largest s the int64 rule admits, every other operand at its
-    # largest: primes just below 2^31, x = p - 1 and q = p - 1 as given.
+    # largest: primes just below 2^31 and x = p - 1, with q = p - 1 as
+    # given (unreduced y = (p - 1)^2, u = 1) and with q = 1 (every
+    # reduced u = p - 1).
     s, t = (1 << 15) - 1, 11
     a = ecrt.default_precision(s)
     assert s << (31 + a) < (1 << 63) <= (s + 1) << (31 + ecrt.default_precision(s + 1))
@@ -469,10 +504,10 @@ def test_mod_ecrt_rows_matches_oracle_at_int64_edge():
     assert all(is_prime_word(p) for p in primes[::1024])
     secret, basis = PrimeBasis(primes[:t]), _sieved_basis(primes[t:])
     pre = mod_ecrt_setup(basis, secret)
-    q = tuple(p - 1 for p in basis.primes)
-    x = np.tile(np.array(q, dtype=np.int64), (3, 1))
-    got = _assert_transfer_matches_oracle(pre, q, basis, x)
-    assert got.dtype == np.int64
+    x = np.tile(np.array([p - 1 for p in basis.primes], dtype=np.int64), (3, 1))
+    for q in (tuple(p - 1 for p in basis.primes), (1,) * s):
+        got = _assert_transfer_matches_oracle(pre, q, basis, x)
+        assert got.dtype == np.int64
 
 
 def test_mod_ecrt_rows_matches_oracle_on_object_path():

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import struct
+from dataclasses import replace
 from random import Random
 from types import SimpleNamespace
 
@@ -14,8 +16,8 @@ from cvk import squirrels as sq
 from cvk import wave as wv
 from cvk.ecrt import PrimeBasis, mod_ecrt_setup
 from cvk.errors import MalformedSignature
-from cvk.f3 import pack_trits, row_stride
-from cvk.modmath import inv_mod, sample_prime
+from cvk.f3 import TernaryMatrix, pack_trits, row_stride
+from cvk.modmath import inv_mod, sample_distinct_primes, sample_prime
 
 
 @pytest.fixture(scope="module")
@@ -587,3 +589,49 @@ def test_rw_decoders_reject_corrupted_bytes():
             except MalformedSignature:
                 rejected += 1
         assert rejected > 0, decode.__name__
+
+
+# ── pinned key-file bytes ────────────────────────────────────────────────
+#
+# sha256 prefixes of whole key files from seeded keygens.  A change that
+# is meant to leave the file formats and the key arithmetic alone must
+# leave these bytes alone too.
+
+
+def _sha_prefix(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "tag,t,ck_sha,vk_sha",
+    [
+        ("I", 5, "01887a444b49def1", "b75d70f0241be881"),
+        ("V", 11, "2becf18720bdea69", "201d740ad897f8d8"),
+    ],
+    ids=["I", "V"],
+)
+def test_squirrels_key_files_are_pinned(tag, t, ck_sha, vk_sha):
+    base = sq.named_params(tag)
+    rng = Random(7000 + base.s)
+    params = replace(base, public_basis=PrimeBasis(sample_distinct_primes(31, base.s, rng)))
+    gen = np.random.default_rng(base.s)
+    primes = np.array(params.public_basis.primes)
+    pk = sq.SquirrelsPublicKey(gen.integers(0, primes, size=(base.n - 1, base.s)))
+    ck = sq.ckeygen(params, t, rng)
+    vk = sq.vkeygen(ck, pk, params)
+    assert _sha_prefix(serial.encode_squirrels_ck(ck, params)) == ck_sha
+    assert _sha_prefix(serial.encode_squirrels_vk(vk, params)) == vk_sha
+
+
+def test_wave_vk_file_is_pinned():
+    params = wv.WaveParams(n=512, k=256, w=300, tag="512")
+    rng = Random(512)
+    pk = TernaryMatrix.random(params.k, params.redundancy, rng)
+    vk = wv.wave_vkeygen(pk, wv.wave_ckeygen(params, 80, rng), params)
+    assert _sha_prefix(serial.encode_wave_vk(vk, params)) == "8b8da4b63c21b204"
+
+
+def test_rw_key_files_are_pinned():
+    kp = rw.rw_keygen(128, Random(128))
+    assert _sha_prefix(serial.encode_rw_pk(kp.n)) == "57f7d08daa7ace8f"
+    assert _sha_prefix(serial.encode_rw_sk(kp)) == "ee1bec65c599bbb2"
