@@ -14,11 +14,17 @@ one above the ceil(log2 s) + 1 that floor recovery needs (Bernstein,
 "Multidigit modular multiplication with the explicit Chinese remainder
 theorem", 1995).
 
-The basis product D is never materialized: setup runs prefix and
-suffix products over word residues, and the transfer is two exact
-int64 matrix products per block of values, over the 16-bit halves of
-the cofactor residues (the exact-product-by-limbs approach of
-FFLAS-FFPACK), touching nothing wider than a double word.
+The transfer has a public half and a secret half.  The terms u_i and
+floor(a) depend on the public primes alone: ``mod_ecrt_reduce``
+computes them once for a table of values, and a caller that moves the
+same table to many secret bases (a new compression key at every
+verification-key refresh) keeps them.  Only the final weighted sum
+needs the secret primes: ``mod_ecrt_combine`` is two exact int64
+matrix products over the 16-bit halves of the cofactor residues (the
+exact-product-by-limbs approach of FFLAS-FFPACK) and one correction by
+floor(a) D.  The basis product D is never materialized: setup runs
+prefix and suffix products over word residues, and nothing touches a
+value wider than a double word.
 """
 
 from dataclasses import dataclass
@@ -29,12 +35,13 @@ from .errors import SharedFactor
 from .modmath import MAX_MODULUS_BITS, is_prime_word
 
 # Cap on s, which fixes the precision a = ceil(log2 s) + 2.  It does not
-# keep the transfer within 64 bits: the transfer checks that itself, and
-# its int64 rule, s * 2^(31 + a) < 2^63, admits only s < 2^15, which keeps
-# its shifted terms and split-word products exact.
+# keep the transfer within 64 bits: the public half checks that itself,
+# and its int64 rule, s * 2^(31 + a) < 2^63, admits only s < 2^15, which
+# keeps its shifted terms and the secret half's split-word products exact.
 MAX_BASIS_LEN = 1 << 16
 
-# Rows per transfer pass: bounds the temporaries, so peak memory stays flat.
+# Rows per pass of the public half: bounds the floor's temporaries, so
+# peak memory stays flat.
 TRANSFER_BLOCK_ROWS = 256
 
 
@@ -203,6 +210,81 @@ def approx_floor(u: np.ndarray, p: np.ndarray, precision: int) -> np.ndarray:
     return (u.shape[1] + ((u << precision) // p).sum(axis=1)) >> precision
 
 
+def mod_ecrt_reduce(
+    q: tuple[int, ...], basis: PrimeBasis, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The public half of the transfer: for the (m, s) array ``x`` of
+    reduced residues (checked where they enter), the (m, s) table of
+    reduced terms u = x q mod p and the m floors f = ``approx_floor(u, p,
+    a)``, a = ``default_precision(s)``.
+
+    Both depend on the public primes alone, so a caller that transfers
+    the same residues to many secret bases computes them once.  Rows go
+    in blocks of ``TRANSFER_BLOCK_ROWS``, which bounds the temporaries of
+    the floor.  Runs in int64 when every public prime is below 2^31 and
+    s * 2^(31 + a) < 2^63, which forces s < 2^15; in Python ints
+    otherwise.  In int64 each shifted term u << a is below 2^(31 + a) and
+    the floors sum below s * 2^a, both under s * 2^(31 + a): exact.
+    """
+    s = len(basis)
+    if len(q) != s:
+        raise ValueError("coefficient count does not match basis")
+    if x.ndim != 2 or x.shape[1] != s:
+        raise ValueError(f"residue table of shape {x.shape}, expected (m, {s})")
+    a = default_precision(s)
+    narrow = max(basis.primes) < (1 << 31) and s << (31 + a) < (1 << 63)
+    dtype = np.int64 if narrow else object  # else Python ints
+    p = np.array(basis.primes, dtype=dtype)
+    qv = np.array(q, dtype=dtype)
+    u = np.empty(x.shape, dtype=dtype)
+    f = np.empty(x.shape[0], dtype=dtype)
+    for start in range(0, x.shape[0], TRANSFER_BLOCK_ROWS):
+        rows = slice(start, start + TRANSFER_BLOCK_ROWS)
+        u[rows] = x[rows].astype(dtype) * qv % p
+        f[rows] = approx_floor(u[rows], p, a)
+    return u, f
+
+
+def mod_ecrt_combine(pre: EcrtPrecomp, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The secret half of the transfer: the (m, s) terms u and m floors f
+    of ``mod_ecrt_reduce`` to the (m, t) table of sum_j u_j (D/p_j) -
+    f D mod every secret prime r_k.
+
+    The cofactor residues c[j, k] = (D/p_j) mod r_k are split into 16-bit
+    halves, c = c_hi 2^16 + c_lo, and
+
+        z = ((u @ c_hi) mod r * 2^16 + u @ c_lo) mod r.
+
+    The outputs are only (m, t), so there is no block loop.  Runs in
+    int64 when u is int64, which the public half returns only for public
+    primes below 2^31 and s < 2^15, and every secret prime is below
+    2^31; the two products are then ``np.einsum`` sums, exact because
+    with u < 2^31 every u @ c_lo sum is below 2^15 * 2^31 * 2^16 = 2^62,
+    every u @ c_hi sum below 2^15 * 2^31 * 2^15 = 2^61, and
+    (u @ c_hi mod r) 2^16 + u @ c_lo below 2^47 + 2^62 < 2^63.  In
+    Python ints otherwise, with ``@``.
+    """
+    s = len(pre.cofactor_res[0])
+    if u.ndim != 2 or u.shape[1] != s:
+        raise ValueError("residues do not match the precomputed public basis")
+    if f.shape != u.shape[:1]:
+        raise ValueError(f"{f.shape} floors for {u.shape[0]} rows")
+    secret = pre.secret_basis.primes
+    narrow = u.dtype == np.int64 and max(secret) < (1 << 31)
+    dtype = np.int64 if narrow else object
+    u, f = u.astype(dtype, copy=False), f.astype(dtype, copy=False)
+    r = np.array(secret, dtype=dtype)
+    product_res = np.array(pre.product_res, dtype=dtype)
+    c = np.array(pre.cofactor_res, dtype=dtype).T  # (s, t)
+    c_hi, c_lo = c >> 16, c & 0xFFFF
+    if narrow:
+        hi, lo = np.einsum("ij,jk->ik", u, c_hi), np.einsum("ij,jk->ik", u, c_lo)
+    else:
+        hi, lo = u @ c_hi, u @ c_lo
+    z = (hi % r * (1 << 16) + lo) % r
+    return (z - f[:, None] % r * product_res) % r
+
+
 def mod_ecrt_rows(
     pre: EcrtPrecomp, q: tuple[int, ...], basis: PrimeBasis, x: np.ndarray
 ) -> np.ndarray:
@@ -210,49 +292,15 @@ def mod_ecrt_rows(
     residues (checked where they enter), to the secret basis: row i of the
     (m, t) result represents value i or value i - D.
 
-    Rows go in blocks of ``TRANSFER_BLOCK_ROWS``.  Each block is reduced
-    once, u = x q mod p; ``approx_floor`` pins down floor(a) for it, then
-    two matrix products take u to sum_j u_j (D/p_j) - floor(a) D mod
-    every secret prime r_k at once.  The cofactor residues
-    c[j, k] = (D/p_j) mod r_k are split into 16-bit halves,
-    c = c_hi 2^16 + c_lo, and
-
-        z = ((u @ c_hi) mod r * 2^16 + u @ c_lo) mod r.
-
-    Runs in int64 when all primes are below 2^31 and s * 2^(31 + a) <
-    2^63, a = ``pre.precision``; in Python ints otherwise.  The int64
-    rule, with a = ceil(log2 s) + 2, forces s < 2^15.  With u < p < 2^31
-    every u @ c_lo sum is below 2^15 * 2^31 * 2^16 = 2^62, every
-    u @ c_hi sum below 2^15 * 2^31 * 2^15 = 2^61, (u @ c_hi mod r) 2^16 +
-    u @ c_lo below 2^47 + 2^62 < 2^63, and in ``approx_floor`` each
-    shifted term u << a is below 2^(31 + a) and the floors sum below
-    s * 2^a, both under s * 2^(31 + a) < 2^63: all exact.
+    The public half, ``mod_ecrt_reduce``, reduces each term once, u = x q
+    mod p, and ``approx_floor`` pins down floor(a) for each row; the
+    secret half, ``mod_ecrt_combine``, takes u to sum_j u_j (D/p_j) -
+    floor(a) D mod every secret prime r_k at once with two exact
+    split-word products.  The result is int64 when all primes are below
+    2^31 and s * 2^(31 + a) < 2^63, a = ``pre.precision``; Python ints
+    otherwise.
     """
-    s = len(basis)
-    if s != len(pre.cofactor_res[0]):
-        raise ValueError("residues do not match the precomputed public basis")
-    if len(q) != s:
-        raise ValueError("coefficient count does not match basis")
-    if x.ndim != 2 or x.shape[1] != s:
-        raise ValueError(f"residue table of shape {x.shape}, expected (m, {s})")
-    a = pre.precision
-    secret = pre.secret_basis.primes
-    narrow = max(basis.primes + secret) < (1 << 31) and s << (31 + a) < (1 << 63)
-    dtype = np.int64 if narrow else object  # else Python ints
-    p = np.array(basis.primes, dtype=dtype)
-    qv = np.array(q, dtype=dtype)
-    r = np.array(secret, dtype=dtype)
-    product_res = np.array(pre.product_res, dtype=dtype)
-    c = np.array(pre.cofactor_res, dtype=dtype).T  # (s, t)
-    c_hi, c_lo = c >> 16, c & 0xFFFF
-    out = np.empty((x.shape[0], len(secret)), dtype=dtype)
-    for start in range(0, x.shape[0], TRANSFER_BLOCK_ROWS):
-        rows = slice(start, start + TRANSFER_BLOCK_ROWS)
-        u = x[rows].astype(dtype) * qv % p
-        f = approx_floor(u, p, a)
-        z = ((u @ c_hi) % r * (1 << 16) + u @ c_lo) % r
-        out[rows] = (z - f[:, None] % r * product_res) % r
-    return out
+    return mod_ecrt_combine(pre, *mod_ecrt_reduce(q, basis, x))
 
 
 def mod_ecrt(pre: EcrtPrecomp, q: tuple[int, ...], x_res: RnsResidues) -> RnsResidues:

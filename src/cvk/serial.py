@@ -115,7 +115,10 @@ def decode_squirrels_pk(blob: bytes, params: sq.SquirrelsParams) -> sq.Squirrels
     expected = sq.pk_bytes(params)
     if len(payload) != expected:
         raise MalformedSignature(f"PK payload {len(payload)} != {expected}")
-    pk = sq.SquirrelsPublicKey(_read_words(payload, "<i4").reshape(params.n - 1, params.s))
+    # Shaped before the widening copy, so the key owns its residues and
+    # need not copy them again.
+    residues = np.frombuffer(payload, dtype="<i4").reshape(params.n - 1, params.s)
+    pk = sq.SquirrelsPublicKey(residues.astype(np.int64))
     try:
         sq.check_public_key(pk, params)
     except ValueError as exc:

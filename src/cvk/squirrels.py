@@ -18,7 +18,7 @@ and a round-off signer stand in as test oracles.
 import hashlib
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 import numpy as np
@@ -26,7 +26,8 @@ import numpy as np
 from .ecrt import (
     EcrtPrecomp,
     PrimeBasis,
-    mod_ecrt_rows,
+    mod_ecrt_combine,
+    mod_ecrt_reduce,
     mod_ecrt_setup,
     q_coefficients,
 )
@@ -88,19 +89,52 @@ def named_params(tag: str) -> SquirrelsParams:
     return SquirrelsParams(n=n, q=q, beta_sq=beta_sq, s=s, tag=tag, classical_bits=lam)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SquirrelsPublicKey:
     """Check-vector residues, shape (n-1, s): residues[i][j] is the i-th
     check coordinate mod the j-th public prime.  The final coordinate is
-    -1 by convention and never stored."""
+    -1 by convention and never stored.
+
+    Frozen, with ``residues`` held as a read-only int64 array that no
+    other array shares (a view is copied), so the transfer terms that
+    ``ecrt_terms`` keeps always belong to them.
+    """
 
     residues: np.ndarray
+    _terms: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.residues = np.ascontiguousarray(self.residues, dtype=np.int64)
-        if self.residues.ndim != 2:
+        residues = np.ascontiguousarray(self.residues, dtype=np.int64)
+        if residues.base is not None:
+            residues = residues.copy()
+        if residues.ndim != 2:
             raise ValueError("public key residues must be 2-D")
-        self.residues.setflags(write=False)
+        residues.setflags(write=False)
+        object.__setattr__(self, "residues", residues)
+
+    def ecrt_terms(self, params: SquirrelsParams) -> tuple[np.ndarray, np.ndarray]:
+        """The public half of the basis transfer of every residue row: the
+        (n-1, s) terms u = x q mod p and the n-1 floors of
+        ``mod_ecrt_reduce``, as read-only arrays.
+
+        They depend only on the key and the public basis, so every
+        compression key reuses them.  The first call for a given n and
+        public basis runs ``check_public_key``, computes
+        ``q_coefficients`` and the terms, and keeps them with the key.  A
+        call with another n or basis checks the key again and replaces
+        them, so no call gets terms computed for other params, and a key
+        keeps terms only for params it passed.  The terms are public
+        data.
+        """
+        key = (params.n, params.public_basis)
+        if not self._terms or self._terms[0] != key:
+            check_public_key(self, params)
+            basis = params.public_basis
+            u, f = mod_ecrt_reduce(q_coefficients(basis), basis, self.residues)
+            u.setflags(write=False)
+            f.setflags(write=False)
+            object.__setattr__(self, "_terms", (key, u, f))
+        return self._terms[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,19 +181,31 @@ class SquirrelsCompressionKey:
     inv_delta: tuple[int, ...]  # (product of public primes)^-1 mod each secret prime
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SquirrelsVerificationKey:
     """rows[j][i] = i-th shifted check coordinate mod the j-th secret
     prime (secret-prime-major, matching the verification loop).  Row
-    index n-1 holds r_j - 1, the image of the implicit -1 coordinate."""
+    index n-1 holds r_j - 1, the image of the implicit -1 coordinate.
+
+    ``r`` and ``inv_delta_words`` are the secret primes and ``inv_delta``
+    as read-only int64 arrays, built once here for ``cverify``; the key
+    is frozen, so they always match the fields they come from."""
 
     secret_basis: PrimeBasis
     inv_delta: tuple[int, ...]
     rows: np.ndarray  # shape (t, n)
+    r: np.ndarray = field(init=False, repr=False)
+    inv_delta_words: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.rows = np.ascontiguousarray(self.rows, dtype=np.int64)
-        self.rows.setflags(write=False)
+        arrays = {
+            "rows": np.ascontiguousarray(self.rows, dtype=np.int64),
+            "r": np.array(self.secret_basis.primes, dtype=np.int64),
+            "inv_delta_words": np.array(self.inv_delta, dtype=np.int64),
+        }
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(eq=False)
@@ -300,10 +346,12 @@ def vkeygen(
     public product; adding the product's residues once normalizes that
     to coordinate-plus-{0,1}-product, which is the shift the multiplier
     window of ``k_prime_bounds`` accounts for.
+
+    The public half of the transfer comes from ``pk.ecrt_terms``, which
+    checks the key and computes it on the key's first install; each
+    compression key pays only the secret half, ``mod_ecrt_combine``.
     """
-    check_public_key(pk, params)
-    basis = params.public_basis
-    moved = mod_ecrt_rows(ck.precomp, q_coefficients(basis), basis, pk.residues)
+    moved = mod_ecrt_combine(ck.precomp, *pk.ecrt_terms(params))
     r = np.array(ck.secret_basis.primes, dtype=np.int64)
     rows = np.vstack([(moved + np.array(ck.precomp.product_res)) % r, r - 1]).T
     return SquirrelsVerificationKey(
@@ -337,8 +385,8 @@ def cverify(
         return False
     c = s_vec + hash_to_point(message, sig.salt, params.q, params.n)
     k_min, k_max = k_prime_bounds(params)
-    r = np.array(vk.secret_basis.primes, dtype=np.int64)
-    k = (vk.rows @ c % r * np.array(vk.inv_delta, dtype=np.int64) - k_min) % r
+    r = vk.r
+    k = (vk.rows @ c % r * vk.inv_delta_words - k_min) % r
     if counter is not None:
         counter.add(*cverify_cost(params, len(r)))
     return bool(np.all(k <= k_max - k_min) & np.all(k == k[0]))

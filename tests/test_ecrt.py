@@ -14,6 +14,8 @@ from cvk.ecrt import (
     RnsResidues,
     approx_floor,
     mod_ecrt,
+    mod_ecrt_combine,
+    mod_ecrt_reduce,
     mod_ecrt_rows,
     mod_ecrt_setup,
     q_coefficients,
@@ -411,6 +413,8 @@ def test_mod_ecrt_rows_rejects_wrong_width():
     basis, pre, qc = _transfer_setup()
     with pytest.raises(ValueError):
         mod_ecrt_rows(pre, qc, basis, np.zeros((4, 2), dtype=np.int64))
+    with pytest.raises(ValueError):
+        mod_ecrt_rows(pre, qc[:2], basis, np.zeros((4, 3), dtype=np.int64))
 
 
 # ── mod_ecrt_rows against the per-prime loop ─────────────────────────────
@@ -444,11 +448,20 @@ def _per_prime_transfer(pre, q, basis, x):
 
 
 def _assert_transfer_matches_oracle(pre, q, basis, x):
-    got = mod_ecrt_rows(pre, q, basis, x)
+    """Run the public half and the secret half one after the other, check
+    the public half's terms, and compare the result, and the one call of
+    ``mod_ecrt_rows``, with the oracle."""
+    u, f = mod_ecrt_reduce(q, basis, x)
+    p = np.array(basis.primes, dtype=u.dtype)
+    assert u.shape == x.shape and f.shape == (x.shape[0],)
+    assert np.array_equal(u, x.astype(u.dtype) * np.array(q, dtype=u.dtype) % p)
+    assert np.array_equal(f, approx_floor(u, p, pre.precision))
+    got = mod_ecrt_combine(pre, u, f)
     expected = _per_prime_transfer(pre, q, basis, x)
     assert got.dtype == expected.dtype
     assert got.shape == (x.shape[0], len(pre.secret_basis))
     assert np.array_equal(got, expected)
+    assert np.array_equal(mod_ecrt_rows(pre, q, basis, x), got)
     return got
 
 
@@ -519,3 +532,50 @@ def test_mod_ecrt_rows_matches_oracle_on_object_path():
         pre, q_coefficients(basis), basis, _random_table(basis, 300, 33)
     )
     assert got.dtype == object
+
+
+# ── the public half, kept across secret bases ────────────────────────────
+
+
+@pytest.mark.parametrize("secret_width", [16, 31, 40])
+def test_mod_ecrt_reduce_is_reused_across_secret_bases(secret_width):
+    # One public half, then the secret half for three secret bases, equals
+    # a whole transfer per basis and the oracle; 40-bit secret primes take
+    # the secret half onto Python ints while the public half stays int64.
+    rng = Random(700 + secret_width)
+    basis = PrimeBasis(sample_distinct_primes(31, 40, rng))
+    qc = q_coefficients(basis)
+    x = _random_table(basis, 300, secret_width)
+    u, f = mod_ecrt_reduce(qc, basis, x)
+    assert u.dtype == f.dtype == np.int64
+    for _ in range(3):
+        secret = PrimeBasis(sample_distinct_primes(secret_width, 4, rng, exclude=basis.primes))
+        pre = mod_ecrt_setup(basis, secret)
+        got = mod_ecrt_combine(pre, u, f)
+        assert got.dtype == (np.int64 if secret_width < 32 else object)
+        assert np.array_equal(got, mod_ecrt_rows(pre, qc, basis, x))
+        assert np.array_equal(got, _per_prime_transfer(pre, qc, basis, x))
+
+
+def test_mod_ecrt_halves_take_python_ints_for_wide_public_primes():
+    # 40-bit public primes put the public half on Python ints, and the
+    # secret half follows even for 31-bit secret primes.
+    rng = Random(4041)
+    basis = PrimeBasis(sample_distinct_primes(40, 6, rng))
+    secret = PrimeBasis(sample_distinct_primes(31, 3, rng))
+    pre = mod_ecrt_setup(basis, secret)
+    qc = q_coefficients(basis)
+    x = np.array([[rng.randrange(p) for p in basis.primes] for _ in range(40)], dtype=object)
+    u, f = mod_ecrt_reduce(qc, basis, x)
+    assert u.dtype == f.dtype == object
+    got = _assert_transfer_matches_oracle(pre, qc, basis, x)
+    assert got.dtype == object
+
+
+def test_mod_ecrt_combine_rejects_mismatched_terms():
+    basis, pre, qc = _transfer_setup()
+    u, f = mod_ecrt_reduce(qc, basis, np.zeros((4, 3), dtype=np.int64))
+    with pytest.raises(ValueError):
+        mod_ecrt_combine(pre, u[:, :2], f)
+    with pytest.raises(ValueError):
+        mod_ecrt_combine(pre, u, f[:3])

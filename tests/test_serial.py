@@ -359,6 +359,100 @@ def test_squirrels_decoders_reject_corrupted_bytes(sq_world):
         assert rejected > 0
 
 
+# ── squirrels PK and VK decoders under hypothesis ────────────────────────
+#
+# A toy basis with one prime at each end of the word range, so drawn
+# residues land both inside and outside [0, p).
+
+FUZZ_PARAMS = sq.SquirrelsParams(
+    n=6, q=16, beta_sq=100, s=3, tag="toy", public_basis=PrimeBasis((251, 65521, 2147483647))
+)
+FUZZ_CK = sq.ckeygen(FUZZ_PARAMS, 2, Random(57), secret_width=16)
+FUZZ_PK_BYTES = sq.pk_bytes(FUZZ_PARAMS)
+FUZZ_VK_BYTES = sq.vk_bytes(FUZZ_PARAMS, 2)
+
+
+def _sq_blob(kind, payload):
+    return serial.wrap(serial.SCHEME_SQUIRRELS, kind, 0, payload)
+
+
+def _residue_words():
+    """PK payloads of the right length, each residue drawn near [0, p)."""
+    cells = [st.integers(-2, min(p + 1, (1 << 31) - 1)) for p in FUZZ_PARAMS.public_basis.primes]
+    row = st.tuples(*cells)
+    return st.lists(row, min_size=FUZZ_PARAMS.n - 1, max_size=FUZZ_PARAMS.n - 1).map(
+        lambda rows: struct.pack(f"<{len(rows) * FUZZ_PARAMS.s}i", *sum(rows, ()))
+    )
+
+
+def _wrong_lengths(right):
+    return st.binary(max_size=right + 8).filter(lambda b: len(b) != right)
+
+
+@given(
+    payload=st.one_of(
+        _residue_words(),
+        st.binary(min_size=FUZZ_PK_BYTES, max_size=FUZZ_PK_BYTES),
+        _wrong_lengths(FUZZ_PK_BYTES),
+    )
+)
+def test_squirrels_pk_decoder_returns_key_or_malformed(payload):
+    # A PK the decoder returns feeds the transfer terms kept with the key
+    # and vkeygen, and encodes back to the same file.
+    blob = _sq_blob(serial.KIND_PK, payload)
+    try:
+        pk = serial.decode_squirrels_pk(blob, FUZZ_PARAMS)
+    except MalformedSignature:
+        return
+    u, f = pk.ecrt_terms(FUZZ_PARAMS)
+    assert u.shape == (FUZZ_PARAMS.n - 1, FUZZ_PARAMS.s) and f.shape == (FUZZ_PARAMS.n - 1,)
+    vk = sq.vkeygen(FUZZ_CK, pk, FUZZ_PARAMS)
+    assert vk.rows.shape == (2, FUZZ_PARAMS.n)
+    assert serial.encode_squirrels_pk(pk, FUZZ_PARAMS) == blob
+
+
+def _vk_edits():
+    """The words of an installed VK, with up to three of them replaced."""
+    pk = sq.SquirrelsPublicKey(
+        np.arange(1, 1 + (FUZZ_PARAMS.n - 1) * FUZZ_PARAMS.s).reshape(FUZZ_PARAMS.n - 1, -1)
+    )
+    vk = sq.vkeygen(FUZZ_CK, pk, FUZZ_PARAMS)
+    payload = serial.encode_squirrels_vk(vk, FUZZ_PARAMS)[serial.HEADER.size :]
+    words = list(struct.unpack(f"<{len(payload) // 4}i", payload))
+    value = st.one_of(
+        st.integers(-(1 << 31), (1 << 31) - 1),
+        st.sampled_from(words).flatmap(lambda w: st.integers(w - 2, w + 2)),
+    )
+    edit = st.tuples(st.integers(0, len(words) - 1), value)
+
+    def apply(edits):
+        out = list(words)
+        for index, v in edits:
+            out[index] = max(-(1 << 31), min((1 << 31) - 1, v))
+        return struct.pack(f"<{len(out)}i", *out)
+
+    return st.lists(edit, max_size=3).map(apply)
+
+
+@given(
+    payload=st.one_of(
+        _vk_edits(),
+        st.binary(min_size=FUZZ_VK_BYTES, max_size=FUZZ_VK_BYTES),
+        _wrong_lengths(FUZZ_VK_BYTES),
+    )
+)
+def test_squirrels_vk_decoder_returns_key_or_malformed(payload):
+    # A VK the decoder returns holds reduced rows over its secret primes
+    # and encodes back to the same file.
+    blob = _sq_blob(serial.KIND_VK, payload)
+    try:
+        vk = serial.decode_squirrels_vk(blob, FUZZ_PARAMS)
+    except MalformedSignature:
+        return
+    assert np.all((vk.rows >= 0) & (vk.rows < vk.r[:, None]))
+    assert serial.encode_squirrels_vk(vk, FUZZ_PARAMS) == blob
+
+
 def _word(blob, index):
     return struct.unpack_from("<i", blob, serial.HEADER.size + 4 * index)[0]
 

@@ -1,12 +1,18 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from random import Random
 
 import numpy as np
 import pytest
 
 from cvk import squirrels as sq
-from cvk.ecrt import PrimeBasis, q_coefficients
+from cvk.ecrt import (
+    PrimeBasis,
+    mod_ecrt_reduce,
+    mod_ecrt_rows,
+    mod_ecrt_setup,
+    q_coefficients,
+)
 from cvk.errors import MalformedSignature, ResampleLimit, SharedFactor
 from cvk.modmath import is_prime_word, sample_distinct_primes
 from cvk.opcount import OpCounter
@@ -406,12 +412,127 @@ def test_vkeygen_full_size_matches_bigint_crt():
 
 
 def test_vkeygen_rejects_unreduced_residue(toy, toy_keys):
+    # A refused key keeps no transfer terms: the next install checks it
+    # again.
     pk, params, _ = toy
     ck, _ = toy_keys
     bad = pk.residues.copy()
     bad[-1, 0] = params.public_basis.primes[0]
+    key = sq.SquirrelsPublicKey(bad)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            sq.vkeygen(ck, key, params)
+
+
+# ── the public half of the transfer, kept with the public key ────────────
+
+
+def _full_size_i_key(seed):
+    """Squirrels I shape: a sampled 31-bit basis and uniform residues."""
+    rng = Random(seed)
+    params = replace(
+        sq.named_params("I"), public_basis=PrimeBasis(sample_distinct_primes(31, 165, rng))
+    )
+    gen = np.random.default_rng(seed)
+    primes = np.array(params.public_basis.primes)
+    return gen.integers(0, primes, size=(params.n - 1, params.s)), params, rng
+
+
+def _assert_cached_terms_change_nothing(residues, params, cks):
+    # One key installed under every CK in turn, against a fresh key per
+    # CK, whose terms are computed for that install alone.
+    kept = sq.SquirrelsPublicKey(residues)
+    for ck in cks:
+        fresh = sq.vkeygen(ck, sq.SquirrelsPublicKey(residues), params)
+        cached = sq.vkeygen(ck, kept, params)
+        assert cached.secret_basis == fresh.secret_basis
+        assert cached.inv_delta == fresh.inv_delta
+        assert np.array_equal(cached.rows, fresh.rows)
+    return kept
+
+
+def test_vkeygen_with_cached_terms_matches_fresh_key(toy):
+    pk, params, _ = toy
+    rng = Random(4242)
+    cks = [sq.ckeygen(params, t, rng, secret_width=16) for t in (1, 2, 3)]
+    _assert_cached_terms_change_nothing(pk.residues, params, cks)
+
+
+def test_vkeygen_with_cached_terms_matches_fresh_key_at_full_size():
+    residues, params, rng = _full_size_i_key(1035)
+    cks = [sq.ckeygen(params, 5, rng) for _ in range(3)]
+    kept = _assert_cached_terms_change_nothing(residues, params, cks)
+    u, f = kept.ecrt_terms(params)
+    assert u.dtype == f.dtype == np.int64
+
+
+def test_vkeygen_with_cached_terms_matches_fresh_key_at_40_bit_secret_primes():
+    # ``compression_key`` refuses secret primes past the fold bound, so
+    # the CKs are built by hand: the secret half then runs on Python ints
+    # over the int64 terms kept with the key.
+    residues, params, rng = _full_size_i_key(1036)
+    basis = params.public_basis
+    cks = []
+    for _ in range(3):
+        secret = PrimeBasis(sample_distinct_primes(40, 3, rng, exclude=basis.primes))
+        pre = mod_ecrt_setup(basis, secret)
+        inv_delta = tuple(pow(d, -1, r) for d, r in zip(pre.product_res, secret.primes))
+        cks.append(sq.SquirrelsCompressionKey(secret, pre, inv_delta))
+    _assert_cached_terms_change_nothing(residues, params, cks)
+    moved = mod_ecrt_rows(cks[0].precomp, q_coefficients(basis), basis, residues)
+    assert moved.dtype == object
+    vk = sq.vkeygen(cks[0], sq.SquirrelsPublicKey(residues), params)
+    r = np.array(cks[0].secret_basis.primes, dtype=object)
+    expected = (moved + np.array(cks[0].precomp.product_res, dtype=object)) % r
+    assert np.array_equal(vk.rows[:, :-1], expected.T.astype(np.int64))
+
+
+def test_public_key_is_frozen(toy):
+    pk, params, _ = toy
+    key = sq.SquirrelsPublicKey(pk.residues)
+    with pytest.raises(FrozenInstanceError):
+        key.residues = pk.residues.copy()
+    u, f = key.ecrt_terms(params)
+    for arr in (key.residues, u, f):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert key.ecrt_terms(params)[0] is u  # kept, not recomputed
+    source = pk.residues.copy()
+    viewed = sq.SquirrelsPublicKey(source[:, :])
+    source[0, 0] ^= 1
+    assert np.array_equal(viewed.residues, pk.residues)
+
+
+def test_public_key_reused_with_another_basis_gets_new_terms():
+    # Two 31-bit bases of the same length, and residues reduced under
+    # both: the terms follow the params' basis on every call, and a basis
+    # under which a residue is unreduced is refused, not served the old
+    # terms.
+    rng = Random(77)
+    first = PrimeBasis(sample_distinct_primes(31, 6, rng))
+    second = PrimeBasis(sample_distinct_primes(31, 6, rng, exclude=first.primes))
+    base = sq.SquirrelsParams(n=40, q=16, beta_sq=1 << 20, s=6, tag="toy")
+    params_a = replace(base, public_basis=first)
+    params_b = replace(base, public_basis=second)
+    low = min(first.primes + second.primes)
+    residues = np.random.default_rng(77).integers(0, low, size=(base.n - 1, base.s))
+    key = sq.SquirrelsPublicKey(residues)
+    for params in (params_a, params_b, params_a):
+        basis = params.public_basis
+        u, f = key.ecrt_terms(params)
+        want_u, want_f = mod_ecrt_reduce(q_coefficients(basis), basis, residues)
+        assert np.array_equal(u, want_u) and np.array_equal(f, want_f)
+        secret = sample_distinct_primes(31, 2, rng, exclude=first.primes + second.primes)
+        ck = sq.compression_key(params, PrimeBasis(secret))
+        fresh = sq.vkeygen(ck, sq.SquirrelsPublicKey(residues), params)
+        assert np.array_equal(sq.vkeygen(ck, key, params).rows, fresh.rows)
+    tight = PrimeBasis(
+        (next(p for p in range(low // 2, low) if is_prime_word(p)),) + first.primes[1:]
+    )
     with pytest.raises(ValueError):
-        sq.vkeygen(ck, sq.SquirrelsPublicKey(bad), params)
+        key.ecrt_terms(replace(base, public_basis=tight))
+    with pytest.raises(ValueError):
+        key.ecrt_terms(replace(params_a, n=base.n + 1))
 
 
 def test_size_formulas_table_values():
@@ -451,6 +572,40 @@ def test_cverify_completeness(toy, toy_keys):
         sig = sq.toy_sign(secret, message, params, rng)
         assert sq.verify(sig, message, pk, params)
         assert sq.cverify(sig, message, vk, params)
+
+
+class _NumpyWithoutArray:
+    """numpy, except that ``array`` fails the test."""
+
+    def __getattr__(self, name):
+        if name == "array":
+            raise AssertionError("cverify built an array from a key field")
+        return getattr(np, name)
+
+
+def test_cverify_builds_no_key_arrays(toy, toy_keys, monkeypatch):
+    # The frozen VK builds its word arrays once, read-only; a cverify call
+    # reads them and gives the same verdicts.
+    pk, params, secret = toy
+    _, vk = toy_keys
+    assert vk.r.dtype == vk.inv_delta_words.dtype == np.int64
+    assert vk.r.tolist() == list(vk.secret_basis.primes)
+    assert vk.inv_delta_words.tolist() == list(vk.inv_delta)
+    for arr in (vk.rows, vk.r, vk.inv_delta_words):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(FrozenInstanceError):
+        vk.inv_delta = (1,) * len(vk.inv_delta)
+    rng = Random(12)
+    cases = []
+    for i in range(10):
+        message = b"prepared %d" % i
+        sig = sq.toy_sign(secret, message, params, rng)
+        cases += [(sig, message), (sig, message + b"!")]
+    expected = [sq.cverify(sig, m, vk, params) for sig, m in cases]
+    assert all(expected[::2])  # every honest pair accepts
+    monkeypatch.setattr(sq, "np", _NumpyWithoutArray())
+    assert [sq.cverify(sig, m, vk, params) for sig, m in cases] == expected
 
 
 def test_cverify_rejects_wrong_message(toy, toy_keys):
