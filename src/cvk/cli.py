@@ -296,14 +296,14 @@ def cmd_cverify(args) -> int:
 def cmd_bench_ops(args) -> int:
     if args.scheme == "squirrels":
         params = sq.named_params(args.instance)
-        t = args.t if args.t else sq.choose_t(params.classical_bits)[0]
+        t = sq.choose_t(params.classical_bits)[0] if args.t is None else args.t
         v_muls, v_reds = sq.verify_cost(params)
         c_muls, c_reds = sq.cverify_cost(params, t)
         threshold = params.s / (t + 1)
         label = f"s/(t+1) = {params.s}/{t + 1}"
     else:
         params = wv.named_params(args.instance)
-        c = args.c if args.c else wv.wave_choose_c(params.classical_bits)[0]
+        c = wv.wave_choose_c(params.classical_bits)[0] if args.c is None else args.c
         v_muls, v_reds = wv.verify_cost(params)
         c_muls, c_reds = wv.cverify_cost(params, c)
         threshold = params.redundancy / (2 * c)
@@ -327,7 +327,7 @@ def cmd_simulate_forgery(args) -> int:
     )
     sigma = math.sqrt(
         max(report.cumulative_bound * (1 - report.cumulative_bound), 1e-12)
-        / max(report.trials, 1)
+        / report.trials
     )
     print(f"instance          {report.instance}")
     print(f"keyspace, kappa   {instance.s_size}, {instance.kappa}")

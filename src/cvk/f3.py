@@ -9,8 +9,9 @@ gather from it.  Weights are counted on the unpacked trits.
 
 Validation happens once, on the packed bytes: byte masks reject any
 field equal to 3 and any nonzero row padding.
-Arithmetic unpacks to numpy uint8 lanes; matrices memoize the unpacked
-view, so repeated products against a fixed key pay the unpacking once.
+Arithmetic unpacks to numpy uint8 lanes.  ``to_array`` memoizes a
+matrix's unpacked view; ``f3_matmul`` does not use it for its left
+operand, which it gathers straight to float32 one row block at a time.
 
 Products run as float32 BLAS products, reduced mod 3 afterwards.  Each
 term is at most 2 * 2 = 4, so an inner dimension below 2^22 keeps every
@@ -118,7 +119,8 @@ def random_trits(count: int, rng: Random) -> np.ndarray:
 class TernaryMatrix:
     """A rows x cols matrix over F3 in packed row-major storage.
 
-    Immutable after construction; the unpacked uint8 view is cached.
+    Immutable after construction.  ``to_array`` caches the unpacked uint8
+    view on the matrix; ``unpack`` returns a fresh one and keeps nothing.
     """
 
     def __init__(self, rows: int, cols: int, data: bytes):
@@ -146,10 +148,14 @@ class TernaryMatrix:
     def random(cls, rows: int, cols: int, rng: Random) -> "TernaryMatrix":
         return cls.from_array(random_trits(rows * cols, rng).reshape(rows, cols))
 
+    def unpack(self) -> np.ndarray:
+        """A fresh (rows, cols) uint8 trit array, which the matrix does not keep."""
+        raw = np.frombuffer(self.data, np.uint8).reshape(self.rows, row_stride(self.cols))
+        return _unpack(raw, self.cols)
+
     @cached_property
     def _array(self) -> np.ndarray:
-        raw = np.frombuffer(self.data, np.uint8).reshape(self.rows, row_stride(self.cols))
-        out = _unpack(raw, self.cols)
+        out = self.unpack()
         out.setflags(write=False)
         return out
 
@@ -174,19 +180,27 @@ class TernaryMatrix:
         return f"TernaryMatrix({self.rows}x{self.cols})"
 
 
-def f3_matmul(a: TernaryMatrix, b: TernaryMatrix) -> TernaryMatrix:
-    """Matrix product over F3, as exact float32 BLAS products over blocks
-    of ``MATMUL_BLOCK_ROWS`` rows of ``a``; only one block of ``a`` is
-    ever held as floats."""
+def f3_matmul(a: TernaryMatrix, b: TernaryMatrix) -> np.ndarray:
+    """Matrix product over F3 as a (a.rows, b.cols) uint8 trit array.
+
+    Walks the packed rows of ``a`` ``MATMUL_BLOCK_ROWS`` at a time, so
+    ``a`` is never unpacked whole and keeps no unpacked view.  Each block
+    goes from bytes to float32 trits in one gather from a float32 copy of
+    ``BYTE_LANES``, padding fields included, against zero rows of ``b``
+    below its last; BLAS multiplies it exactly.  At Wave 822, c = 80, a
+    product took a median 8% longer than one reading a cached unpacked
+    view of ``a``; unpacking each block through uint8 took 19% longer."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.shape} @ {b.shape}")
     if a.cols >= MAX_INNER_DIMENSION:
         raise ValueError(f"inner dimension {a.cols} is not below 2^22; float32 would round")
-    lhs = a.to_array()
-    rhs = b.to_array().astype(np.float32)
+    raw = np.frombuffer(a.data, np.uint8).reshape(a.rows, row_stride(a.cols))
+    rhs = np.zeros((raw.shape[1] * TRITS_PER_BYTE, b.cols), dtype=np.float32)
+    rhs[: b.rows] = b.to_array()
+    lanes = BYTE_LANES.astype(np.float32)
     out = np.empty((a.rows, b.cols), dtype=np.uint8)
     for start in range(0, a.rows, MATMUL_BLOCK_ROWS):
         rows = slice(start, start + MATMUL_BLOCK_ROWS)
-        block = lhs[rows].astype(np.float32) @ rhs
+        block = lanes.take(raw[rows], axis=0).reshape(-1, len(rhs)) @ rhs
         out[rows] = np.remainder(block, 3, out=block)
-    return TernaryMatrix.from_array(out)
+    return out

@@ -61,6 +61,8 @@ def segp_success_bound(s_size: int, kappa: int, queries: int) -> float:
     """
     if s_size <= 0 or kappa <= 0:
         raise ValueError("keyspace and kappa must be positive")
+    if queries < 0:
+        raise ValueError("query count must be non-negative")
     denominator = s_size - kappa * queries
     if denominator <= 0:
         raise BudgetExceeded(
@@ -278,8 +280,8 @@ class _PrimeKernel:
 def squirrels_segp_instance(width: int, query_bound: int) -> SegpInstance:
     """One hidden prime of the given width; queries are integers in
     [1, query_bound], answered by divisibility."""
-    if width > 16:
-        raise ValueError("exhaustive prime enumeration capped at width <= 16")
+    if not 2 <= width <= 16:
+        raise ValueError(f"prime width must be in [2, 16], got {width}")
     pool = [
         n
         for n in range((1 << (width - 1)) + 1, 1 << width, 2)
@@ -342,6 +344,9 @@ def simulate_segp_game(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    per_query = segp_success_bound(instance.s_size, instance.kappa, queries_per_trial)
     successes = 0
     for _ in range(trials):
         kernel = rng.choice(instance.kernels)
@@ -369,14 +374,13 @@ def simulate_segp_game(
                     hit = True
                     break
         successes += hit
-    per_query = segp_success_bound(instance.s_size, instance.kappa, queries_per_trial)
     return SegpReport(
         instance=instance.name,
         strategy=strategy,
         trials=trials,
         queries_per_trial=queries_per_trial,
         successes=successes,
-        success_rate=successes / trials if trials else 0.0,
+        success_rate=successes / trials,
         per_query_bound=per_query,
         cumulative_bound=min(1.0, queries_per_trial * per_query),
     )

@@ -41,7 +41,8 @@ KIND_VK = 2
 KIND_SIG = 3
 KIND_SK = 4  # toy signing key: artifact plumbing for the CLI pipeline
 
-_SQ_TAG_CODES = {"toy": 0, "I": 1, "II": 2, "III": 3, "IV": 4, "V": 5}
+# Toy keys are 0; named instances are numbered from 1 in their table order.
+_SQ_TAG_CODES = {"toy": 0} | {tag: i for i, tag in enumerate(sq.SQUIRRELS_TAGS, 1)}
 
 
 def tag_code(scheme: int, tag: str) -> int:
@@ -120,7 +121,7 @@ def decode_squirrels_pk(blob: bytes, params: sq.SquirrelsParams) -> sq.Squirrels
     residues = np.frombuffer(payload, dtype="<i4").reshape(params.n - 1, params.s)
     pk = sq.SquirrelsPublicKey(residues.astype(np.int64))
     try:
-        sq.check_public_key(pk, params)
+        pk.check(params)
     except ValueError as exc:
         raise MalformedSignature(str(exc)) from None
     return pk

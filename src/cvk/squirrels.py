@@ -97,10 +97,12 @@ class SquirrelsPublicKey:
 
     Frozen, with ``residues`` held as a read-only int64 array that no
     other array shares (a view is copied), so the transfer terms that
-    ``ecrt_terms`` keeps always belong to them.
+    ``ecrt_terms`` keeps, and the params that ``check`` records, always
+    belong to them.
     """
 
     residues: np.ndarray
+    _checked: tuple = field(default=(), init=False, repr=False, compare=False)
     _terms: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -112,6 +114,16 @@ class SquirrelsPublicKey:
         residues.setflags(write=False)
         object.__setattr__(self, "residues", residues)
 
+    def check(self, params: SquirrelsParams) -> None:
+        """Run ``check_public_key`` unless the key last passed it for the
+        same n and public basis, then record that pair: the decoder and
+        the first install check a key once between them, and params with
+        another n or basis check it again."""
+        key = (params.n, params.public_basis)
+        if self._checked != key:
+            check_public_key(self, params)
+            object.__setattr__(self, "_checked", key)
+
     def ecrt_terms(self, params: SquirrelsParams) -> tuple[np.ndarray, np.ndarray]:
         """The public half of the basis transfer of every residue row: the
         (n-1, s) terms u = x q mod p and the n-1 floors of
@@ -119,16 +131,15 @@ class SquirrelsPublicKey:
 
         They depend only on the key and the public basis, so every
         compression key reuses them.  The first call for a given n and
-        public basis runs ``check_public_key``, computes
-        ``q_coefficients`` and the terms, and keeps them with the key.  A
-        call with another n or basis checks the key again and replaces
-        them, so no call gets terms computed for other params, and a key
-        keeps terms only for params it passed.  The terms are public
-        data.
+        public basis runs ``check``, computes ``q_coefficients`` and the
+        terms, and keeps them with the key.  A call with another n or
+        basis checks the key again and replaces them, so no call gets
+        terms computed for other params, and a key keeps terms only for
+        params it passed.  The terms are public data.
         """
         key = (params.n, params.public_basis)
         if not self._terms or self._terms[0] != key:
-            check_public_key(self, params)
+            self.check(params)
             basis = params.public_basis
             u, f = mod_ecrt_reduce(q_coefficients(basis), basis, self.residues)
             u.setflags(write=False)
@@ -429,6 +440,9 @@ def verify_cost(params: SquirrelsParams) -> tuple[int, int]:
 
 
 def cverify_cost(params: SquirrelsParams, t: int) -> tuple[int, int]:
+    """As ``verify_cost``, for a t that ``ckeygen`` accepts."""
+    if t < 1:
+        raise ValueError(f"need at least one secret prime, got t={t}")
     return (params.n + 1) * t, 2 * t
 
 

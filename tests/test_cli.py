@@ -280,11 +280,50 @@ def test_bench_ops_wave(capsys):
     assert "18386944" in out and "679680" in out
 
 
+@pytest.mark.parametrize(
+    "scheme, instance",
+    [("squirrels", tag) for tag in ("I", "II", "III", "IV", "V")]
+    + [("wave", tag) for tag in ("822", "1249", "1644")],
+)
+def test_bench_ops_meets_the_paper_threshold(scheme, instance, capsys):
+    # Exit 0 means the op-count ratio at the default t or c reaches
+    # s/(t+1) or (n-k)/(2c); a ratio below it exits 1.
+    assert run("bench-ops", "--scheme", scheme, "--instance", instance) == 0
+    assert "speedup" in read_out(capsys)
+
+
 def test_bench_ops_deterministic(capsys):
     run("bench-ops", "--scheme", "squirrels", "--instance", "III")
     first = read_out(capsys)
     run("bench-ops", "--scheme", "squirrels", "--instance", "III")
     assert read_out(capsys) == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench-ops", "--scheme", "squirrels", "--instance", "I", "--t", -1),
+        ("bench-ops", "--scheme", "squirrels", "--instance", "I", "--t", 0),
+        ("bench-ops", "--scheme", "wave", "--instance", "822", "--c", -8),
+        ("bench-ops", "--scheme", "wave", "--instance", "822", "--c", 0),
+        ("bench-ops", "--scheme", "wave", "--instance", "822", "--c", 4289),
+        ("simulate-forgery", "--scheme", "squirrels", "--width", 1),
+        ("simulate-forgery", "--scheme", "wave", "--trials", -3),
+        ("simulate-forgery", "--scheme", "squirrels", "--trials", 0),
+        ("simulate-forgery", "--scheme", "wave", "--queries", -1),
+    ],
+    ids=[
+        "t=-1", "t=0", "c=-8", "c=0", "c=n-k+1",
+        "width=1", "trials=-3", "trials=0", "queries=-1",
+    ],
+)
+def test_numbers_outside_the_library_rules_are_exit_2(argv, capsys):
+    # t >= 1 as in ckeygen, 0 < c <= n-k as in wave_ckeygen, a prime width
+    # of at least 2, at least one trial and no negative query count.
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_simulate_forgery_command(capsys):

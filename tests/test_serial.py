@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 import struct
 from dataclasses import replace
@@ -84,6 +85,26 @@ def test_squirrels_pk_roundtrip(sq_world):
     again = serial.decode_squirrels_pk(blob, params)
     assert np.array_equal(again.residues, pk.residues)
     assert serial.encode_squirrels_pk(again, params) == blob
+
+
+def test_squirrels_pk_checked_once_from_decode_through_vkeygen(sq_world, monkeypatch):
+    pk, params, _, ck, _, _ = sq_world
+    calls = []
+    check = sq.check_public_key
+    monkeypatch.setattr(sq, "check_public_key", lambda *a: calls.append(a) or check(*a))
+    key = serial.decode_squirrels_pk(serial.encode_squirrels_pk(pk, params), params)
+    assert len(calls) == 1
+    first = sq.vkeygen(ck, key, params)
+    again = sq.vkeygen(sq.ckeygen(params, 3, Random(57), secret_width=16), key, params)
+    assert len(calls) == 1
+    assert np.array_equal(first.rows, sq.vkeygen(ck, pk, params).rows)
+    assert again.rows.shape[0] == 3
+    # Params with another public basis check the key again.
+    low = int(pk.residues.max()) + 1
+    other = sample_distinct_primes(31, params.s, Random(58), exclude=params.public_basis.primes)
+    assert min(other) > low
+    key.ecrt_terms(replace(params, public_basis=PrimeBasis(other)))
+    assert len(calls) == 2
 
 
 def test_squirrels_ck_roundtrip(sq_world):
@@ -694,6 +715,22 @@ def test_rw_decoders_reject_corrupted_bytes():
 
 def _sha_prefix(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def test_squirrels_tag_codes_follow_the_instance_table(monkeypatch):
+    # Toy keys are 0 and the named instances 1 to 5 in table order; an
+    # instance added to the table gets the next code, not 0.
+    codes = [serial.tag_code(serial.SCHEME_SQUIRRELS, tag) for tag in ("toy",) + sq.SQUIRRELS_TAGS]
+    assert codes == [0, 1, 2, 3, 4, 5]
+    monkeypatch.setattr(sq, "SQUIRRELS_TAGS", sq.SQUIRRELS_TAGS + ("VI",))
+    try:
+        importlib.reload(serial)
+        assert serial.tag_code(serial.SCHEME_SQUIRRELS, "VI") == 6
+        assert serial.tag_code(serial.SCHEME_SQUIRRELS, "V") == 5
+    finally:
+        monkeypatch.undo()
+        importlib.reload(serial)
+    assert serial.tag_code(serial.SCHEME_SQUIRRELS, "VI") == 0
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from random import Random
 
 import numpy as np
 import pytest
 
+from cvk import serial
 from cvk import wave as wv
 from cvk.errors import DimensionMismatch, MalformedSignature
 from cvk.f3 import TernaryMatrix, random_trits
@@ -382,6 +384,15 @@ def test_vkeygen_dimension_mismatch(toy):
         wv.wave_vkeygen(pk, TernaryMatrix.from_array(np.eye(params.redundancy + 1)), params)
 
 
+def test_vkeygen_short_projection_is_a_dimension_mismatch(toy):
+    # Fewer rows than n-k, and fewer than its c columns: the shape check
+    # runs before the identity-block check, so this is not a ValueError.
+    pk, params = toy
+    short = TernaryMatrix.from_array(np.eye(3, 4, dtype=np.uint8))
+    with pytest.raises(DimensionMismatch):
+        wv.wave_vkeygen(pk, short, params)
+
+
 # ── compressed verification ──────────────────────────────────────────────
 
 
@@ -440,13 +451,73 @@ def test_vk_refuses_c_below_one():
 def test_vk_fold_block_built_once(toy, toy_keys):
     pk, params = toy
     _, vk = toy_keys
-    assert "fold_block" not in vars(wv.WaveVerificationKey(vk.vk_bottom, vk.c, vk.n))
     block = vk.fold_block
     assert vk.fold_block is block
     assert block.dtype == np.float32 and block.flags.c_contiguous
     assert np.array_equal(block, vk.vk_bottom.to_array().T)
     with pytest.raises(ValueError):
         block[0, 0] = 1
+
+
+def _held_bytes(obj) -> int:
+    """Bytes of the arrays, bytes and matrices an object keeps in its
+    attributes, counted recursively through matrices."""
+    held = 0
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            held += value.nbytes
+        elif isinstance(value, bytes):
+            held += len(value)
+        elif isinstance(value, TernaryMatrix):
+            held += _held_bytes(value)
+    return held
+
+
+@pytest.mark.parametrize("fill", ["twos", "uniform"])
+def test_wave822_install_holds_no_unpacked_copies(fill):
+    # Full size, c = 80.  All-2 entries in R and in the CK's lower block
+    # give the product its largest sums.  Both the keygen and the decoder
+    # path are checked against int64 products.
+    params, c = wv.named_params("822"), 80
+    k, nk = params.k, params.redundancy
+    if fill == "twos":
+        r_arr = np.full((k, nk), 2, dtype=np.uint8)
+        lower = np.full((nk - c, c), 2, dtype=np.uint8)
+        ck = TernaryMatrix.from_array(np.vstack([np.eye(c, dtype=np.uint8), lower]))
+    else:
+        r_arr = np.random.default_rng(822).integers(0, 3, (k, nk), dtype=np.uint8)
+        ck = wv.wave_ckeygen(params, c, Random(822))
+    pk = TernaryMatrix.from_array(r_arr)
+    tracemalloc.start()
+    try:
+        vk = wv.wave_vkeygen(pk, ck, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k * nk == 18_386_944  # below one unpacked copy of R
+    assert "_array" not in vars(pk)
+    assert _held_bytes(pk) == wv.pk_bytes(params) == 4_596_736
+    assert _held_bytes(vk) == 169_920 + 2_718_720
+    assert len(vk.vk_bottom.data) == wv.vk_bytes(params, c) == 169_920
+
+    c_arr = ck.to_array().astype(np.int64)
+    product = np.vstack(
+        [(r_arr[i : i + 512].astype(np.int64) @ c_arr) % 3 for i in range(0, k, 512)]
+    )
+    want = np.vstack([c_arr[c:], product]).astype(np.float32).T
+    decoded = serial.decode_wave_vk(serial.encode_wave_vk(vk, params), params, c)
+    rng = np.random.default_rng(80)
+    tails = [np.full(params.n - c, 2, dtype=np.int64)]
+    tails += [rng.integers(0, 3, params.n - c) for _ in range(3)]
+    for key in (vk, decoded):
+        block = key.fold_block
+        assert block.ctypes.data % 64 == 0
+        assert block.dtype == np.float32 and block.flags.c_contiguous
+        assert not block.flags.writeable
+        assert np.array_equal(block, want)
+        for tail in tails:
+            got = (block @ tail.astype(np.float32)) % 3
+            assert np.array_equal(got, (want.astype(np.int64) @ tail) % 3)
 
 
 def test_cverify_matches_int64_oracle(toy, toy_keys):
