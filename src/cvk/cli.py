@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from random import Random
 
 from . import rw, security, serial
@@ -22,17 +23,22 @@ from . import wave as wv
 from .ecrt import PrimeBasis
 from .errors import CvkError
 
-_PRIVATE_KINDS = (serial.KIND_CK, serial.KIND_VK, serial.KIND_SK)
-
 
 def _write(path: str, blob: bytes, private: bool = False) -> None:
-    if private:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-    else:
+    """A private file is an owner-only temp file renamed over ``path``, so
+    it keeps no older file's mode and replaces a symlink, not its target."""
+    if not private:
         with open(path, "wb") as fh:
             fh.write(blob)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _read(path: str) -> bytes:

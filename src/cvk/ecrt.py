@@ -45,8 +45,10 @@ MAX_BASIS_LEN = 1 << 16
 TRANSFER_BLOCK_ROWS = 256
 
 
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length()
+def _word_dtype(primes, *exact: bool):
+    """int64 if every prime is below 2^31, so a product of two reduced words
+    is below 2^62, and every condition in ``exact`` holds; else object."""
+    return np.int64 if all(exact) and max(primes) < 1 << 31 else object
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ class EcrtPrecomp:
 def default_precision(source_len: int) -> int:
     """ceil(log2 s) + 2: one bit above the recovery minimum, which halves
     the chance of landing in the off-by-product branch for random x."""
-    return _ceil_log2(source_len) + 2
+    return (source_len - 1).bit_length() + 2
 
 
 def q_coefficients(basis: PrimeBasis) -> tuple[int, ...]:
@@ -130,12 +132,12 @@ def q_coefficients(basis: PrimeBasis) -> tuple[int, ...]:
 
     q_i = (prod_{j != i} p_j)^{-1} mod p_i.  Basis invariants (distinct
     primes) guarantee every inverse exists.  One pass per prime p_j
-    multiplies it into every other cofactor at once, in int64 when all
-    primes are below 2^31 (Python ints otherwise).  The primes are
-    public, so the inverses need no constant-time ladder.
+    multiplies it into every other cofactor at once, in the dtype
+    ``_word_dtype`` picks.  The primes are public, so the inverses need
+    no constant-time ladder.
     """
     primes = basis.primes
-    dtype = np.int64 if max(primes) < (1 << 31) else object
+    dtype = _word_dtype(primes)
     p = np.array(primes, dtype=dtype)
     acc = np.ones(len(primes), dtype=dtype)
     for j, pj in enumerate(primes):
@@ -164,10 +166,8 @@ def mod_ecrt_setup(public: PrimeBasis, secret: PrimeBasis) -> EcrtPrecomp:
     The (t, s) table of public primes mod each secret prime gets one
     prefix and one suffix product scan along its rows; the cofactor of
     p_i is the product before i times the product after i, and the
-    public product is the last prefix.  The scans run in int64 when
-    every secret prime is below 2^31, so that both factors of each
-    product are below 2^31 and it stays below 2^62; in Python ints
-    otherwise.
+    public product is the last prefix.  The scans run in the dtype
+    ``_word_dtype`` picks for the secret primes.
 
     Raises:
         SharedFactor: if the bases overlap (the transfer needs every
@@ -180,7 +180,7 @@ def mod_ecrt_setup(public: PrimeBasis, secret: PrimeBasis) -> EcrtPrecomp:
     s = len(public)
     if s > MAX_BASIS_LEN:
         raise ValueError(f"source basis length {s} out of range")
-    dtype = np.int64 if max(secret.primes) < (1 << 31) else object
+    dtype = _word_dtype(secret.primes)
     r = np.array(secret.primes, dtype=dtype)[:, None]
     units = np.array(public.primes, dtype=dtype) % r
     prefix = _prefix_products(units, r)
@@ -232,8 +232,7 @@ def mod_ecrt_reduce(
     if x.ndim != 2 or x.shape[1] != s:
         raise ValueError(f"residue table of shape {x.shape}, expected (m, {s})")
     a = default_precision(s)
-    narrow = max(basis.primes) < (1 << 31) and s << (31 + a) < (1 << 63)
-    dtype = np.int64 if narrow else object  # else Python ints
+    dtype = _word_dtype(basis.primes, s << (31 + a) < 1 << 63)
     p = np.array(basis.primes, dtype=dtype)
     qv = np.array(q, dtype=dtype)
     u = np.empty(x.shape, dtype=dtype)
@@ -255,10 +254,9 @@ def mod_ecrt_combine(pre: EcrtPrecomp, u: np.ndarray, f: np.ndarray) -> np.ndarr
 
         z = ((u @ c_hi) mod r * 2^16 + u @ c_lo) mod r.
 
-    The outputs are only (m, t), so there is no block loop.  Runs in
-    int64 when u is int64, which the public half returns only for public
-    primes below 2^31 and s < 2^15, and every secret prime is below
-    2^31; the two products are then ``np.einsum`` sums, exact because
+    The outputs are only (m, t), so there is no block loop.  In int64,
+    which needs an int64 u from the public half, the two products are
+    ``np.einsum`` sums, exact because
     with u < 2^31 every u @ c_lo sum is below 2^15 * 2^31 * 2^16 = 2^62,
     every u @ c_hi sum below 2^15 * 2^31 * 2^15 = 2^61, and
     (u @ c_hi mod r) 2^16 + u @ c_lo below 2^47 + 2^62 < 2^63.  In
@@ -270,14 +268,13 @@ def mod_ecrt_combine(pre: EcrtPrecomp, u: np.ndarray, f: np.ndarray) -> np.ndarr
     if f.shape != u.shape[:1]:
         raise ValueError(f"{f.shape} floors for {u.shape[0]} rows")
     secret = pre.secret_basis.primes
-    narrow = u.dtype == np.int64 and max(secret) < (1 << 31)
-    dtype = np.int64 if narrow else object
+    dtype = _word_dtype(secret, u.dtype == np.int64)
     u, f = u.astype(dtype, copy=False), f.astype(dtype, copy=False)
     r = np.array(secret, dtype=dtype)
     product_res = np.array(pre.product_res, dtype=dtype)
     c = np.array(pre.cofactor_res, dtype=dtype).T  # (s, t)
     c_hi, c_lo = c >> 16, c & 0xFFFF
-    if narrow:
+    if dtype is np.int64:
         hi, lo = np.einsum("ij,jk->ik", u, c_hi), np.einsum("ij,jk->ik", u, c_lo)
     else:
         hi, lo = u @ c_hi, u @ c_lo
@@ -296,9 +293,7 @@ def mod_ecrt_rows(
     mod p, and ``approx_floor`` pins down floor(a) for each row; the
     secret half, ``mod_ecrt_combine``, takes u to sum_j u_j (D/p_j) -
     floor(a) D mod every secret prime r_k at once with two exact
-    split-word products.  The result is int64 when all primes are below
-    2^31 and s * 2^(31 + a) < 2^63, a = ``pre.precision``; Python ints
-    otherwise.
+    split-word products.
     """
     return mod_ecrt_combine(pre, *mod_ecrt_reduce(q, basis, x))
 

@@ -10,8 +10,7 @@ gather from it.  Weights are counted on the unpacked trits.
 Validation happens once, on the packed bytes: byte masks reject any
 field equal to 3 and any nonzero row padding.
 Arithmetic unpacks to numpy uint8 lanes.  ``to_array`` memoizes a
-matrix's unpacked view; ``f3_matmul`` does not use it for its left
-operand, which it gathers straight to float32 one row block at a time.
+matrix's unpacked view; ``f3_matmul`` does not use it for either operand.
 
 Products run as float32 BLAS products, reduced mod 3 afterwards.  Each
 term is at most 2 * 2 = 4, so an inner dimension below 2^22 keeps every
@@ -120,7 +119,8 @@ class TernaryMatrix:
     """A rows x cols matrix over F3 in packed row-major storage.
 
     Immutable after construction.  ``to_array`` caches the unpacked uint8
-    view on the matrix; ``unpack`` returns a fresh one and keeps nothing.
+    view on the matrix, for the full Wave verifier and the toy signer;
+    ``unpack`` returns a fresh one and keeps nothing.
     """
 
     def __init__(self, rows: int, cols: int, data: bytes):
@@ -184,7 +184,7 @@ def f3_matmul(a: TernaryMatrix, b: TernaryMatrix) -> np.ndarray:
     """Matrix product over F3 as a (a.rows, b.cols) uint8 trit array.
 
     Walks the packed rows of ``a`` ``MATMUL_BLOCK_ROWS`` at a time, so
-    ``a`` is never unpacked whole and keeps no unpacked view.  Each block
+    ``a`` is never unpacked whole and neither operand caches a view.  Each block
     goes from bytes to float32 trits in one gather from a float32 copy of
     ``BYTE_LANES``, padding fields included, against zero rows of ``b``
     below its last; BLAS multiplies it exactly.  At Wave 822, c = 80, a
@@ -196,7 +196,7 @@ def f3_matmul(a: TernaryMatrix, b: TernaryMatrix) -> np.ndarray:
         raise ValueError(f"inner dimension {a.cols} is not below 2^22; float32 would round")
     raw = np.frombuffer(a.data, np.uint8).reshape(a.rows, row_stride(a.cols))
     rhs = np.zeros((raw.shape[1] * TRITS_PER_BYTE, b.cols), dtype=np.float32)
-    rhs[: b.rows] = b.to_array()
+    rhs[: b.rows] = b.unpack()
     lanes = BYTE_LANES.astype(np.float32)
     out = np.empty((a.rows, b.cols), dtype=np.uint8)
     for start in range(0, a.rows, MATMUL_BLOCK_ROWS):

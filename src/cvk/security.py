@@ -20,9 +20,10 @@ from random import Random
 from .errors import BudgetExceeded
 from .f3 import random_trits
 from .modmath import PRIME_COUNT_31BIT, is_prime_word
+from .squirrels import check_t
+from .wave import LOG2_3, check_c
 
 LN2 = math.log(2)
-LOG2_3 = math.log2(3)
 
 # Float slack for invariants over long log-domain sums.
 _EPS = 1e-9
@@ -146,8 +147,9 @@ def squirrels_budget(
     charges the full C(s, t) kernels a maximally divisible query could
     touch, which is the pessimistic reading.
     """
-    if t < 1 or s < t:
-        raise ValueError("need 1 <= t <= s")
+    check_t(t)
+    if s < t:
+        raise ValueError(f"need t <= s, got t={t}, s={s}")
     s_size_log2 = math.log2(math.comb(PRIME_COUNT_31BIT, t))
     if kappa_model == "small-constant":
         kappa_log2 = 0.0
@@ -174,8 +176,7 @@ def wave_budget(n: int, k: int, c: int, q_limit: int) -> SecurityBudget:
     exactly c*log2(3).
     """
     nk = n - k
-    if not 0 < c <= nk:
-        raise ValueError(f"need 0 < c <= n-k, got c={c}")
+    check_c(c, nk)
     s_size_log2 = three_binomial(nk, nk - c)
     kappa_log2 = three_binomial(nk - 1, nk - c - 1)
     quotient_log2 = c * LOG2_3

@@ -25,7 +25,7 @@ from . import squirrels as sq
 from . import wave as wv
 from .ecrt import PrimeBasis
 from .errors import MalformedSignature, SharedFactor
-from .f3 import TernaryMatrix, row_stride
+from .f3 import TernaryMatrix
 from .modmath import MAX_PRIME_WIDTH, MIN_PRIME_WIDTH, is_prime_word
 
 MAGIC = b"CVK1"
@@ -96,6 +96,14 @@ def _words(dtype: str, *parts) -> bytes:
     return arr.astype(dtype).tobytes()
 
 
+def _malformed(build, *args):
+    """``build(*args)``, its ``ValueError`` raised as ``MalformedSignature``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise MalformedSignature(str(exc)) from None
+
+
 def _read_words(payload: bytes, dtype: str) -> np.ndarray:
     if len(payload) % np.dtype(dtype).itemsize:
         raise MalformedSignature("payload not a whole number of words")
@@ -120,10 +128,7 @@ def decode_squirrels_pk(blob: bytes, params: sq.SquirrelsParams) -> sq.Squirrels
     # need not copy them again.
     residues = np.frombuffer(payload, dtype="<i4").reshape(params.n - 1, params.s)
     pk = sq.SquirrelsPublicKey(residues.astype(np.int64))
-    try:
-        pk.check(params)
-    except ValueError as exc:
-        raise MalformedSignature(str(exc)) from None
+    _malformed(pk.check, params)
     return pk
 
 
@@ -214,22 +219,11 @@ def encode_squirrels_sk(secret: sq.ToySquirrelsSecret, params: sq.SquirrelsParam
 
 def decode_squirrels_sk(blob: bytes, params: sq.SquirrelsParams) -> sq.ToySquirrelsSecret:
     _, payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_SK)
-    try:
-        basis = np.frombuffer(payload, dtype="<i8").astype(np.int64).reshape(params.n, params.n)
-        inv = np.linalg.inv(basis.astype(float))
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise MalformedSignature(f"SK: {exc}") from None
-    return sq.ToySquirrelsSecret(basis=basis, inv=inv)
+    basis = _malformed(np.reshape, _read_words(payload, "<i8"), (params.n, params.n))
+    return sq.ToySquirrelsSecret(basis=basis, inv=_malformed(np.linalg.inv, basis.astype(float)))
 
 
 # ── Wave ─────────────────────────────────────────────────────────────────
-
-
-def _decode_matrix(payload: bytes, rows: int, cols: int) -> TernaryMatrix:
-    try:
-        return TernaryMatrix(rows, cols, payload)
-    except ValueError as exc:
-        raise MalformedSignature(str(exc)) from None
 
 
 def encode_wave_pk(pk: TernaryMatrix, params: wv.WaveParams) -> bytes:
@@ -240,7 +234,7 @@ def encode_wave_pk(pk: TernaryMatrix, params: wv.WaveParams) -> bytes:
 
 def decode_wave_pk(blob: bytes, params: wv.WaveParams) -> TernaryMatrix:
     _, payload = unwrap(blob, SCHEME_WAVE, KIND_PK)
-    return _decode_matrix(payload, params.k, params.redundancy)
+    return _malformed(TernaryMatrix, params.k, params.redundancy, payload)
 
 
 def encode_wave_ck(ck: TernaryMatrix, params: wv.WaveParams) -> bytes:
@@ -249,16 +243,10 @@ def encode_wave_ck(ck: TernaryMatrix, params: wv.WaveParams) -> bytes:
     return wrap(SCHEME_WAVE, KIND_CK, tag_code(SCHEME_WAVE, params.tag), payload)
 
 
-def _wave_c(c: int, params: wv.WaveParams) -> int:
-    """A compression dimension ``wave_ckeygen`` draws; c = 0 would accept anything."""
-    if not 1 <= c <= params.redundancy:
-        raise MalformedSignature(f"c = {c} outside [1, n-k = {params.redundancy}]")
-    return c
-
-
 def decode_wave_ck(blob: bytes, params: wv.WaveParams, c: int) -> TernaryMatrix:
     _, payload = unwrap(blob, SCHEME_WAVE, KIND_CK)
-    return _decode_matrix(payload, params.redundancy, _wave_c(c, params))
+    c = _malformed(wv.check_c, c, params.redundancy)
+    return _malformed(TernaryMatrix, params.redundancy, c, payload)
 
 
 def encode_wave_vk(vk: wv.WaveVerificationKey, params: wv.WaveParams) -> bytes:
@@ -269,8 +257,8 @@ def encode_wave_vk(vk: wv.WaveVerificationKey, params: wv.WaveParams) -> bytes:
 
 def decode_wave_vk(blob: bytes, params: wv.WaveParams, c: int) -> wv.WaveVerificationKey:
     _, payload = unwrap(blob, SCHEME_WAVE, KIND_VK)
-    bottom = _decode_matrix(payload, params.n - c, _wave_c(c, params))
-    return wv.WaveVerificationKey(vk_bottom=bottom, c=c, n=params.n)
+    c = _malformed(wv.check_c, c, params.redundancy)
+    return wv.WaveVerificationKey(_malformed(TernaryMatrix, params.n - c, c, payload))
 
 
 def encode_wave_sig(sig: wv.WaveSignature, params: wv.WaveParams) -> bytes:
@@ -280,9 +268,6 @@ def encode_wave_sig(sig: wv.WaveSignature, params: wv.WaveParams) -> bytes:
 
 def decode_wave_sig(blob: bytes, params: wv.WaveParams) -> wv.WaveSignature:
     _, payload = unwrap(blob, SCHEME_WAVE, KIND_SIG)
-    expected = wv.SALT_BYTES + row_stride(params.n)
-    if len(payload) != expected:
-        raise MalformedSignature(f"signature payload {len(payload)} != {expected}")
     return wv.WaveSignature(
         salt=payload[: wv.SALT_BYTES], s_packed=payload[wv.SALT_BYTES :], n=params.n
     )
@@ -343,10 +328,7 @@ def decode_rw_sk(blob: bytes) -> rw.RwKeypair:
     q, pos = _decode_biguint(payload, pos)
     if pos != len(payload):
         raise MalformedSignature("trailing bytes in SK")
-    try:
-        kp = rw.RwKeypair(p=p, q=q)
-    except ValueError as exc:
-        raise MalformedSignature(f"SK: {exc}") from None
+    kp = _malformed(rw.RwKeypair, p, q)
     # The width check first bounds the cost of the primality tests.
     _rw_width(kp.n.bit_length(), "SK")
     if not (is_prime_word(p) and is_prime_word(q)):

@@ -72,14 +72,32 @@ class SquirrelsParams:
     classical_bits: int | None = None
 
     def __post_init__(self):
-        if self.q < 1 or self.q & (self.q - 1) or self.q > 1 << 16:
-            raise ValueError(f"hash bound q must be a power of two in [1, 2^16], got {self.q}")
+        check_q(self.q)
         if not 2 <= self.n < MAX_DIMENSION:
             raise ValueError(f"dimension {self.n} not in [2, {MAX_DIMENSION})")
         if self.beta_sq < 0:
             raise ValueError(f"squared norm bound must be nonnegative, got {self.beta_sq}")
         if self.public_basis is not None and len(self.public_basis) != self.s:
             raise ValueError("public basis length disagrees with s")
+
+
+def check_q(q: int) -> None:
+    """A power of two, so masking is uniform, at most 2^16 for ``cverify``."""
+    if q < 1 or q & (q - 1) or q > 1 << 16:
+        raise ValueError(f"hash bound q must be a power of two in [1, 2^16], got {q}")
+
+
+def check_t(t: int) -> None:
+    """At least one secret prime."""
+    if t < 1:
+        raise ValueError(f"need at least one secret prime, got t={t}")
+
+
+def check_basis(params: SquirrelsParams) -> PrimeBasis:
+    """The public basis, which named params do not carry."""
+    if params.public_basis is None:
+        raise ValueError(f"{params.tag} params carry no public basis")
+    return params.public_basis
 
 
 def named_params(tag: str) -> SquirrelsParams:
@@ -233,8 +251,7 @@ def hash_to_point(message: bytes, salt: bytes, q: int, n: int) -> np.ndarray:
     q is a power of two (4096 in every named instance), so masking two
     little-endian bytes per coordinate is exactly uniform.
     """
-    if q < 1 or q & (q - 1) or q > (1 << 16):
-        raise ValueError(f"q must be a power of two in [1, 2^16], got {q}")
+    check_q(q)
     raw = hashlib.shake_128(salt + message).digest(2 * n)
     words = np.frombuffer(raw, dtype="<u2").astype(np.int64)
     return words & (q - 1)
@@ -265,13 +282,12 @@ def verify(
     counter: OpCounter | None = None,
 ) -> bool:
     """Full verification: norm gate, then one congruence per public prime."""
-    if params.public_basis is None:
-        raise ValueError("verification needs a concrete public basis")
+    basis = check_basis(params)
     s_vec = _check_signature_shape(sig, params.n)
     if int(s_vec @ s_vec) > params.beta_sq:
         return False
     c = s_vec + hash_to_point(message, sig.salt, params.q, params.n)
-    primes = np.asarray(params.public_basis.primes, dtype=np.int64)
+    primes = np.asarray(basis.primes, dtype=np.int64)
     sums = c[:-1] @ pk.residues
     if counter is not None:
         counter.add(*verify_cost(params))
@@ -290,17 +306,15 @@ def ckeygen(
     the shifted multiplier fits a single residue; 31-bit primes always
     qualify, toy widths are checked explicitly.
     """
-    if t < 1:
-        raise ValueError(f"need at least one secret prime, got t={t}")
-    if params.public_basis is None:
-        raise ValueError("compression-key generation needs a concrete public basis")
+    check_t(t)
+    basis = check_basis(params)
     k_min, k_max = k_prime_bounds(params)
     if (1 << (secret_width - 1)) <= k_max - k_min:
         raise ValueError(
             f"{secret_width}-bit secret primes cannot exceed the multiplier "
             f"window {k_max - k_min}"
         )
-    secret = sample_distinct_primes(secret_width, t, rng, exclude=params.public_basis.primes)
+    secret = sample_distinct_primes(secret_width, t, rng, exclude=basis.primes)
     return compression_key(params, PrimeBasis(secret))
 
 
@@ -317,8 +331,7 @@ def compression_key(
             window, which would let ``cverify`` accept random vectors, or
             is not below 2^31, which would break its int64 fold.
     """
-    if params.public_basis is None:
-        raise ValueError("a compression key needs a concrete public basis")
+    basis = check_basis(params)
     if max(secret_basis.primes) >= MAX_SECRET_PRIME:
         raise ValueError(
             f"secret prime {max(secret_basis.primes)} not below {MAX_SECRET_PRIME}"
@@ -329,7 +342,7 @@ def compression_key(
             f"secret prime {min(secret_basis.primes)} does not exceed the "
             f"multiplier window {k_max - k_min}"
         )
-    precomp = mod_ecrt_setup(params.public_basis, secret_basis)
+    precomp = mod_ecrt_setup(basis, secret_basis)
     inv_delta = tuple(
         inv_mod(d, r) for d, r in zip(precomp.product_res, secret_basis.primes)
     )
@@ -338,11 +351,10 @@ def compression_key(
 
 def check_public_key(pk: SquirrelsPublicKey, params: SquirrelsParams) -> None:
     """Shape (n-1, s), residues reduced mod their primes: checked where keys enter."""
-    if params.public_basis is None:
-        raise ValueError("checking a public key needs a concrete public basis")
+    primes = np.array(check_basis(params).primes)
     if pk.residues.shape != (params.n - 1, params.s):
         raise ValueError(f"public key shape {pk.residues.shape} != {(params.n - 1, params.s)}")
-    if np.any((pk.residues < 0) | (pk.residues >= np.array(params.public_basis.primes))):
+    if np.any((pk.residues < 0) | (pk.residues >= primes)):
         raise ValueError("public key residue not reduced mod its prime")
 
 
@@ -440,9 +452,8 @@ def verify_cost(params: SquirrelsParams) -> tuple[int, int]:
 
 
 def cverify_cost(params: SquirrelsParams, t: int) -> tuple[int, int]:
-    """As ``verify_cost``, for a t that ``ckeygen`` accepts."""
-    if t < 1:
-        raise ValueError(f"need at least one secret prime, got t={t}")
+    """As ``verify_cost``, for a t that ``check_t`` accepts."""
+    check_t(t)
     return (params.n + 1) * t, 2 * t
 
 

@@ -81,6 +81,13 @@ class WaveParams:
         return self.n - self.k
 
 
+def check_c(c: int, redundancy: int) -> int:
+    """c, if 1 <= c <= n-k; with c = 0 any signature would pass."""
+    if not 1 <= c <= redundancy:
+        raise ValueError(f"compression dimension c = {c} outside [1, n-k = {redundancy}]")
+    return c
+
+
 def named_params(tag: str) -> WaveParams:
     if tag not in _NAMED:
         raise ValueError(f"unknown Wave instance {tag!r}")
@@ -131,7 +138,7 @@ class WaveVerificationKey:
     """Bottom n-c rows of the projected parity-check matrix; the top c
     rows are an identity block and are never stored.
 
-    ``vk_bottom`` is the packed block that is serialized.
+    ``vk_bottom`` is the packed (n-c, c) block, c >= 1, that is serialized.
     ``fold_block`` is its float32 transpose, shape (c, n-c), the operand
     of ``wave_cverify``'s fold.  It is built here, once, whether the key
     comes from ``wave_vkeygen`` or from a decoder, from one unpack of
@@ -144,24 +151,25 @@ class WaveVerificationKey:
     """
 
     vk_bottom: TernaryMatrix
-    c: int
-    n: int
     fold_block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ValueError(f"compression dimension must be at least 1, got {self.c}")
-        if self.vk_bottom.shape != (self.n - self.c, self.c):
-            raise ValueError(
-                f"stored block is {self.vk_bottom.shape}, expected "
-                f"{(self.n - self.c, self.c)}"
-            )
         rows, c = self.vk_bottom.shape
+        if c < 1:
+            raise ValueError("the stored block has no columns, so c = 0")
         buf = np.empty(rows * c + 16, dtype=np.float32)  # 16 floats, 64 bytes of slack
         block = buf[-buf.ctypes.data % 64 // 4 :][: rows * c].reshape(c, rows)
         np.copyto(block, self.vk_bottom.unpack().T)
         block.setflags(write=False)
         object.__setattr__(self, "fold_block", block)
+
+    @property
+    def c(self) -> int:
+        return self.vk_bottom.cols
+
+    @property
+    def n(self) -> int:
+        return self.vk_bottom.rows + self.vk_bottom.cols
 
 
 def hash_to_trits(message: bytes, salt: bytes, length: int) -> np.ndarray:
@@ -237,8 +245,7 @@ def wave_ckeygen(params: WaveParams, c: int, rng: Random) -> TernaryMatrix:
     block is drawn row-major in one ``random_trits`` call, the same
     draws as one ``rng.randrange(3)`` per entry."""
     nk = params.redundancy
-    if not 0 < c <= nk:
-        raise ValueError(f"compression dimension must be in (0, {nk}], got {c}")
+    check_c(c, nk)
     lower = random_trits((nk - c) * c, rng).reshape(nk - c, c)
     return TernaryMatrix.from_array(np.vstack([np.eye(c, dtype=np.uint8), lower]))
 
@@ -252,7 +259,7 @@ def wave_vkeygen(
 
     The shapes and the identity block are checked before the product.
     ``f3_matmul`` streams the packed rows of ``pk``, so an install leaves
-    no unpacked copy on the key; the bottom block is stacked in trits
+    no unpacked copy on either key; the bottom block is stacked in trits
     and packed once."""
     nk = params.redundancy
     if pk.shape != (params.k, nk):
@@ -260,13 +267,11 @@ def wave_vkeygen(
     if compression.rows != nk:
         raise DimensionMismatch(f"projection has {compression.rows} rows, expected {nk}")
     c = compression.cols
-    c_arr = compression.to_array()
+    c_arr = compression.unpack()
     if not np.array_equal(c_arr[:c], np.eye(c, dtype=np.uint8)):
         raise ValueError("projection matrix must be systematic (identity top block)")
     bottom = np.vstack([c_arr[c:], f3_matmul(pk, compression)])  # R C below C's lower rows
-    return WaveVerificationKey(
-        vk_bottom=TernaryMatrix.from_array(bottom), c=c, n=params.n
-    )
+    return WaveVerificationKey(TernaryMatrix.from_array(bottom))
 
 
 def wave_cverify(
@@ -281,14 +286,14 @@ def wave_cverify(
 
     The fold is one float32 BLAS product of the key's ``fold_block``
     with t[c:]; it is exact because n < 2^22 (``MAX_LENGTH``)."""
-    if vk.n != params.n:
-        raise DimensionMismatch(f"key length {vk.n} != code length {params.n}")
+    c, rest = vk.fold_block.shape
+    if c + rest != params.n:
+        raise DimensionMismatch(f"key length {c + rest} != code length {params.n}")
     nk = params.redundancy
     s = _signature_trits(sig, params)
     if sig.weight() != params.w:
         return False
     t = syndrome_target(s, hash_to_trits(message, sig.salt, nk))
-    c = vk.c
     folded = (t[:c] + vk.fold_block @ t[c:].astype(np.float32)) % 3
     if counter is not None:
         counter.add(*cverify_cost(params, c))
@@ -357,7 +362,6 @@ def verify_cost(params: WaveParams) -> tuple[int, int]:
 
 
 def cverify_cost(params: WaveParams, c: int) -> tuple[int, int]:
-    """As ``verify_cost``, for a c that ``wave_ckeygen`` accepts."""
-    if not 0 < c <= params.redundancy:
-        raise ValueError(f"compression dimension must be in (0, {params.redundancy}], got {c}")
+    """As ``verify_cost``, for a c that ``check_c`` accepts."""
+    check_c(c, params.redundancy)
     return (params.n - c) * c, c

@@ -102,7 +102,7 @@ def criterion_03_wave_mu_and_vk_size() -> str:
     bottom = TernaryMatrix.from_array(
         rng.integers(0, 3, size=(params.n - c, c), dtype=np.uint8)
     )
-    vk = wv.WaveVerificationKey(vk_bottom=bottom, c=c, n=params.n)
+    vk = wv.WaveVerificationKey(vk_bottom=bottom)
     blob = serial.encode_wave_vk(vk, params)
     payload = len(blob) - serial.HEADER.size
     assert payload == c * (params.n - c) // 4 == 169920, payload

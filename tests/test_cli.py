@@ -163,6 +163,57 @@ def test_private_key_files_are_owner_only(sq_files):
         assert mode == 0o600, f"{name} written with mode {oct(mode)}"
 
 
+def _private_argv(command, scheme, files, tmp_path, out):
+    """A call that writes one private file, ``out``, for the scheme."""
+    if command == "keygen":
+        size = ("--bits", 96) if scheme == "rw" else ("--n", 10)
+        return (
+            "keygen", "--scheme", scheme, "--seed", 1, *size, "--out-sk", out,
+            "--out-pk", tmp_path / "pk.out", "--out-params", tmp_path / "params.out",
+        )
+    sidecar = () if scheme == "rw" else ("--params", files["params"])
+    if command == "ck-gen":
+        extra = {
+            "squirrels": ("--t", 2, "--secret-width", 16), "wave": ("--c", 4), "rw": ("--mu", 20),
+        }
+        return ("ck-gen", "--scheme", scheme, *sidecar, "--seed", 1, *extra[scheme], "--out", out)
+    extra = ("--c", 4) if scheme == "wave" else ()
+    return (
+        "vk-gen", "--scheme", scheme, *sidecar, "--pk", files["pk"], "--ck", files["ck"],
+        *extra, "--out", out,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, scheme",
+    [("keygen", "squirrels"), ("keygen", "rw")]
+    + [(cmd, scheme) for cmd in ("ck-gen", "vk-gen") for scheme in ("squirrels", "wave", "rw")],
+)
+def test_private_write_over_a_loose_file_or_a_symlink(request, tmp_path, command, scheme):
+    # A 0644 file at the path must not keep its mode, and a symlink must not
+    # be written through: the path ends up an owner-only file, or exit 2.
+    files = request.getfixturevalue(f"{'sq' if scheme == 'squirrels' else scheme}_files")
+    out = tmp_path / "private.cvk"
+    out.write_bytes(b"old")
+    out.chmod(0o644)
+    assert run(*_private_argv(command, scheme, files, tmp_path, out)) == 0
+    assert stat.S_IMODE(out.lstat().st_mode) == 0o600
+    written = out.read_bytes()
+    out.unlink()
+    target = tmp_path / "shared.cvk"
+    target.write_bytes(b"public")
+    target.chmod(0o644)
+    out.symlink_to(target)
+    code = run(*_private_argv(command, scheme, files, tmp_path, out))
+    assert target.read_bytes() == b"public"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
+    if code == 0:
+        assert not out.is_symlink() and stat.S_IMODE(out.lstat().st_mode) == 0o600
+        assert out.read_bytes() == written
+    else:
+        assert code == 2
+
+
 def test_pipeline_is_deterministic_under_seeds(tmp_path, sq_files):
     again = tmp_path / "again"
     again.mkdir()
@@ -389,6 +440,78 @@ def test_wave_c_above_redundancy_is_exit_2(wave_files, tmp_path):
         "cverify", "--scheme", "wave", "--params", params, "--vk", wave_files["vk"],
         "--sig", sig, "--c", 13, "--message", "surf",
     ) == 2
+
+
+def _short_wave_sig(wave_files, tmp_path):
+    """The toy Wave signature one byte short, under a header that matches."""
+    payload = wave_files["sig"].read_bytes()[serial.HEADER.size : -1]
+    path = tmp_path / "short.sig"
+    path.write_bytes(serial.wrap(serial.SCHEME_WAVE, serial.KIND_SIG, 0, payload))
+    return path
+
+
+def _wave_c_argv(command, c):
+    def argv(sq_files, wave_files, tmp_path):
+        out = ("--out", tmp_path / "out.cvk")
+        rest = {
+            "ck-gen": out,
+            "vk-gen": ("--pk", wave_files["pk"], "--ck", wave_files["ck"], *out),
+            "cverify": ("--vk", wave_files["vk"], "--sig", wave_files["sig"], "--message", "surf"),
+        }[command]
+        return (command, "--scheme", "wave", "--params", wave_files["params"], "--c", c, *rest)
+    return argv
+
+
+def _short_sig_argv(command):
+    def argv(sq_files, wave_files, tmp_path):
+        key = ("--pk", wave_files["pk"]) if command == "verify" else ("--vk", wave_files["vk"])
+        return (
+            command, "--scheme", "wave", "--params", wave_files["params"], *key,
+            "--sig", _short_wave_sig(wave_files, tmp_path), "--message", "surf",
+        )
+    return argv
+
+
+def _sq_q3_sidecar(sq_files, tmp_path):
+    path = tmp_path / "q3.json"
+    path.write_text(json.dumps({**json.loads(sq_files["params"].read_text()), "q": 3}))
+    return path
+
+
+# A value just outside a rule that wave.check_c, squirrels.check_t,
+# squirrels.check_q or WaveSignature owns, at each CLI entry that reads it.
+# bench-ops is in test_numbers_outside_the_library_rules_are_exit_2.
+_RULE_CASES = {
+    **{
+        f"{command} c={label}": _wave_c_argv(command, c)
+        for command in ("ck-gen", "vk-gen", "cverify")
+        for label, c in (("0", 0), ("n-k+1", 13))
+    },
+    "ck-gen t=0": lambda sq_files, wave_files, tmp_path: (
+        "ck-gen", "--scheme", "squirrels", "--params", sq_files["params"], "--t", 0,
+        "--out", tmp_path / "out.cvk",
+    ),
+    "keygen q=3": lambda sq_files, wave_files, tmp_path: (
+        "keygen", "--scheme", "squirrels", "--seed", 7, "--n", 10, "--q", 3,
+        "--out-pk", tmp_path / "pk", "--out-sk", tmp_path / "out.cvk",
+        "--out-params", tmp_path / "params.json",
+    ),
+    "ck-gen q=3": lambda sq_files, wave_files, tmp_path: (
+        "ck-gen", "--scheme", "squirrels", "--params", _sq_q3_sidecar(sq_files, tmp_path),
+        "--out", tmp_path / "out.cvk",
+    ),
+    "cverify short signature": _short_sig_argv("cverify"),
+    "verify short signature": _short_sig_argv("verify"),
+}
+
+
+@pytest.mark.parametrize("case", _RULE_CASES)
+def test_values_just_outside_an_owned_rule_are_exit_2(sq_files, wave_files, tmp_path, capsys, case):
+    capsys.readouterr()
+    assert run(*_RULE_CASES[case](sq_files, wave_files, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not (tmp_path / "out.cvk").exists()
 
 
 @pytest.fixture

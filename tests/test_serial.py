@@ -17,7 +17,7 @@ from cvk import squirrels as sq
 from cvk import wave as wv
 from cvk.ecrt import PrimeBasis, mod_ecrt_setup
 from cvk.errors import MalformedSignature
-from cvk.f3 import TernaryMatrix, pack_trits, row_stride
+from cvk.f3 import TernaryMatrix, pack_trits, random_trits, row_stride
 from cvk.modmath import inv_mod, sample_distinct_primes, sample_prime
 
 
@@ -438,7 +438,11 @@ def _vk_edits():
         np.arange(1, 1 + (FUZZ_PARAMS.n - 1) * FUZZ_PARAMS.s).reshape(FUZZ_PARAMS.n - 1, -1)
     )
     vk = sq.vkeygen(FUZZ_CK, pk, FUZZ_PARAMS)
-    payload = serial.encode_squirrels_vk(vk, FUZZ_PARAMS)[serial.HEADER.size :]
+    return _word_edits(serial.encode_squirrels_vk(vk, FUZZ_PARAMS)[serial.HEADER.size :])
+
+
+def _word_edits(payload):
+    """The 32-bit words of a payload, with up to three of them replaced."""
     words = list(struct.unpack(f"<{len(payload) // 4}i", payload))
     value = st.one_of(
         st.integers(-(1 << 31), (1 << 31) - 1),
@@ -472,6 +476,108 @@ def test_squirrels_vk_decoder_returns_key_or_malformed(payload):
         return
     assert np.all((vk.rows >= 0) & (vk.rows < vk.r[:, None]))
     assert serial.encode_squirrels_vk(vk, FUZZ_PARAMS) == blob
+
+
+FUZZ_CK_PAYLOAD = serial.encode_squirrels_ck(FUZZ_CK, FUZZ_PARAMS)[serial.HEADER.size :]
+
+
+@given(
+    payload=st.one_of(
+        _word_edits(FUZZ_CK_PAYLOAD),
+        st.binary(min_size=len(FUZZ_CK_PAYLOAD), max_size=len(FUZZ_CK_PAYLOAD)),
+        _wrong_lengths(len(FUZZ_CK_PAYLOAD)),
+    )
+)
+def test_squirrels_ck_decoder_returns_key_or_malformed(payload):
+    blob = _sq_blob(serial.KIND_CK, payload)
+    try:
+        ck = serial.decode_squirrels_ck(blob, FUZZ_PARAMS)
+    except MalformedSignature:
+        return
+    assert serial.encode_squirrels_ck(ck, FUZZ_PARAMS) == blob
+
+
+# ── wave decoders under hypothesis ───────────────────────────────────────
+#
+# n - k = 13 and c = 3 leave padding fields in every PK, CK and VK row,
+# and n = 26 in the signature.
+
+WAVE_FUZZ = wv.WaveParams(n=26, k=13, w=13, tag="toy")
+WAVE_FUZZ_C = 3
+_wave_fuzz_pk = wv.wave_toy_keygen(WAVE_FUZZ, Random(59))
+_wave_fuzz_ck = wv.wave_ckeygen(WAVE_FUZZ, WAVE_FUZZ_C, Random(60))
+WAVE_FUZZ_PAYLOADS = {
+    serial.KIND_PK: _wave_fuzz_pk.data,
+    serial.KIND_CK: _wave_fuzz_ck.data,
+    serial.KIND_VK: wv.wave_vkeygen(_wave_fuzz_pk, _wave_fuzz_ck, WAVE_FUZZ).vk_bottom.data,
+    serial.KIND_SIG: b"s" * wv.SALT_BYTES + pack_trits(random_trits(WAVE_FUZZ.n, Random(61))),
+}
+
+
+def _wave_payloads(kind):
+    """A valid payload with up to three bytes replaced, any bytes of its
+    length, or bytes of another length."""
+    payload = WAVE_FUZZ_PAYLOADS[kind]
+    edit = st.tuples(st.integers(0, len(payload) - 1), st.integers(0, 255))
+
+    def apply(edits):
+        out = bytearray(payload)
+        for index, value in edits:
+            out[index] = value
+        return bytes(out)
+
+    return st.one_of(
+        st.lists(edit, max_size=3).map(apply),
+        st.binary(min_size=len(payload), max_size=len(payload)),
+        _wrong_lengths(len(payload)),
+    )
+
+
+def _wave_decodes_to_itself(kind, payload, decode, encode):
+    """A payload either decodes to a value that encodes back to the same
+    file, or raises MalformedSignature."""
+    blob = serial.wrap(serial.SCHEME_WAVE, kind, 0, payload)
+    try:
+        value = decode(blob)
+    except MalformedSignature:
+        return
+    assert encode(value) == blob
+
+
+@given(payload=_wave_payloads(serial.KIND_PK))
+def test_wave_pk_decoder_returns_key_or_malformed(payload):
+    _wave_decodes_to_itself(
+        serial.KIND_PK, payload,
+        lambda blob: serial.decode_wave_pk(blob, WAVE_FUZZ),
+        lambda pk: serial.encode_wave_pk(pk, WAVE_FUZZ),
+    )
+
+
+@given(payload=_wave_payloads(serial.KIND_CK))
+def test_wave_ck_decoder_returns_key_or_malformed(payload):
+    _wave_decodes_to_itself(
+        serial.KIND_CK, payload,
+        lambda blob: serial.decode_wave_ck(blob, WAVE_FUZZ, WAVE_FUZZ_C),
+        lambda ck: serial.encode_wave_ck(ck, WAVE_FUZZ),
+    )
+
+
+@given(payload=_wave_payloads(serial.KIND_VK))
+def test_wave_vk_decoder_returns_key_or_malformed(payload):
+    _wave_decodes_to_itself(
+        serial.KIND_VK, payload,
+        lambda blob: serial.decode_wave_vk(blob, WAVE_FUZZ, WAVE_FUZZ_C),
+        lambda vk: serial.encode_wave_vk(vk, WAVE_FUZZ),
+    )
+
+
+@given(payload=_wave_payloads(serial.KIND_SIG))
+def test_wave_sig_decoder_returns_signature_or_malformed(payload):
+    _wave_decodes_to_itself(
+        serial.KIND_SIG, payload,
+        lambda blob: serial.decode_wave_sig(blob, WAVE_FUZZ),
+        lambda sig: serial.encode_wave_sig(sig, WAVE_FUZZ),
+    )
 
 
 def _word(blob, index):

@@ -5,6 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from cvk import security
 from cvk import squirrels as sq
 from cvk.ecrt import (
     PrimeBasis,
@@ -293,6 +294,48 @@ def test_params_reject_short_dimension_or_negative_norm_bound(n, beta_sq):
     sq.SquirrelsParams(n=2, q=16, beta_sq=0, s=1, tag="edge")
     with pytest.raises(ValueError):
         sq.SquirrelsParams(n=n, q=16, beta_sq=beta_sq, s=1, tag="edge")
+
+
+# ── one owner per rule: every entry point refuses a value just outside ───
+
+
+@pytest.mark.parametrize("entry", ["SquirrelsParams", "hash_to_point"])
+@pytest.mark.parametrize("q", [3, 1 << 17])
+def test_hash_bound_outside_the_rule_is_refused_everywhere(entry, q):
+    with pytest.raises(ValueError):
+        if entry == "SquirrelsParams":
+            sq.SquirrelsParams(n=12, q=q, beta_sq=1, s=1, tag="edge")
+        else:
+            sq.hash_to_point(b"m", b"s", q, 4)
+
+
+@pytest.mark.parametrize("entry", ["ckeygen", "cverify_cost", "squirrels_budget"])
+def test_t_zero_is_refused_everywhere(toy, entry):
+    _, params, _ = toy
+    call = {
+        "ckeygen": lambda: sq.ckeygen(params, 0, Random(0), secret_width=16),
+        "cverify_cost": lambda: sq.cverify_cost(params, 0),
+        "squirrels_budget": lambda: security.squirrels_budget(params.s, 0, 2**64),
+    }[entry]
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "entry", ["verify", "ckeygen", "compression_key", "check_public_key"]
+)
+def test_params_without_a_public_basis_are_refused_everywhere(toy, entry):
+    pk, params, _ = toy
+    bare = replace(params, public_basis=None)
+    sig = sq.SquirrelsSignature(b"x" * sq.SALT_BYTES, [0] * params.n)
+    call = {
+        "verify": lambda: sq.verify(sig, MESSAGE, pk, bare),
+        "ckeygen": lambda: sq.ckeygen(bare, 1, Random(0), secret_width=16),
+        "compression_key": lambda: sq.compression_key(bare, PrimeBasis((65521,))),
+        "check_public_key": lambda: sq.check_public_key(pk, bare),
+    }[entry]
+    with pytest.raises(ValueError):
+        call()
 
 
 # ── compression and verification keys ────────────────────────────────────

@@ -7,7 +7,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from cvk import serial
+from cvk import security, serial
 from cvk import wave as wv
 from cvk.errors import DimensionMismatch, MalformedSignature
 from cvk.f3 import TernaryMatrix, random_trits
@@ -247,6 +247,21 @@ def test_signature_rejects_invalid_packed_bytes():
         wv.WaveSignature(salt=b"x" * 16, s_packed=b"\x03", n=4)
 
 
+@pytest.mark.parametrize("entry", ["decode_wave_sig", "WaveSignature"])
+def test_wave_signature_one_byte_short_is_malformed(toy, entry):
+    # The byte count has one owner, WaveSignature; the decoder relies on it.
+    _, params = toy
+    sig = wv.WaveSignature.from_trits(b"x" * wv.SALT_BYTES, [1] * params.n)
+    with pytest.raises(MalformedSignature):
+        if entry == "WaveSignature":
+            wv.WaveSignature(sig.salt, sig.s_packed[:-1], params.n)
+        else:
+            payload = (sig.salt + sig.s_packed)[:-1]
+            serial.decode_wave_sig(
+                serial.wrap(serial.SCHEME_WAVE, serial.KIND_SIG, 0, payload), params
+            )
+
+
 def test_signature_trits_unpacked_once_and_read_only(toy):
     pk, params = toy
     sig = wv.wave_toy_sign(pk, MESSAGE, params, Random(6))
@@ -290,6 +305,37 @@ def test_syndrome_target_matches_float_path_at_wave822():
 
 
 # ── compression keys ─────────────────────────────────────────────────────
+
+
+def _header_only(kind):
+    return serial.wrap(serial.SCHEME_WAVE, kind, 0, b"")
+
+
+# Every entry point of the rule 1 <= c <= n-k (wave.check_c), with the
+# exception it raises for a c outside it.  WaveVerificationKey, which does
+# not know k, refuses c = 0 in test_vk_refuses_c_below_one.
+C_RULE_ENTRIES = {
+    "wave_ckeygen": (lambda p, c: wv.wave_ckeygen(p, c, Random(0)), ValueError),
+    "cverify_cost": (wv.cverify_cost, ValueError),
+    "wave_budget": (lambda p, c: security.wave_budget(p.n, p.k, c, 2**64), ValueError),
+    "decode_wave_ck": (
+        lambda p, c: serial.decode_wave_ck(_header_only(serial.KIND_CK), p, c),
+        MalformedSignature,
+    ),
+    "decode_wave_vk": (
+        lambda p, c: serial.decode_wave_vk(_header_only(serial.KIND_VK), p, c),
+        MalformedSignature,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", C_RULE_ENTRIES)
+@pytest.mark.parametrize("step", [0, 1], ids=["c=0", "c=n-k+1"])
+def test_c_outside_one_to_n_minus_k_is_refused_everywhere(toy, entry, step):
+    _, params = toy
+    call, error = C_RULE_ENTRIES[entry]
+    with pytest.raises(error):
+        call(params, step * (params.redundancy + 1))
 
 
 def test_ckeygen_systematic_and_full_rank(toy):
@@ -445,7 +491,7 @@ def _int64_cverify(sig, message, vk, params) -> bool:
 def test_vk_refuses_c_below_one():
     # With c = 0 the compressed check has no rows and accepts anything.
     with pytest.raises(ValueError):
-        wv.WaveVerificationKey(TernaryMatrix(24, 0, b""), c=0, n=24)
+        wv.WaveVerificationKey(TernaryMatrix(24, 0, b""))
 
 
 def test_vk_fold_block_built_once(toy, toy_keys):
@@ -495,7 +541,7 @@ def test_wave822_install_holds_no_unpacked_copies(fill):
     finally:
         tracemalloc.stop()
     assert peak < k * nk == 18_386_944  # below one unpacked copy of R
-    assert "_array" not in vars(pk)
+    assert "_array" not in vars(pk) and "_array" not in vars(ck)
     assert _held_bytes(pk) == wv.pk_bytes(params) == 4_596_736
     assert _held_bytes(vk) == 169_920 + 2_718_720
     assert len(vk.vk_bottom.data) == wv.vk_bytes(params, c) == 169_920
@@ -557,7 +603,7 @@ def test_cverify_full_size_against_int64(case):
         vk_arr = random_trits((base.n - c) * c, rng).reshape(base.n - c, c)
     else:
         vk_arr = np.full((base.n - c, c), 2, dtype=np.uint8)
-    vk = wv.WaveVerificationKey(vk_bottom=TernaryMatrix.from_array(vk_arr), c=c, n=base.n)
+    vk = wv.WaveVerificationKey(vk_bottom=TernaryMatrix.from_array(vk_arr))
     salt = b"e" * wv.SALT_BYTES
     if case == "twos-signature":
         s = np.full(base.n, 2, dtype=np.uint8)
