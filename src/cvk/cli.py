@@ -78,9 +78,9 @@ def _load_params(args):
     if doc.get("scheme") != scheme:
         raise CvkError(f"{path}: params are for scheme {doc.get('scheme')!r}, expected {scheme!r}")
     tag = doc.get("tag", "toy")
-    code = serial.SCHEME_SQUIRRELS if scheme == "squirrels" else serial.SCHEME_WAVE
-    if not isinstance(tag, str) or serial.tag_code(code, tag) >= 1 << 16:
-        raise CvkError(f"{path}: 'tag' must be a string whose instance code fits 16 bits")
+    if not isinstance(tag, str):
+        raise CvkError(f"{path}: 'tag' must be a string")
+    serial.tag_code(serial.SCHEME_SQUIRRELS if scheme == "squirrels" else serial.SCHEME_WAVE, tag)
     if scheme == "squirrels":
         primes = doc.get("primes")
         if not isinstance(primes, list) or any(type(p) is not int for p in primes):

@@ -13,20 +13,25 @@ bound and the claim that scalar-replay strategies gain nothing.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, product
+from functools import partial
+from itertools import chain, combinations, filterfalse, islice, product, repeat
 from random import Random
+
+import numpy as np
 
 from .errors import BudgetExceeded
 from .f3 import random_trits
-from .modmath import PRIME_COUNT_31BIT, is_prime_word
-from .squirrels import check_t
+from .modmath import is_prime_word
+from .squirrels import check_t, keyspace_log2
 from .wave import LOG2_3, check_c
 
 LN2 = math.log(2)
 
 # Float slack for invariants over long log-domain sums.
 _EPS = 1e-9
+
+# Most trits an enumerated Wave instance may hold (nk = 6, c = 2 holds 5.35 M).
+MAX_ENUMERATED_TRITS = 10**7
 
 
 @dataclass(frozen=True)
@@ -54,14 +59,14 @@ class SecurityBudget:
 
 
 def segp_success_bound(s_size: int, kappa: int, queries: int) -> float:
-    """Per-query success bound kappa / (#S - kappa * Q), exact rationals
-    evaluated in floating point.
+    """Per-query success bound kappa / (#S - kappa * Q), correctly rounded
+    (0 when kappa = 0: no query lies in any kernel).
 
     Raises:
         BudgetExceeded: when kappa * Q reaches #S (mandatory key refresh).
     """
-    if s_size <= 0 or kappa <= 0:
-        raise ValueError("keyspace and kappa must be positive")
+    if s_size <= 0 or kappa < 0:
+        raise ValueError("keyspace must be positive and kappa non-negative")
     if queries < 0:
         raise ValueError("query count must be non-negative")
     denominator = s_size - kappa * queries
@@ -69,7 +74,7 @@ def segp_success_bound(s_size: int, kappa: int, queries: int) -> float:
         raise BudgetExceeded(
             f"{queries} rejections can pin the kernel down ({kappa}*Q >= #S)"
         )
-    return float(Fraction(kappa, denominator))
+    return kappa / denominator
 
 
 def segp_success_bound_log2(
@@ -78,14 +83,10 @@ def segp_success_bound_log2(
     """log2 of the per-query bound for sizes too large to hold exactly."""
     if queries < 0:
         raise ValueError("query count must be non-negative")
-    if queries:
-        eaten = kappa_log2 + math.log2(queries) - s_size_log2
-        if eaten >= 0:
-            raise BudgetExceeded("query budget exhausts the keyspace")
-        denom_log2 = s_size_log2 + math.log1p(-(2.0 ** eaten)) / LN2
-    else:
-        denom_log2 = s_size_log2
-    return kappa_log2 - denom_log2
+    eaten = kappa_log2 + math.log2(queries) - s_size_log2 if queries else -math.inf
+    if eaten >= 0:
+        raise BudgetExceeded("query budget exhausts the keyspace")
+    return kappa_log2 - (s_size_log2 + math.log1p(-(2.0 ** eaten)) / LN2)
 
 
 def _log2_pow3_minus1(e: int) -> float:
@@ -94,17 +95,15 @@ def _log2_pow3_minus1(e: int) -> float:
         raise ValueError("exponent must be positive")
     if e <= 40:
         return math.log2(3**e - 1)
-    correction = 3.0 ** (-e)
-    if correction > 0.0:
-        return e * LOG2_3 + math.log1p(-correction) / LN2
-    return e * LOG2_3
+    return e * LOG2_3 + math.log1p(-(3.0 ** -e)) / LN2
 
 
 def three_binomial(a: int, b: int) -> float:
     """log2 of the Gaussian binomial coefficient at base 3: the number
-    of b-dimensional subspaces of F3^a."""
-    if b < 0 or b > a:
-        raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
+    of b-dimensional subspaces of F3^a; -inf (there are none) for b
+    outside [0, a]."""
+    if not 0 <= b <= a:
+        return -math.inf
     total = 0.0
     for i in range(b):
         total += _log2_pow3_minus1(a - i) - _log2_pow3_minus1(b - i)
@@ -112,14 +111,21 @@ def three_binomial(a: int, b: int) -> float:
 
 
 def gaussian_binomial_3(a: int, b: int) -> int:
-    """Exact base-3 Gaussian binomial, for enumerable toy sizes."""
-    if b < 0 or b > a:
-        raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
+    """Exact base-3 Gaussian binomial, for enumerable toy sizes; 0 for b
+    outside [0, a]."""
+    if not 0 <= b <= a:
+        return 0
     num = den = 1
     for i in range(b):
         num *= 3 ** (a - i) - 1
         den *= 3 ** (b - i) - 1
     return num // den
+
+
+def wave_kernel_counts(binomial, nk: int, c: int):
+    """(#S, kappa) for codimension-c kernels of F3^nk, counted exactly or in
+    log2 by ``binomial``: all of them, and those holding one nonzero vector."""
+    return binomial(nk, nk - c), binomial(nk - 1, nk - c - 1)
 
 
 def _budget_mu(min_headroom_log2: float, q_limit: int) -> float:
@@ -150,7 +156,7 @@ def squirrels_budget(
     check_t(t)
     if s < t:
         raise ValueError(f"need t <= s, got t={t}, s={s}")
-    s_size_log2 = math.log2(math.comb(PRIME_COUNT_31BIT, t))
+    s_size_log2 = keyspace_log2(t)
     if kappa_model == "small-constant":
         kappa_log2 = 0.0
     elif kappa_model == "combinatorial":
@@ -173,12 +179,11 @@ def wave_budget(n: int, k: int, c: int, q_limit: int) -> SecurityBudget:
 
     keyspace/kappa collapses to (3^(n-k)-1)/(3^(n-k-c)-1), a hair above
     3^c, while the quotient has exactly 3^c elements, so the headroom is
-    exactly c*log2(3).
+    exactly c*log2(3).  At c = n-k the kernel is {0}: kappa is 0.
     """
     nk = n - k
     check_c(c, nk)
-    s_size_log2 = three_binomial(nk, nk - c)
-    kappa_log2 = three_binomial(nk - 1, nk - c - 1)
+    s_size_log2, kappa_log2 = wave_kernel_counts(three_binomial, nk, c)
     quotient_log2 = c * LOG2_3
     mu = _budget_mu(quotient_log2, q_limit)
     return SecurityBudget(
@@ -209,45 +214,43 @@ class SegpInstance:
 
 
 def _enumerate_f3_subspaces(dim: int, subdim: int) -> list[frozenset]:
-    """All subdim-dimensional subspaces of F3^dim as vector sets, via
-    reduced-echelon representatives (one per subspace)."""
+    """All subdim-dimensional subspaces of F3^dim as sets of trit tuples,
+    via reduced-echelon representatives (one per subspace); each span is
+    every coefficient vector times the representative's rows."""
+    coeffs = np.array(list(product(range(3), repeat=subdim)), dtype=np.int64)
     subspaces = []
     for pivots in combinations(range(dim), subdim):
-        free_positions = [
-            (r, c)
-            for r in range(subdim)
-            for c in range(pivots[r] + 1, dim)
-            if c not in pivots
-        ]
-        for assignment in product(range(3), repeat=len(free_positions)):
-            rows = [[0] * dim for _ in range(subdim)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = 1
-            for (r, c), v in zip(free_positions, assignment):
-                rows[r][c] = v
-            span = set()
-            for coeffs in product(range(3), repeat=subdim):
-                vec = tuple(
-                    sum(coeffs[r] * rows[r][i] for r in range(subdim)) % 3
-                    for i in range(dim)
-                )
-                span.add(vec)
-            subspaces.append(frozenset(span))
+        free = [(r, c) for r in range(subdim) for c in range(pivots[r] + 1, dim) if c not in pivots]
+        free_rows, free_cols = np.array(free, dtype=np.intp).reshape(-1, 2).T
+        for assignment in product(range(3), repeat=len(free)):
+            rows = np.zeros((subdim, dim), dtype=np.int64)
+            rows[np.arange(subdim), np.array(pivots, dtype=np.intp)] = 1
+            rows[free_rows, free_cols] = assignment
+            # A frozenset copied from a set is sized to fit: half the memory.
+            subspaces.append(frozenset(set(map(tuple, (coeffs @ rows % 3).tolist()))))
     return subspaces
 
 
 def wave_segp_instance(nk: int, c: int) -> SegpInstance:
     """All codimension-c subspaces of F3^nk; queries are uniform nonzero
     vectors.  Counts are exhaustively enumerated and must agree with the
-    Gaussian-binomial formulas."""
-    if nk > 8 or c > 3:
-        raise ValueError("exhaustive enumeration capped at nk <= 8, c <= 3")
-    kernels = tuple(_enumerate_f3_subspaces(nk, nk - c))
-    s_size = len(kernels)
-    assert s_size == gaussian_binomial_3(nk, nk - c)
+    Gaussian-binomial formulas.  An instance whose #S subspaces of
+    3^(nk-c) vectors of nk trits exceed ``MAX_ENUMERATED_TRITS`` is refused.
+    """
+    check_c(c, nk)
+    dim = nk - c
+    # #S >= 3^(c*dim): at least 3^exponent * nk trits.  Compared as an int,
+    # this floor refuses a large nk before the exact count nears 3^nk.
+    exponent = (c + 1) * dim
+    if (exponent > (math.log2(MAX_ENUMERATED_TRITS) - math.log2(nk)) / LOG2_3
+            or gaussian_binomial_3(nk, dim) * 3**dim * nk > MAX_ENUMERATED_TRITS):
+        raise ValueError(f"wave(nk={nk}, c={c}) holds at least 3^{exponent} * {nk} trits, "
+                         f"above the cap of {MAX_ENUMERATED_TRITS}")
+    s_size, kappa = wave_kernel_counts(gaussian_binomial_3, nk, c)
+    kernels = tuple(_enumerate_f3_subspaces(nk, dim))
+    assert len(kernels) == s_size
     probe = tuple([1] + [0] * (nk - 1))
-    kappa = sum(probe in kernel for kernel in kernels)
-    assert kappa == gaussian_binomial_3(nk - 1, nk - c - 1)
+    assert sum(probe in kernel for kernel in kernels) == kappa
 
     def sample_query(rng: Random):
         while True:
@@ -312,7 +315,26 @@ def squirrels_segp_instance(width: int, query_bound: int) -> SegpInstance:
     )
 
 
-STRATEGIES = ("random", "scalar-replay", "replay-rejected")
+def _fresh(instance: SegpInstance, rng: Random, accepts):
+    return iter(partial(instance.sample_query, rng), None)
+
+
+def _scalar_replay(instance: SegpInstance, rng: Random, accepts):
+    fresh = _fresh(instance, rng, accepts)
+    return chain.from_iterable((query, instance.scalar_double(query)) for query in fresh)
+
+
+def _replay_rejected(instance: SegpInstance, rng: Random, accepts):
+    return repeat(next(filterfalse(accepts, _fresh(instance, rng, accepts))))
+
+
+# Query streams (instance, rng, accepts) -> iterator, read lazily up to the
+# first accepted query; ``accepts`` answers free probes, which no budget
+# counts.  random: a fresh uniform draw per query.  scalar-replay: a fresh
+# draw, then its scalar double (a predictable reject), alternating.
+# replay-rejected: free probes until one is rejected, then that probe for
+# every query.
+STRATEGIES = {"random": _fresh, "scalar-replay": _scalar_replay, "replay-rejected": _replay_rejected}
 
 
 @dataclass(frozen=True)
@@ -334,47 +356,20 @@ def simulate_segp_game(
     queries_per_trial: int,
     rng: Random,
 ) -> SegpReport:
-    """Play the membership game against a fresh kernel per trial.
-
-    random:          every query drawn uniformly from the domain.
-    scalar-replay:   alternates fresh draws with the scalar double of
-                     the previous (rejected) query -- the doubles are
-                     predictable rejects, so half the budget is wasted.
-    replay-rejected: finds one rejected query with free probes, then
-                     burns the entire budget re-asking it.
-    """
+    """Play the membership game against a fresh kernel per trial: a trial
+    succeeds when one of the first ``queries_per_trial`` queries of the
+    strategy's stream lies in the kernel."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     per_query = segp_success_bound(instance.s_size, instance.kappa, queries_per_trial)
+    stream = STRATEGIES[strategy]
     successes = 0
     for _ in range(trials):
         kernel = rng.choice(instance.kernels)
-        if strategy == "replay-rejected":
-            probe = instance.sample_query(rng)
-            while probe in kernel:
-                probe = instance.sample_query(rng)
-            hit = any(probe in kernel for _ in range(queries_per_trial))
-        elif strategy == "scalar-replay":
-            hit = False
-            last = None
-            for i in range(queries_per_trial):
-                if i % 2 == 1 and last is not None:
-                    query = instance.scalar_double(last)
-                else:
-                    query = instance.sample_query(rng)
-                if query in kernel:
-                    hit = True
-                    break
-                last = query
-        else:
-            hit = False
-            for _ in range(queries_per_trial):
-                if instance.sample_query(rng) in kernel:
-                    hit = True
-                    break
-        successes += hit
+        queries = stream(instance, rng, kernel.__contains__)
+        successes += any(query in kernel for query in islice(queries, queries_per_trial))
     return SegpReport(
         instance=instance.name,
         strategy=strategy,

@@ -46,11 +46,15 @@ _SQ_TAG_CODES = {"toy": 0} | {tag: i for i, tag in enumerate(sq.SQUIRRELS_TAGS, 
 
 
 def tag_code(scheme: int, tag: str) -> int:
+    """The header's instance code for ``tag``, which must fit its 16 bits."""
+    code = 0
     if scheme == SCHEME_SQUIRRELS:
-        return _SQ_TAG_CODES.get(tag, 0)
-    if scheme == SCHEME_WAVE:
-        return int(tag) if tag.isdigit() else 0
-    return 0
+        code = _SQ_TAG_CODES.get(tag, 0)
+    elif scheme == SCHEME_WAVE and tag.isdigit():
+        code = int(tag)
+    if code >= 1 << 16:
+        raise ValueError(f"tag {tag!r}: instance code {code} does not fit the header's 16 bits")
+    return code
 
 
 @dataclass(frozen=True)

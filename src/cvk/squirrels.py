@@ -415,18 +415,18 @@ def cverify(
     return bool(np.all(k <= k_max - k_min) & np.all(k == k[0]))
 
 
+def keyspace_log2(t: int) -> float:
+    """log2 C(#31-bit primes, t), the keyspace exponent of t secret primes."""
+    return math.log2(math.comb(PRIME_COUNT_31BIT, t))
+
+
 def choose_t(target_mu: float) -> tuple[int, float]:
-    """Secret-prime count whose keyspace exponent log2 C(#31-bit primes, t)
-    lands nearest the target; returns (t, achieved exponent)."""
+    """Secret-prime count whose keyspace exponent lands nearest the
+    target; returns (t, achieved exponent)."""
     if target_mu <= 0:
         raise ValueError("target security exponent must be positive")
-    best = None
-    for t in range(1, 65):
-        mu = math.log2(math.comb(PRIME_COUNT_31BIT, t))
-        gap = abs(mu - target_mu)
-        if best is None or gap < best[0]:
-            best = (gap, t, mu)
-    return best[1], best[2]
+    t = min(range(1, 65), key=lambda t: abs(keyspace_log2(t) - target_mu))
+    return t, keyspace_log2(t)
 
 
 def pk_bytes(params: SquirrelsParams) -> int:

@@ -1,13 +1,17 @@
+import argparse
 import json
 import os
 import stat
+import time
 from random import Random
 
 import pytest
 import sympy
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cvk import rw, serial
-from cvk.cli import main, squirrels_table_row, wave_table_row
+from cvk.cli import build_parser, main, squirrels_table_row, wave_table_row
 
 
 def run(*argv):
@@ -20,6 +24,10 @@ def read_out(capsys):
 
 @pytest.fixture
 def sq_files(tmp_path):
+    return _make_sq_files(tmp_path)
+
+
+def _make_sq_files(tmp_path):
     paths = {
         "pk": tmp_path / "pk.cvk",
         "sk": tmp_path / "sk.cvk",
@@ -243,6 +251,10 @@ def test_pipeline_is_deterministic_under_seeds(tmp_path, sq_files):
 
 @pytest.fixture
 def wave_files(tmp_path):
+    return _make_wave_files(tmp_path)
+
+
+def _make_wave_files(tmp_path):
     paths = {k: tmp_path / f"wave_{k}.cvk" for k in ("pk", "ck", "vk", "sig")}
     paths["params"] = tmp_path / "wave_params.json"
     assert run(
@@ -387,6 +399,36 @@ def test_simulate_forgery_command(capsys):
     assert "keyspace, kappa   130, 13" in out.splitlines()
 
 
+def test_simulate_forgery_against_the_full_verifier(capsys):
+    # c = nk: the kernel is {0}, so kappa, the hits and the bound are 0.
+    assert run("simulate-forgery", "--scheme", "wave", "--nk", 3, "--c", 3, "--seed", 5) == 0
+    out = read_out(capsys).splitlines()
+    for line in ("keyspace, kappa   1, 0", "success rate      0.000000  (0 hits)",
+                 "per-query bound   0.000000", "within bound"):
+        assert line in out
+
+
+@pytest.mark.parametrize(
+    "nk, c, message",
+    [
+        (4, 0, "compression dimension c = 0 outside [1, n-k = 4]"),
+        (4, 5, "compression dimension c = 5 outside [1, n-k = 4]"),
+        (8, 3, "wave(nk=8, c=3) holds at least 3^20 * 8 trits, above the cap of 10000000"),
+        (10**9, 1, "above the cap of 10000000"),
+        (10**9, 10**9, "above the cap of 10000000"),
+        (10**400, 1, "above the cap of 10000000"),
+    ],
+)
+def test_simulate_forgery_wave_instance_outside_the_rules_is_exit_2(capsys, nk, c, message):
+    # The c rule and the size rule refuse before any enumeration.
+    start = time.perf_counter()
+    assert run("simulate-forgery", "--scheme", "wave", "--nk", nk, "--c", c) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert message in captured.err
+
+
 def test_missing_file_is_exit_2(tmp_path, capsys):
     assert run(
         "verify", "--scheme", "rw", "--pk", tmp_path / "nope.cvk",
@@ -516,6 +558,10 @@ def test_values_just_outside_an_owned_rule_are_exit_2(sq_files, wave_files, tmp_
 
 @pytest.fixture
 def rw_files(tmp_path):
+    return _make_rw_files(tmp_path)
+
+
+def _make_rw_files(tmp_path):
     paths = {k: tmp_path / f"rw_{k}.cvk" for k in ("pk", "sk", "ck", "vk", "sig")}
     assert run("keygen", "--scheme", "rw", "--seed", 1, "--bits", 96,
                "--out-pk", paths["pk"], "--out-sk", paths["sk"]) == 0
@@ -689,3 +735,101 @@ def test_cli_survives_corrupted_inputs(sq_files, wave_files, rw_files, tmp_path,
                 codes[code] += 1
     capsys.readouterr()
     assert codes[2] > 0 and codes[0] + codes[1] > 0, codes
+
+
+# ── flag fuzz ────────────────────────────────────────────────────────────
+
+_SUBPARSERS = next(
+    action for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+).choices
+
+_EDGE_INTS = (0, -1, 1 << 16, 1 << 31, 1 << 63)
+
+# Flags that set how much work a command does, and their largest drawn
+# value.  They are always passed, so no larger default applies.
+_COST_CAPS = {
+    ("simulate-forgery", "--trials"): 200,
+    ("simulate-forgery", "--queries"): 8,
+    ("simulate-forgery", "--nk"): 5,
+    ("simulate-forgery", "--c"): 5,
+    ("keygen", "--n"): 12,
+    ("keygen", "--bits"): 128,
+}
+
+# A large --nk or --c is refused by the size rule before any work.
+_REFUSED_BEFORE_WORK = {("simulate-forgery", "--nk"), ("simulate-forgery", "--c")}
+
+_INPUT_FLAGS = {"--params", "--pk", "--sk", "--ck", "--vk", "--sig", "--message-file"}
+_OUTPUT_FLAGS = {"--out", "--out-pk", "--out-sk", "--out-params"}
+_NON_NUMBERS = ("x", "1.5", "", "0x10")
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """The valid toy files of each scheme by flag, a pool of inputs (those
+    files, a corrupted copy of each, a missing path and a directory), and
+    a pool of outputs (a fresh file, a directory, a file in a missing
+    directory)."""
+    root = tmp_path_factory.mktemp("flags")
+    rng = Random(17)
+    files = {}
+    inputs = [root / "missing.cvk", root]
+    for scheme, build in (("squirrels", _make_sq_files), ("wave", _make_wave_files),
+                          ("rw", _make_rw_files)):
+        files[scheme] = {}
+        for name, path in build(root).items():
+            bad = path.with_name(f"bad_{path.name}")
+            if name == "params":
+                bad.write_text(_corrupt_sidecar(path.read_text(), rng))
+            else:
+                bad.write_bytes(_corrupt_file(path.read_bytes(), rng))
+            files[scheme][f"--{name}"] = str(path)
+            inputs += [path, bad]
+    (root / "out").mkdir()
+    outputs = [root / "out" / "file.cvk", root, root / "missing" / "file.cvk"]
+    return files, [str(p) for p in inputs], [str(p) for p in outputs]
+
+
+def _flag_values(command, action, own, inputs, outputs):
+    """Values for one flag; ``own`` maps input flags to the valid file of
+    the drawn scheme, drawn as often as the whole input pool."""
+    flag = action.option_strings[0]
+    if action.choices:
+        return st.sampled_from([*action.choices, "bogus"])
+    if flag in _OUTPUT_FLAGS:
+        return st.sampled_from(outputs)
+    if flag in _INPUT_FLAGS:
+        pool = st.sampled_from(inputs)
+        return st.one_of(st.just(own[flag]), pool) if flag in own else pool
+    if action.type is not int:
+        return st.sampled_from(["hello", "surf", "rw", "", "I", "822"])
+    cap = _COST_CAPS.get((command, flag), 32)
+    edges = [e for e in _EDGE_INTS if e <= cap or (command, flag) in _REFUSED_BEFORE_WORK]
+    return st.one_of(st.integers(1, cap), st.sampled_from([*edges, *_NON_NUMBERS])).map(str)
+
+
+@pytest.mark.parametrize("command", sorted(_SUBPARSERS))
+@given(data=st.data())
+def test_cli_flags_end_in_an_exit_code(fuzz_paths, command, data):
+    # Any subset of a command's flags, with valid, edge, non-numeric and
+    # path values: main returns 0, 1 or 2, or argparse exits with 2.
+    files, inputs, outputs = fuzz_paths
+    actions = [a for a in _SUBPARSERS[command]._actions if a.dest != "help"]
+    scheme = data.draw(st.sampled_from([*files, "bogus"]))
+    required, optional = {"--scheme": st.just(scheme)}, {}
+    for action in actions:
+        flag = action.option_strings[0]
+        if flag != "--scheme":
+            values = _flag_values(command, action, files.get(scheme, {}), inputs, outputs)
+            always = action.required or (command, flag) in _COST_CAPS
+            (required if always else optional)[flag] = values
+    flags = data.draw(st.fixed_dictionaries(required, optional=optional))
+    # nk = c = 2^16 passes the size rule, but each query draws 2^16 trits.
+    assume(not (command == "simulate-forgery" and flags["--nk"] == flags["--c"] == str(1 << 16)))
+    argv = [command, *(token for flag, value in flags.items() for token in (flag, value))]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), argv

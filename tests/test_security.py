@@ -1,6 +1,7 @@
 import math
+import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -18,6 +19,11 @@ P31 = 50697537
 
 def test_bound_with_no_queries_is_kappa_over_s():
     assert sec.segp_success_bound(130, 13, 0) == pytest.approx(13 / 130)
+
+
+@pytest.mark.parametrize("queries", [0, 1, 10**6])
+def test_bound_is_zero_when_no_query_lies_in_any_kernel(queries):
+    assert sec.segp_success_bound(130, 0, queries) == 0.0
 
 
 def test_bound_exact_rational():
@@ -69,6 +75,12 @@ def test_three_binomial_trivial():
     assert sec.three_binomial(7, 0) == 0.0
 
 
+@pytest.mark.parametrize("a, b", [(7, -1), (7, 8), (0, 1), (0, -1)])
+def test_binomials_outside_zero_to_a_count_no_subspaces(a, b):
+    assert sec.gaussian_binomial_3(a, b) == 0
+    assert sec.three_binomial(a, b) == -math.inf
+
+
 def test_three_binomial_2_1():
     assert sec.three_binomial(2, 1) == pytest.approx(2.0)  # (9-1)/(3-1) = 4
 
@@ -118,6 +130,13 @@ def test_wave_budget_table_mu():
         assert budget.mu == pytest.approx(mu, abs=0.05)
 
 
+def test_wave_budget_at_c_equal_n_minus_k():
+    # The kernel is {0}: no nonzero query lies in it, so kappa is 0.
+    budget = sec.wave_budget(24, 12, 12, 2**10)
+    assert budget.kappa_log2 == -math.inf and budget.s_size_log2 == 0.0
+    assert budget.quotient_size_log2 == pytest.approx(12 * math.log2(3))
+
+
 def test_budget_invariant_enforced():
     with pytest.raises(ValueError):
         sec.SecurityBudget(
@@ -152,6 +171,63 @@ def test_wave_instance_counts_match_formulas():
     inst = sec.wave_segp_instance(4, 2)
     assert inst.s_size == sec.gaussian_binomial_3(4, 2) == 130
     assert inst.kappa == sec.gaussian_binomial_3(3, 1) == 13
+
+
+def test_wave_instance_at_c_equal_nk_is_the_zero_kernel():
+    inst = sec.wave_segp_instance(3, 3)
+    assert inst.kernels == (frozenset({(0, 0, 0)}),)
+    assert inst.s_size == 1 and inst.kappa == 0
+
+
+@pytest.mark.parametrize("c", [0, 5])
+def test_wave_instance_c_outside_one_to_nk_is_refused_by_the_c_rule(c):
+    with pytest.raises(ValueError, match=r"outside \[1, n-k = 4\]"):
+        sec.wave_segp_instance(4, c)
+
+
+@pytest.mark.parametrize(
+    "nk, c", [(8, 3), (7, 2), (10**9, 1), (10**9, 10**9), (2**63, 2**62), (10**400, 1)]
+)
+def test_wave_instance_above_the_size_cap_is_refused_before_enumerating(monkeypatch, nk, c):
+    def enumerate_fails(dim, subdim):
+        raise AssertionError("enumerated an instance above the cap")
+
+    monkeypatch.setattr(sec, "_enumerate_f3_subspaces", enumerate_fails)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="above the cap of 10000000"):
+        sec.wave_segp_instance(nk, c)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("nk, c", [(3, 1), (4, 1), (4, 2), (5, 4), (6, 6)])
+def test_wave_instance_within_the_size_cap_builds(nk, c):
+    inst = sec.wave_segp_instance(nk, c)
+    assert len(inst.kernels) == inst.s_size
+    assert inst.s_size * 3 ** (nk - c) * nk <= sec.MAX_ENUMERATED_TRITS
+
+
+def _loop_subspaces(dim, subdim):
+    """Reference: each reduced-echelon span summed trit by trit."""
+    subspaces = []
+    for pivots in combinations(range(dim), subdim):
+        free = [(r, c) for r in range(subdim) for c in range(pivots[r] + 1, dim) if c not in pivots]
+        for assignment in product(range(3), repeat=len(free)):
+            rows = [[0] * dim for _ in range(subdim)]
+            for r, p in enumerate(pivots):
+                rows[r][p] = 1
+            for (r, c), v in zip(free, assignment):
+                rows[r][c] = v
+            subspaces.append(frozenset(
+                tuple(sum(k[r] * rows[r][i] for r in range(subdim)) % 3 for i in range(dim))
+                for k in product(range(3), repeat=subdim)
+            ))
+    return subspaces
+
+
+@pytest.mark.parametrize("dim, subdim", [(1, 0), (3, 0), (3, 1), (3, 2), (4, 2), (5, 3), (4, 4)])
+def test_subspace_enumeration_matches_the_loop_reference(dim, subdim):
+    # Same subspaces in the same order: the game draws kernels by index.
+    assert sec._enumerate_f3_subspaces(dim, subdim) == _loop_subspaces(dim, subdim)
 
 
 def test_wave_instance_kappa_is_uniform_over_queries():
@@ -224,6 +300,81 @@ def test_squirrels_game_within_bound():
         max(report.cumulative_bound * (1 - report.cumulative_bound), 1e-9) / 3000
     )
     assert report.success_rate <= report.cumulative_bound + 3 * sigma
+
+
+@pytest.mark.parametrize("strategy", sec.STRATEGIES)
+def test_full_verifier_instance_is_never_forged(strategy):
+    # c = nk: the kernel is {0} and every query is nonzero.
+    report = sec.simulate_segp_game(sec.wave_segp_instance(3, 3), strategy, 200, 3, Random(7))
+    assert report.successes == 0
+    assert report.per_query_bound == report.cumulative_bound == 0.0
+
+
+# ── pinned reports ───────────────────────────────────────────────────────
+
+# Successes over 200 trials at queries 0, 1 and 3, with a fresh Random(seed)
+# per report.  Any change in which draws a strategy makes, or in their
+# order, moves these.
+PINNED_SUCCESSES = {
+    ("wave", "random", 1): (0, 23, 60),
+    ("wave", "random", 2): (0, 18, 56),
+    ("wave", "scalar-replay", 1): (0, 23, 49),
+    ("wave", "scalar-replay", 2): (0, 18, 43),
+    ("wave", "replay-rejected", 1): (0, 0, 0),
+    ("wave", "replay-rejected", 2): (0, 0, 0),
+    ("squirrels", "random", 1): (0, 9, 9),
+    ("squirrels", "random", 2): (0, 3, 18),
+    ("squirrels", "scalar-replay", 1): (0, 9, 13),
+    ("squirrels", "scalar-replay", 2): (0, 3, 6),
+    ("squirrels", "replay-rejected", 1): (0, 0, 0),
+    ("squirrels", "replay-rejected", 2): (0, 0, 0),
+}
+PINNED_BOUNDS = {
+    "wave": (0.1, 0.1111111111111111, 0.14285714285714285),
+    "squirrels": (0.2857142857142857, 0.4, 2.0),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_instances():
+    return {
+        "wave": sec.wave_segp_instance(4, 2),
+        "squirrels": sec.squirrels_segp_instance(6, 1 << 12),
+    }
+
+
+def _pinned_report(inst, strategy, queries, successes, bound):
+    return sec.SegpReport(
+        instance=inst.name,
+        strategy=strategy,
+        trials=200,
+        queries_per_trial=queries,
+        successes=successes,
+        success_rate=successes / 200,
+        per_query_bound=bound,
+        cumulative_bound=min(1.0, queries * bound),
+    )
+
+
+@pytest.mark.parametrize("key", PINNED_SUCCESSES, ids=lambda key: "-".join(map(str, key)))
+def test_game_reports_are_pinned(pinned_instances, key):
+    name, strategy, seed = key
+    inst = pinned_instances[name]
+    for queries, successes, bound in zip((0, 1, 3), PINNED_SUCCESSES[key], PINNED_BOUNDS[name]):
+        report = sec.simulate_segp_game(inst, strategy, 200, queries, Random(seed))
+        assert report == _pinned_report(inst, strategy, queries, successes, bound)
+
+
+def test_game_reports_on_one_shared_random_are_pinned(pinned_instances):
+    # One Random across the strategies, as criterion 10 runs them:
+    # replay-rejected draws its free probes even at queries = 0.
+    inst, rng = pinned_instances["wave"], Random(10)
+    runs = [("replay-rejected", 0, 0), ("random", 3, 47), ("scalar-replay", 3, 48),
+            ("replay-rejected", 3, 0), ("random", 3, 72)]
+    for strategy, queries, successes in runs:
+        bound = PINNED_BOUNDS["wave"][(0, 1, 3).index(queries)]
+        report = sec.simulate_segp_game(inst, strategy, 200, queries, rng)
+        assert report == _pinned_report(inst, strategy, queries, successes, bound)
 
 
 def test_unknown_strategy_rejected():

@@ -52,6 +52,18 @@ def test_header_magic_and_fields():
     assert header.tag == 822 and header.length == 3
 
 
+@pytest.mark.parametrize("tag, code", [("65535", 65535), ("65536", None), ("70000", None)])
+def test_wave_tag_code_fits_the_header_or_is_refused(wv_world, tag, code):
+    pk, params, *_ = wv_world
+    params = replace(params, tag=tag)
+    if code is None:
+        with pytest.raises(ValueError, match="16 bits"):
+            serial.encode_wave_pk(pk, params)
+    else:
+        header, _ = serial.unwrap(serial.encode_wave_pk(pk, params), serial.SCHEME_WAVE, serial.KIND_PK)
+        assert header.tag == code
+
+
 def test_unwrap_rejects_bad_magic():
     blob = b"XXXX" + bytes(12) + b"p"
     with pytest.raises(MalformedSignature):

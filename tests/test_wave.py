@@ -318,6 +318,7 @@ C_RULE_ENTRIES = {
     "wave_ckeygen": (lambda p, c: wv.wave_ckeygen(p, c, Random(0)), ValueError),
     "cverify_cost": (wv.cverify_cost, ValueError),
     "wave_budget": (lambda p, c: security.wave_budget(p.n, p.k, c, 2**64), ValueError),
+    "wave_segp_instance": (lambda p, c: security.wave_segp_instance(p.redundancy, c), ValueError),
     "decode_wave_ck": (
         lambda p, c: serial.decode_wave_ck(_header_only(serial.KIND_CK), p, c),
         MalformedSignature,
