@@ -211,7 +211,7 @@ def cmd_ck_gen(args) -> int:
     rng = Random(args.seed)
     params = _load_params(args)
     if args.scheme == "squirrels":
-        ck = sq.ckeygen(params, args.t, rng, secret_width=args.secret_width)
+        ck = sq.ckeygen(params, args.t, rng)
         _write(args.out, serial.encode_squirrels_ck(ck, params), private=True)
     elif args.scheme == "wave":
         ck = wv.wave_ckeygen(params, args.c, rng)
@@ -261,6 +261,12 @@ def cmd_sign_toy(args) -> int:
     return 0
 
 
+def _verdict(ok: bool) -> int:
+    """Print the verdict; exit code 0 for accept, 1 for reject."""
+    print("accept" if ok else "reject")
+    return 0 if ok else 1
+
+
 def cmd_verify(args) -> int:
     message = _message(args)
     params = _load_params(args)
@@ -276,8 +282,7 @@ def cmd_verify(args) -> int:
         n = serial.decode_rw_pk(_read(args.pk))
         sig = serial.decode_rw_sig(_read(args.sig))
         ok = rw.rw_verify(sig, message, n)
-    print("accept" if ok else "reject")
-    return 0 if ok else 1
+    return _verdict(ok)
 
 
 def cmd_cverify(args) -> int:
@@ -295,8 +300,7 @@ def cmd_cverify(args) -> int:
         vk = serial.decode_rw_vk(_read(args.vk))
         sig = serial.decode_rw_sig(_read(args.sig))
         ok = rw.rw_cverify(sig, message, vk)
-    print("accept" if ok else "reject")
-    return 0 if ok else 1
+    return _verdict(ok)
 
 
 def cmd_bench_ops(args) -> int:
@@ -381,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--params")
     p.add_argument("--t", type=int, default=2)
-    p.add_argument("--secret-width", type=int, default=31)
     p.add_argument("--c", type=int, default=4)
     p.add_argument("--mu", type=int, default=31)
     p.add_argument("--out", required=True)

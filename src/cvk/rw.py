@@ -158,10 +158,9 @@ def _check_shape(sig: RwSignature, n: int) -> None:
 
 
 def rw_verify(sig: RwSignature, message: bytes, n: int) -> bool:
-    """Full verification: e*f*s^2 = digest (mod N)."""
+    """Full verification: e*f*s^2 = digest (mod N), the residual mod N."""
     _check_shape(sig, n)
-    h = message_digest(sig.salt, message, n.bit_length())
-    return (sig.e * sig.f * sig.s * sig.s - h) % n == 0
+    return rw_residual(sig, message, n) % n == 0
 
 
 def rw_ckeygen(mu: int, rng: Random) -> int:

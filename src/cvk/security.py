@@ -13,7 +13,7 @@ bound and the claim that scalar-replay strategies gain nothing.
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, combinations, filterfalse, islice, product, repeat
 from random import Random
 
@@ -30,7 +30,8 @@ LN2 = math.log(2)
 # Float slack for invariants over long log-domain sums.
 _EPS = 1e-9
 
-# Most trits an enumerated Wave instance may hold (nk = 6, c = 2 holds 5.35 M).
+# Most trits an enumerated Wave instance may hold (nk = 6, c = 2 holds 5.35 M),
+# and most query trits a forgery game may draw.
 MAX_ENUMERATED_TRITS = 10**7
 
 
@@ -202,15 +203,21 @@ def wave_budget(n: int, k: int, c: int, q_limit: int) -> SecurityBudget:
 
 @dataclass(frozen=True)
 class SegpInstance:
-    """An enumerable instance: the full kernel set, exact counts, and
-    the query domain."""
+    """An enumerable instance: exact counts, the query domain, and the
+    full kernel set, enumerated on first use, so a game too large to
+    play is refused before any kernel is built."""
 
     name: str
-    kernels: tuple  # each kernel supports `query in kernel`
+    enumerate_kernels: object  # () -> tuple; each kernel supports `query in kernel`
     s_size: int
     kappa: int
+    query_trits: int  # trits drawn per query
     sample_query: object  # rng -> query
     scalar_double: object  # query -> query (a nontrivial scalar multiple)
+
+    @cached_property
+    def kernels(self) -> tuple:
+        return self.enumerate_kernels()
 
 
 def _enumerate_f3_subspaces(dim: int, subdim: int) -> list[frozenset]:
@@ -233,9 +240,10 @@ def _enumerate_f3_subspaces(dim: int, subdim: int) -> list[frozenset]:
 
 def wave_segp_instance(nk: int, c: int) -> SegpInstance:
     """All codimension-c subspaces of F3^nk; queries are uniform nonzero
-    vectors.  Counts are exhaustively enumerated and must agree with the
-    Gaussian-binomial formulas.  An instance whose #S subspaces of
-    3^(nk-c) vectors of nk trits exceed ``MAX_ENUMERATED_TRITS`` is refused.
+    vectors, nk trits each.  Counts are exhaustively enumerated, when the
+    kernels are first used, and must agree with the Gaussian-binomial
+    formulas.  An instance whose #S subspaces of 3^(nk-c) vectors of nk
+    trits exceed ``MAX_ENUMERATED_TRITS`` is refused.
     """
     check_c(c, nk)
     dim = nk - c
@@ -247,10 +255,13 @@ def wave_segp_instance(nk: int, c: int) -> SegpInstance:
         raise ValueError(f"wave(nk={nk}, c={c}) holds at least 3^{exponent} * {nk} trits, "
                          f"above the cap of {MAX_ENUMERATED_TRITS}")
     s_size, kappa = wave_kernel_counts(gaussian_binomial_3, nk, c)
-    kernels = tuple(_enumerate_f3_subspaces(nk, dim))
-    assert len(kernels) == s_size
-    probe = tuple([1] + [0] * (nk - 1))
-    assert sum(probe in kernel for kernel in kernels) == kappa
+
+    def enumerate_kernels():
+        kernels = tuple(_enumerate_f3_subspaces(nk, dim))
+        assert len(kernels) == s_size
+        probe = tuple([1] + [0] * (nk - 1))
+        assert sum(probe in kernel for kernel in kernels) == kappa
+        return kernels
 
     def sample_query(rng: Random):
         while True:
@@ -263,9 +274,10 @@ def wave_segp_instance(nk: int, c: int) -> SegpInstance:
 
     return SegpInstance(
         name=f"wave(nk={nk}, c={c})",
-        kernels=kernels,
+        enumerate_kernels=enumerate_kernels,
         s_size=s_size,
         kappa=kappa,
+        query_trits=nk,
         sample_query=sample_query,
         scalar_double=scalar_double,
     )
@@ -307,9 +319,10 @@ def squirrels_segp_instance(width: int, query_bound: int) -> SegpInstance:
 
     return SegpInstance(
         name=f"squirrels(width={width})",
-        kernels=kernels,
+        enumerate_kernels=lambda: kernels,
         s_size=len(kernels),
         kappa=kappa,
+        query_trits=1,
         sample_query=sample_query,
         scalar_double=scalar_double,
     )
@@ -358,11 +371,21 @@ def simulate_segp_game(
 ) -> SegpReport:
     """Play the membership game against a fresh kernel per trial: a trial
     succeeds when one of the first ``queries_per_trial`` queries of the
-    strategy's stream lies in the kernel."""
+    strategy's stream lies in the kernel.
+
+    A game whose trials draw more than ``MAX_ENUMERATED_TRITS`` query
+    trits is refused before the first draw.  Each trial draws at least
+    one query, since replay-rejected probes even when it may ask none.
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    draws = trials * max(queries_per_trial, 1) * instance.query_trits
+    if draws > MAX_ENUMERATED_TRITS:
+        raise ValueError(f"{trials} trials x {queries_per_trial} queries of "
+                         f"{instance.query_trits} trits draw {draws} trits, "
+                         f"above the cap of {MAX_ENUMERATED_TRITS}")
     per_query = segp_success_bound(instance.s_size, instance.kappa, queries_per_trial)
     stream = STRATEGIES[strategy]
     successes = 0

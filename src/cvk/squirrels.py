@@ -175,7 +175,7 @@ class SquirrelsSignature:
     the decoder and every signer hand the verifiers an array they use
     as it is; a coordinate outside the range raises
     ``MalformedSignature``.  The length is checked against the instance
-    by the verifiers.
+    by ``public_target``.
     """
 
     salt: bytes
@@ -266,12 +266,25 @@ def k_prime_bounds(params: SquirrelsParams) -> tuple[int, int]:
     return k_min, k_max
 
 
-def _check_signature_shape(sig: SquirrelsSignature, n: int) -> np.ndarray:
-    """The signature's coordinates, if there are n of them; their range
-    was checked when the signature was built."""
-    if sig.s_vec.size != n:
-        raise MalformedSignature(f"signature has {sig.s_vec.size} coords, expected {n}")
-    return sig.s_vec
+def public_target(sig: SquirrelsSignature, message: bytes, params: SquirrelsParams):
+    """The public front end of ``verify`` and ``cverify``: the length
+    check, the norm gate and the target c = s + H(salt||m).
+
+    Both verifiers then check c against their key, and differ only in
+    that product.  Everything here reads public data.
+
+    Raises:
+        MalformedSignature: if the signature does not have n coordinates
+            (their range was checked when the signature was built).
+
+    Returns:
+        None if s.s exceeds beta^2, otherwise c as an int64 vector.
+    """
+    if sig.s_vec.size != params.n:
+        raise MalformedSignature(f"signature has {sig.s_vec.size} coords, expected {params.n}")
+    if int(sig.s_vec @ sig.s_vec) > params.beta_sq:
+        return None
+    return sig.s_vec + hash_to_point(message, sig.salt, params.q, params.n)
 
 
 def verify(
@@ -281,12 +294,12 @@ def verify(
     params: SquirrelsParams,
     counter: OpCounter | None = None,
 ) -> bool:
-    """Full verification: norm gate, then one congruence per public prime."""
+    """Full verification: ``public_target``, then one congruence per
+    public prime."""
     basis = check_basis(params)
-    s_vec = _check_signature_shape(sig, params.n)
-    if int(s_vec @ s_vec) > params.beta_sq:
+    c = public_target(sig, message, params)
+    if c is None:
         return False
-    c = s_vec + hash_to_point(message, sig.salt, params.q, params.n)
     primes = np.asarray(basis.primes, dtype=np.int64)
     sums = c[:-1] @ pk.residues
     if counter is not None:
@@ -391,9 +404,10 @@ def cverify(
 ) -> bool:
     """Compressed verification against the secret-basis key.
 
-    One fold of the signature against every transferred check row at
-    once, then per secret prime: multiply by the inverse determinant
-    residue and shift by the window minimum.  Accept iff every shifted
+    After ``public_target``, one fold of the target against every
+    transferred check row at once, then per secret prime: multiply by the
+    inverse determinant residue and shift by the window minimum.  Accept
+    iff every shifted
     multiplier sits inside the window and they all agree; both flags are
     computed over all primes and combined at the end (no early exit on
     secret data).
@@ -403,10 +417,9 @@ def cverify(
     (``compression_key``) and n < 2^15 (``SquirrelsParams``) keep |sum|
     below 2^63, and the reduced sum times inv_delta_j stays below 2^62.
     """
-    s_vec = _check_signature_shape(sig, params.n)
-    if int(s_vec @ s_vec) > params.beta_sq:
+    c = public_target(sig, message, params)
+    if c is None:
         return False
-    c = s_vec + hash_to_point(message, sig.salt, params.q, params.n)
     k_min, k_max = k_prime_bounds(params)
     r = vk.r
     k = (vk.rows @ c % r * vk.inv_delta_words - k_min) % r

@@ -102,7 +102,7 @@ class WaveSignature:
 
     The packed trits are unpacked once, here, which also validates them
     (``MalformedSignature`` on a field equal to 3, dirty padding or a
-    wrong byte count); the verifiers read the kept read-only array
+    wrong byte count); ``public_target`` reads the kept read-only array
     through ``trits()``.  Equality compares salt, packed bytes and n.
     """
 
@@ -198,12 +198,6 @@ def hash_to_trits(message: bytes, salt: bytes, length: int) -> np.ndarray:
         nbytes *= 2
 
 
-def _signature_trits(sig: WaveSignature, params: WaveParams) -> np.ndarray:
-    if sig.n != params.n:
-        raise MalformedSignature(f"signature length {sig.n} != code length {params.n}")
-    return sig.trits()
-
-
 def syndrome_target(s: np.ndarray, h: np.ndarray) -> np.ndarray:
     """t = s - (h | 0) mod 3 as a new uint8 trit vector.
 
@@ -217,6 +211,26 @@ def syndrome_target(s: np.ndarray, h: np.ndarray) -> np.ndarray:
     return t
 
 
+def public_target(sig: WaveSignature, message: bytes, params: WaveParams):
+    """The public front end of ``wave_verify`` and ``wave_cverify``: the
+    length check, the weight gate and the target t = s - (H(salt||m) | 0).
+
+    Both verifiers then check t against their key, and differ only in
+    that product.  Everything here reads public data.
+
+    Raises:
+        MalformedSignature: if the signature is not n trits long.
+
+    Returns:
+        None if the weight is not w, otherwise t as a uint8 trit vector.
+    """
+    if sig.n != params.n:
+        raise MalformedSignature(f"signature length {sig.n} != code length {params.n}")
+    if sig.weight() != params.w:
+        return None
+    return syndrome_target(sig.trits(), hash_to_trits(message, sig.salt, params.redundancy))
+
+
 def wave_verify(
     sig: WaveSignature,
     message: bytes,
@@ -224,15 +238,13 @@ def wave_verify(
     params: WaveParams,
     counter: OpCounter | None = None,
 ) -> bool:
-    """Weight gate, then the syndrome check t (I | R)^T = 0 with
-    t = s - (hash | 0)."""
+    """``public_target``, then the syndrome check t (I | R)^T = 0."""
     nk = params.redundancy
     if pk.shape != (params.k, nk):
         raise DimensionMismatch(f"public key is {pk.shape}, expected {(params.k, nk)}")
-    s = _signature_trits(sig, params)
-    if sig.weight() != params.w:
+    t = public_target(sig, message, params)
+    if t is None:
         return False
-    t = syndrome_target(s, hash_to_trits(message, sig.salt, nk))
     syndrome = (t[:nk] + t[nk:] @ pk.to_array().astype(np.int64)) % 3
     if counter is not None:
         counter.add(*verify_cost(params))
@@ -281,7 +293,7 @@ def wave_cverify(
     params: WaveParams,
     counter: OpCounter | None = None,
 ) -> bool:
-    """Weight gate, then the c-coordinate projected syndrome check,
+    """``public_target``, then the c-coordinate projected syndrome check,
     reconstructing the implicit identity rows.
 
     The fold is one float32 BLAS product of the key's ``fold_block``
@@ -289,11 +301,9 @@ def wave_cverify(
     c, rest = vk.fold_block.shape
     if c + rest != params.n:
         raise DimensionMismatch(f"key length {c + rest} != code length {params.n}")
-    nk = params.redundancy
-    s = _signature_trits(sig, params)
-    if sig.weight() != params.w:
+    t = public_target(sig, message, params)
+    if t is None:
         return False
-    t = syndrome_target(s, hash_to_trits(message, sig.salt, nk))
     folded = (t[:c] + vk.fold_block @ t[c:].astype(np.float32)) % 3
     if counter is not None:
         counter.add(*cverify_cost(params, c))

@@ -7,11 +7,11 @@ from random import Random
 
 import pytest
 import sympy
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cvk import rw, serial
-from cvk.cli import build_parser, main, squirrels_table_row, wave_table_row
+from cvk.cli import _load_params, build_parser, main, squirrels_table_row, wave_table_row
 
 
 def run(*argv):
@@ -42,7 +42,7 @@ def _make_sq_files(tmp_path):
     ) == 0
     assert run(
         "ck-gen", "--scheme", "squirrels", "--params", paths["params"],
-        "--t", 2, "--secret-width", 16, "--seed", 8, "--out", paths["ck"],
+        "--t", 2, "--seed", 8, "--out", paths["ck"],
     ) == 0
     assert run(
         "vk-gen", "--scheme", "squirrels", "--params", paths["params"],
@@ -182,7 +182,7 @@ def _private_argv(command, scheme, files, tmp_path, out):
     sidecar = () if scheme == "rw" else ("--params", files["params"])
     if command == "ck-gen":
         extra = {
-            "squirrels": ("--t", 2, "--secret-width", 16), "wave": ("--c", 4), "rw": ("--mu", 20),
+            "squirrels": ("--t", 2), "wave": ("--c", 4), "rw": ("--mu", 20),
         }
         return ("ck-gen", "--scheme", scheme, *sidecar, "--seed", 1, *extra[scheme], "--out", out)
     extra = ("--c", 4) if scheme == "wave" else ()
@@ -222,6 +222,26 @@ def test_private_write_over_a_loose_file_or_a_symlink(request, tmp_path, command
         assert code == 2
 
 
+def test_cli_compression_key_primes_are_31_bits(sq_files):
+    # ck-gen offers no narrower primes: each one lies in (2^30, 2^31), as
+    # the keyspace of ``cvk params`` and the budget's quotient assume.
+    params = _load_params(argparse.Namespace(scheme="squirrels", params=sq_files["params"]))
+    for seed in range(4):
+        assert run("ck-gen", "--scheme", "squirrels", "--params", sq_files["params"],
+                   "--t", 5, "--seed", seed, "--out", sq_files["ck"]) == 0
+        ck = serial.decode_squirrels_ck(sq_files["ck"].read_bytes(), params)
+        assert len(ck.secret_basis.primes) == 5
+        assert all(1 << 30 < r < 1 << 31 for r in ck.secret_basis.primes)
+
+
+def test_ck_gen_has_no_secret_width_flag(sq_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("ck-gen", "--scheme", "squirrels", "--params", sq_files["params"],
+            "--t", 5, "--secret-width", 25, "--out", sq_files["ck"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --secret-width" in capsys.readouterr().err
+
+
 def test_pipeline_is_deterministic_under_seeds(tmp_path, sq_files):
     again = tmp_path / "again"
     again.mkdir()
@@ -232,7 +252,7 @@ def test_pipeline_is_deterministic_under_seeds(tmp_path, sq_files):
     )
     run(
         "ck-gen", "--scheme", "squirrels", "--params", paths["params"],
-        "--t", 2, "--secret-width", 16, "--seed", 8, "--out", paths["ck"],
+        "--t", 2, "--seed", 8, "--out", paths["ck"],
     )
     run(
         "vk-gen", "--scheme", "squirrels", "--params", paths["params"],
@@ -417,10 +437,13 @@ def test_simulate_forgery_against_the_full_verifier(capsys):
         (10**9, 1, "above the cap of 10000000"),
         (10**9, 10**9, "above the cap of 10000000"),
         (10**400, 1, "above the cap of 10000000"),
+        # One kernel, {0}, within the instance cap, but each query draws
+        # 10^7 trits: the game's size rule refuses 2000 x 3 of them.
+        (10**7, 10**7, "draw 60000000000 trits, above the cap of 10000000"),
     ],
 )
 def test_simulate_forgery_wave_instance_outside_the_rules_is_exit_2(capsys, nk, c, message):
-    # The c rule and the size rule refuse before any enumeration.
+    # The c rule and the size rules refuse before any enumeration.
     start = time.perf_counter()
     assert run("simulate-forgery", "--scheme", "wave", "--nk", nk, "--c", c) == 2
     assert time.perf_counter() - start < 1.0
@@ -687,7 +710,7 @@ def _corrupt_file(blob: bytes, rng: Random) -> bytes:
 
 _FUZZ_PIPELINES = {
     "squirrels": [
-        ("ck-gen", ("params",), ("--seed", "1", "--t", "2", "--secret-width", "16")),
+        ("ck-gen", ("params",), ("--seed", "1", "--t", "2")),
         ("vk-gen", ("params", "pk", "ck"), ()),
         ("sign-toy", ("params", "sk"), ("--seed", "2", "--message", "hello")),
         ("verify", ("params", "pk", "sig"), ("--message", "hello")),
@@ -757,7 +780,7 @@ _COST_CAPS = {
     ("keygen", "--bits"): 128,
 }
 
-# A large --nk or --c is refused by the size rule before any work.
+# A large --nk or --c is refused by a size rule before any work.
 _REFUSED_BEFORE_WORK = {("simulate-forgery", "--nk"), ("simulate-forgery", "--c")}
 
 _INPUT_FLAGS = {"--params", "--pk", "--sk", "--ck", "--vk", "--sig", "--message-file"}
@@ -825,8 +848,6 @@ def test_cli_flags_end_in_an_exit_code(fuzz_paths, command, data):
             always = action.required or (command, flag) in _COST_CAPS
             (required if always else optional)[flag] = values
     flags = data.draw(st.fixed_dictionaries(required, optional=optional))
-    # nk = c = 2^16 passes the size rule, but each query draws 2^16 trits.
-    assume(not (command == "simulate-forgery" and flags["--nk"] == flags["--c"] == str(1 << 16)))
     argv = [command, *(token for flag, value in flags.items() for token in (flag, value))]
     try:
         code = main(argv)

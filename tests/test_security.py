@@ -1,4 +1,8 @@
+import ast
+import dataclasses
+import inspect
 import math
+import textwrap
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -8,7 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cvk import rw
 from cvk import security as sec
+from cvk import squirrels as sq
+from cvk import wave as wv
 from cvk.errors import BudgetExceeded
 
 P31 = 50697537
@@ -252,6 +259,7 @@ def test_wave_exact_bound_matches_enumeration():
 def test_squirrels_instance_oracle():
     inst = sec.squirrels_segp_instance(8, 1 << 20)
     assert inst.s_size == 23  # primes in (128, 256)
+    assert inst.query_trits == 1  # one integer per query, for the game's size rule
     kernel = inst.kernels[0]
     assert kernel.r * 17 in kernel
     assert (kernel.r * 17 + 1) not in kernel
@@ -308,6 +316,36 @@ def test_full_verifier_instance_is_never_forged(strategy):
     report = sec.simulate_segp_game(sec.wave_segp_instance(3, 3), strategy, 200, 3, Random(7))
     assert report.successes == 0
     assert report.per_query_bound == report.cumulative_bound == 0.0
+
+
+@pytest.mark.parametrize("queries", [0, 1, 3])
+def test_game_size_rule_caps_trials_times_queries_times_query_trits(queries):
+    # Each trial draws at least one query (replay-rejected probes at 0).
+    inst = sec.wave_segp_instance(3, 3)
+    per_trial = max(queries, 1)
+    at_cap = dataclasses.replace(inst, query_trits=sec.MAX_ENUMERATED_TRITS // (2 * per_trial))
+    report = sec.simulate_segp_game(at_cap, "replay-rejected", 2, queries, Random(8))
+    assert report.successes == 0
+    over = dataclasses.replace(at_cap, query_trits=at_cap.query_trits + 1)
+    with pytest.raises(ValueError, match="above the cap of 10000000"):
+        sec.simulate_segp_game(over, "replay-rejected", 2, queries, Random(8))
+
+
+def test_game_too_large_is_refused_before_enumerating_or_drawing(monkeypatch):
+    # nk = c = 10^7 passes the instance cap (one kernel, {0}), but its
+    # 2000 x 3 queries would draw 6 * 10^10 trits.
+    def fails(*args):
+        raise AssertionError("enumerated or drew for a game above the cap")
+
+    monkeypatch.setattr(sec, "_enumerate_f3_subspaces", fails)
+    monkeypatch.setattr(sec, "random_trits", fails)
+    start = time.perf_counter()
+    inst = sec.wave_segp_instance(10**7, 10**7)
+    assert (inst.s_size, inst.kappa, inst.query_trits) == (1, 0, 10**7)
+    for strategy in sec.STRATEGIES:
+        with pytest.raises(ValueError, match="draw 60000000000 trits, above the cap"):
+            sec.simulate_segp_game(inst, strategy, 2000, 3, Random(9))
+    assert time.perf_counter() - start < 1.0
 
 
 # ── pinned reports ───────────────────────────────────────────────────────
@@ -381,3 +419,61 @@ def test_unknown_strategy_rejected():
     inst = sec.wave_segp_instance(3, 1)
     with pytest.raises(ValueError):
         sec.simulate_segp_game(inst, "psychic", 10, 1, Random(0))
+
+
+# ── no early exit on secret data ─────────────────────────────────────────
+
+
+def _early_exits(fn) -> list[str]:
+    """What in ``fn`` can end it before its final statement on anything but
+    the public front end: an ``and``, ``or`` or conditional expression, or
+    a ``return`` that is neither the last statement nor under the ``if``
+    that tests ``public_target``'s None."""
+    func = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+    targets = {
+        node.targets[0].id
+        for node in func.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func).split(".")[-1] == "public_target"
+    }
+    allowed = {id(func.body[-1])}
+    for node in func.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) in {f"{t} is None" for t in targets}:
+            allowed.update(id(stmt) for stmt in node.body)
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, (ast.BoolOp, ast.IfExp)):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Return) and id(node) not in allowed:
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("fn", [sq.cverify, wv.wave_cverify, rw.rw_cverify],
+                         ids=lambda fn: fn.__name__)
+def test_compressed_verifiers_do_not_exit_early(fn):
+    # Secret-dependent flags are combined at the end: no short-circuit and
+    # no return past the public front end but the last statement.
+    assert isinstance(ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0].body[-1],
+                      ast.Return)
+    assert _early_exits(fn) == []
+
+
+def test_early_exit_guard_sees_a_short_circuit_and_a_secret_return():
+    def secret_return(sig, message, vk, params):
+        c = public_target(sig, message, params)  # noqa: F821
+        if c is None:
+            return False
+        k = vk @ c
+        if k[0]:
+            return False
+        return bool(k.all())
+
+    def short_circuit(sig, message, vk, params):
+        c = public_target(sig, message, params)  # noqa: F821
+        if c is None:
+            return False
+        return bool(c.all()) and bool((vk @ c).all())
+
+    assert _early_exits(secret_return) == ["return False"]
+    assert _early_exits(short_circuit) == ["bool(c.all()) and bool((vk @ c).all())"]

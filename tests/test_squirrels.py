@@ -187,6 +187,24 @@ def test_toy_sign_lands_on_lattice(toy):
     assert sum(ci * vi for ci, vi in zip(c, check)) % delta == 0
 
 
+# ── public front end ─────────────────────────────────────────────────────
+
+
+def test_public_target_is_the_length_check_norm_gate_and_target(toy):
+    pk, params, secret = toy
+    sig = sq.toy_sign(secret, MESSAGE, params, Random(10))
+    c = sq.public_target(sig, MESSAGE, params)
+    assert c.dtype == np.int64
+    assert np.array_equal(c, sig.s_vec + sq.hash_to_point(MESSAGE, sig.salt, params.q, params.n))
+    on_gate = replace(params, beta_sq=int(sig.s_vec @ sig.s_vec))
+    assert np.array_equal(sq.public_target(sig, MESSAGE, on_gate), c)
+    assert sq.public_target(sig, MESSAGE, replace(on_gate, beta_sq=on_gate.beta_sq - 1)) is None
+    for size in (params.n - 1, params.n + 1):
+        short = sq.SquirrelsSignature(sig.salt, (0,) * size)
+        with pytest.raises(MalformedSignature, match=f"{size} coords, expected {params.n}"):
+            sq.public_target(short, MESSAGE, params)
+
+
 # ── full verification ────────────────────────────────────────────────────
 
 

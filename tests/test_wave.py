@@ -275,6 +275,21 @@ def test_signature_trits_unpacked_once_and_read_only(toy):
     assert np.array_equal(again.trits(), trits)
 
 
+def test_public_target_is_the_length_check_weight_gate_and_target(toy):
+    pk, params = toy
+    sig = wv.wave_toy_sign(pk, MESSAGE, params, Random(7))
+    t = wv.public_target(sig, MESSAGE, params)
+    h = wv.hash_to_trits(MESSAGE, sig.salt, params.redundancy)
+    assert t.dtype == np.uint8
+    assert np.array_equal(t, wv.syndrome_target(sig.trits(), h))
+    for w in (params.w - 1, params.w + 1):
+        assert wv.public_target(sig, MESSAGE, dataclasses.replace(params, w=w)) is None
+    for n in (params.n - 1, params.n + 1):
+        other = wv.WaveSignature.from_trits(sig.salt, [1] * n)
+        with pytest.raises(MalformedSignature, match=f"length {n} != code length {params.n}"):
+            wv.public_target(other, MESSAGE, params)
+
+
 def _float_target(s, h):
     """The float32 t = s - (h | 0) mod 3 that ``syndrome_target`` replaced."""
     t = s.astype(np.float32)
@@ -664,3 +679,45 @@ def test_named_instance_speedup_factor():
         params = wv.named_params(tag)
         ratio = wv.verify_cost(params)[0] / wv.cverify_cost(params, c)[0]
         assert ratio >= params.redundancy / (2 * c)
+
+
+# ── the full verifier is the compressed one at c = n-k ───────────────────
+
+
+@pytest.mark.parametrize("n, w", [(24, 16), (wv.MAX_TOY_LENGTH, 43)])
+def test_full_verifier_equals_compressed_verifier_on_the_public_key(n, w):
+    # The public key R is the stored block of a VK with c = n-k, whose
+    # fold t[:c] + R^T t[c:] is the full syndrome: the two verifiers
+    # agree on every request, which is what lets wave_verify's own
+    # product go.
+    params = wv.WaveParams(n=n, k=n // 2, w=w, tag="toy")
+    rng = Random(2400 + n)
+    pk = wv.wave_toy_keygen(params, rng)
+    vk = wv.WaveVerificationKey(pk)
+    assert (vk.c, vk.n) == (params.redundancy, n)
+    verdicts = []
+    for i in range(5):
+        message = b"identity %d" % i
+        sig = wv.wave_toy_sign(pk, message, params, rng)
+        trits = sig.trits()
+        hot = rng.choice(np.flatnonzero(trits).tolist())
+        swapped, light = trits.copy(), trits.copy()
+        swapped[hot] = 3 - swapped[hot]  # 1 <-> 2: weight kept
+        light[hot] = 0  # weight w - 1
+        requests = [
+            (sig, message),
+            (sig, b"another " + message),
+            (wv.WaveSignature.from_trits(sig.salt, swapped), message),
+            (wv.WaveSignature.from_trits(sig.salt, light), message),
+        ]
+        for s, m in requests:
+            full = wv.wave_verify(s, m, pk, params)
+            assert full == wv.wave_cverify(s, m, vk, params)
+            verdicts.append(full)
+    assert verdicts == [True, False, False, False] * 5
+    for size in (n - 1, n + 1):
+        other = wv.WaveSignature.from_trits(sig.salt, [1] * size)
+        with pytest.raises(MalformedSignature):
+            wv.wave_verify(other, message, pk, params)
+        with pytest.raises(MalformedSignature):
+            wv.wave_cverify(other, message, vk, params)
