@@ -9,8 +9,9 @@ gather from it.  Weights are counted on the unpacked trits.
 
 Validation happens once, on the packed bytes: byte masks reject any
 field equal to 3 and any nonzero row padding.
-Arithmetic unpacks to numpy uint8 lanes.  ``to_array`` memoizes a
-matrix's unpacked view; ``f3_matmul`` does not use it for either operand.
+Arithmetic unpacks to numpy lanes.  Nothing is memoized: ``to_array(dtype)``
+returns a fresh array of the dtype asked for, and a matrix holds only its
+packed bytes.  ``f3_matmul`` streams the packed rows of its left operand.
 
 Products run as float32 BLAS products, reduced mod 3 afterwards.  Each
 term is at most 2 * 2 = 4, so an inner dimension below 2^22 keeps every
@@ -18,7 +19,6 @@ sum below 2^24, where float32 represents integers exactly: the result is
 the integer product, not an approximation (the FFLAS-FFPACK approach).
 """
 
-from functools import cached_property
 from random import Random
 
 import numpy as np
@@ -62,13 +62,15 @@ def _check_packed(raw: np.ndarray, cols: int) -> None:
         raise ValueError("nonzero padding in packed trits")
 
 
-def _unpack(raw: np.ndarray, cols: int) -> np.ndarray:
-    """(rows, stride) packed bytes to (rows, cols) C-contiguous trits,
-    one ``BYTE_LANES`` gather per ``MATMUL_BLOCK_ROWS`` rows.  The gather
-    casts its byte indices to intp, 8 bytes per packed byte, so blocking
-    it holds that transient to one block rather than the whole matrix."""
+def _unpack(raw: np.ndarray, cols: int, dtype=np.uint8) -> np.ndarray:
+    """(rows, stride) packed bytes to (rows, cols) C-contiguous trits of
+    ``dtype``, one ``BYTE_LANES`` gather per ``MATMUL_BLOCK_ROWS`` rows,
+    written straight into the output.  The gather casts its byte indices
+    to intp, 8 bytes per packed byte, so blocking it holds that transient
+    to one block rather than the whole matrix, and a wide ``dtype`` needs
+    no uint8 copy of the whole matrix beside it."""
     rows, stride = raw.shape
-    out = np.empty((rows, cols), dtype=np.uint8)
+    out = np.empty((rows, cols), dtype=dtype)
     for start in range(0, rows, MATMUL_BLOCK_ROWS):
         block = raw[start : start + MATMUL_BLOCK_ROWS]
         lanes = BYTE_LANES.take(block, axis=0).reshape(len(block), TRITS_PER_BYTE * stride)
@@ -118,9 +120,9 @@ def random_trits(count: int, rng: Random) -> np.ndarray:
 class TernaryMatrix:
     """A rows x cols matrix over F3 in packed row-major storage.
 
-    Immutable after construction.  ``to_array`` caches the unpacked uint8
-    view on the matrix, for the full Wave verifier and the toy signer;
-    ``unpack`` returns a fresh one and keeps nothing.
+    Immutable after construction, and it holds only its packed bytes:
+    nothing is memoized, and ``to_array(dtype)`` returns a fresh array
+    each call.
     """
 
     def __init__(self, rows: int, cols: int, data: bytes):
@@ -148,19 +150,11 @@ class TernaryMatrix:
     def random(cls, rows: int, cols: int, rng: Random) -> "TernaryMatrix":
         return cls.from_array(random_trits(rows * cols, rng).reshape(rows, cols))
 
-    def unpack(self) -> np.ndarray:
-        """A fresh (rows, cols) uint8 trit array, which the matrix does not keep."""
+    def to_array(self, dtype=np.uint8) -> np.ndarray:
+        """A fresh (rows, cols) trit array of ``dtype``, which the matrix
+        does not keep."""
         raw = np.frombuffer(self.data, np.uint8).reshape(self.rows, row_stride(self.cols))
-        return _unpack(raw, self.cols)
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        out = self.unpack()
-        out.setflags(write=False)
-        return out
-
-    def to_array(self) -> np.ndarray:
-        return self._array
+        return _unpack(raw, self.cols, dtype)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -196,7 +190,7 @@ def f3_matmul(a: TernaryMatrix, b: TernaryMatrix) -> np.ndarray:
         raise ValueError(f"inner dimension {a.cols} is not below 2^22; float32 would round")
     raw = np.frombuffer(a.data, np.uint8).reshape(a.rows, row_stride(a.cols))
     rhs = np.zeros((raw.shape[1] * TRITS_PER_BYTE, b.cols), dtype=np.float32)
-    rhs[: b.rows] = b.unpack()
+    rhs[: b.rows] = b.to_array()
     lanes = BYTE_LANES.astype(np.float32)
     out = np.empty((a.rows, b.cols), dtype=np.uint8)
     for start in range(0, a.rows, MATMUL_BLOCK_ROWS):

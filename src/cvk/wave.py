@@ -159,7 +159,7 @@ class WaveVerificationKey:
             raise ValueError("the stored block has no columns, so c = 0")
         buf = np.empty(rows * c + 16, dtype=np.float32)  # 16 floats, 64 bytes of slack
         block = buf[-buf.ctypes.data % 64 // 4 :][: rows * c].reshape(c, rows)
-        np.copyto(block, self.vk_bottom.unpack().T)
+        np.copyto(block, self.vk_bottom.to_array().T)
         block.setflags(write=False)
         object.__setattr__(self, "fold_block", block)
 
@@ -238,14 +238,22 @@ def wave_verify(
     params: WaveParams,
     counter: OpCounter | None = None,
 ) -> bool:
-    """``public_target``, then the syndrome check t (I | R)^T = 0."""
+    """``public_target``, then the syndrome check t (I | R)^T = 0.
+
+    Each call widens the packed rows of ``pk`` straight into one int64
+    operand, 8·k·(n-k) bytes (147 MB at Wave 822), which the key does not
+    keep.  It is not streamed or narrowed yet, though either would make
+    this verifier 1.4-4x faster: the compressed verifier's speedup is
+    measured against this product, and how to judge a speedup that falls
+    only because the full verifier got faster is still open (ROADMAP
+    item 1)."""
     nk = params.redundancy
     if pk.shape != (params.k, nk):
         raise DimensionMismatch(f"public key is {pk.shape}, expected {(params.k, nk)}")
     t = public_target(sig, message, params)
     if t is None:
         return False
-    syndrome = (t[:nk] + t[nk:] @ pk.to_array().astype(np.int64)) % 3
+    syndrome = (t[:nk] + t[nk:] @ pk.to_array(np.int64)) % 3
     if counter is not None:
         counter.add(*verify_cost(params))
     return not syndrome.any()
@@ -279,7 +287,7 @@ def wave_vkeygen(
     if compression.rows != nk:
         raise DimensionMismatch(f"projection has {compression.rows} rows, expected {nk}")
     c = compression.cols
-    c_arr = compression.unpack()
+    c_arr = compression.to_array()
     if not np.array_equal(c_arr[:c], np.eye(c, dtype=np.uint8)):
         raise ValueError("projection matrix must be systematic (identity top block)")
     bottom = np.vstack([c_arr[c:], f3_matmul(pk, compression)])  # R C below C's lower rows
@@ -339,7 +347,7 @@ def wave_toy_sign(
     if params.n > MAX_TOY_LENGTH:
         raise ValueError(f"toy signing capped at n <= {MAX_TOY_LENGTH}")
     nk = params.redundancy
-    r_arr = pk.to_array().astype(np.int64)
+    r_arr = pk.to_array(np.int64)
     for attempt in range(1, TOY_SIGN_SALTS + 1):
         salt = rng.randbytes(SALT_BYTES)
         h = hash_to_trits(message, salt, nk).astype(np.int64)

@@ -65,47 +65,66 @@ def test_byte_lanes_table():
         assert BYTE_LANES[b].tolist() == [(b >> shift) & 3 for shift in (0, 2, 4, 6)]
 
 
+_UNPACK_SHAPES = [
+    (0, 9),  # no rows
+    (0, 0),
+    (5, 0),
+    (7, 12),  # cols % 4 == 0
+    (7, 13),
+    (7, 14),
+    (7, 15),
+    (1, 8576),  # a Wave 822 signature
+    (8496, 80),  # a Wave 822 VK block
+    (MATMUL_BLOCK_ROWS + 1, 13),  # a one-row last block
+]
+_UNPACK_DTYPES = (np.uint8, np.int64, np.float32)
+
+
 @pytest.mark.parametrize(
-    "rows, cols",
+    "rows, cols, dtype",
     [
-        (0, 9),  # no rows
-        (0, 0),
-        (5, 0),
-        (7, 12),  # cols % 4 == 0
-        (7, 13),
-        (7, 14),
-        (7, 15),
-        (1, 8576),  # a Wave 822 signature
-        (8496, 80),  # a Wave 822 VK block
+        # uint8 cases keep their rows-cols ids; wider ones add the dtype.
+        pytest.param(
+            rows,
+            cols,
+            dtype,
+            id=f"{rows}-{cols}" + ("" if dtype is np.uint8 else f"-{dtype.__name__}"),
+        )
+        for dtype in _UNPACK_DTYPES
+        for rows, cols in _UNPACK_SHAPES
     ],
 )
-def test_unpack_matches_four_pass_oracle(rows, cols):
+def test_unpack_matches_four_pass_oracle(rows, cols, dtype):
     # Arbitrary bytes, fields equal to 3 and padding included: the gather
     # and the oracle must agree on every byte, valid or not.
     raw = np.random.default_rng(rows * 100_000 + cols).integers(
         0, 256, (rows, row_stride(cols)), dtype=np.uint8
     )
-    got = f3._unpack(raw, cols)
-    assert got.dtype == np.uint8 and got.shape == (rows, cols)
+    got = f3._unpack(raw, cols, dtype)
+    assert got.dtype == dtype and got.shape == (rows, cols)
     assert got.flags.c_contiguous
     assert np.array_equal(got, _unpack_four_pass(raw, cols))
 
 
 def test_unpack_transient_stays_within_one_block():
-    # The gather's intp indices and its lanes are held for one block of
-    # rows at a time, never for the whole matrix.
+    # The gather's intp indices and its uint8 lanes are held for one block
+    # of rows at a time, never for the whole matrix, and a wider output is
+    # written block by block with no whole uint8 copy beside it.
     rows, cols = 1000, 2001  # a partial last block, cols % 4 != 0
+    assert rows % MATMUL_BLOCK_ROWS
     stride = row_stride(cols)
     raw = np.random.default_rng(1000).integers(0, 256, (rows, stride), dtype=np.uint8)
-    tracemalloc.start()
-    try:
-        got = f3._unpack(raw, cols)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     block = MATMUL_BLOCK_ROWS * stride * (np.dtype(np.intp).itemsize + TRITS_PER_BYTE)
-    assert peak <= got.nbytes + block + (64 << 10)
-    assert np.array_equal(got, _unpack_four_pass(raw, cols))
+    for dtype in _UNPACK_DTYPES:
+        tracemalloc.start()
+        try:
+            got = f3._unpack(raw, cols, dtype)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == dtype
+        assert peak <= got.nbytes + block + (64 << 10), dtype
+        assert np.array_equal(got, _unpack_four_pass(raw, cols))
 
 
 def test_unpack_pk_slice_matches_four_pass_oracle():

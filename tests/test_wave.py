@@ -7,7 +7,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from cvk import security, serial
+from cvk import f3, security, serial
 from cvk import wave as wv
 from cvk.errors import DimensionMismatch, MalformedSignature
 from cvk.f3 import TernaryMatrix, random_trits
@@ -580,6 +580,35 @@ def test_wave822_install_holds_no_unpacked_copies(fill):
         for tail in tails:
             got = (block @ tail.astype(np.float32)) % 3
             assert np.array_equal(got, (want.astype(np.int64) @ tail) % 3)
+
+
+def test_full_verify_widens_into_one_int64_operand_and_keeps_nothing():
+    # k = n-k = 1024: the int64 operand is 8 MiB.  The call may hold it,
+    # plus one block's gather transient, but no uint8 copy of R (1 MiB)
+    # beside it, and the key keeps nothing once the call returns.
+    k = nk = 1024
+    r_arr = np.random.default_rng(1024).integers(0, 3, (k, nk), dtype=np.uint8)
+    rng = Random(1024)
+    salt = rng.randbytes(wv.SALT_BYTES)
+    tail = random_trits(k, rng).astype(np.int64)
+    head = (wv.hash_to_trits(MESSAGE, salt, nk) - tail @ r_arr.astype(np.int64)) % 3
+    s = np.concatenate([head, tail])
+    params = wv.WaveParams(n=k + nk, k=k, w=int(np.count_nonzero(s)), tag="2048")
+    sig = wv.WaveSignature.from_trits(salt, s)
+    pk = TernaryMatrix.from_array(r_arr)
+    tracemalloc.start()
+    try:
+        ok = wv.wave_verify(sig, MESSAGE, pk, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    lane_bytes = np.dtype(np.intp).itemsize + f3.TRITS_PER_BYTE  # per packed byte
+    block = f3.MATMUL_BLOCK_ROWS * f3.row_stride(nk) * lane_bytes
+    assert peak <= 8 * k * nk + block + (64 << 10)
+    assert _held_bytes(pk) == wv.pk_bytes(params) == k * nk // 4
+    assert not wv.wave_verify(sig, b"another message", pk, params)
+    assert _held_bytes(pk) == wv.pk_bytes(params)
 
 
 def test_cverify_matches_int64_oracle(toy, toy_keys):
