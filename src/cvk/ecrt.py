@@ -19,15 +19,18 @@ floor(a) depend on the public primes alone: ``mod_ecrt_reduce``
 computes them once for a table of values, and a caller that moves the
 same table to many secret bases (a new compression key at every
 verification-key refresh) keeps them.  Only the final weighted sum
-needs the secret primes: ``mod_ecrt_combine`` is two exact int64
-matrix products over the 16-bit halves of the cofactor residues (the
-exact-product-by-limbs approach of FFLAS-FFPACK) and one correction by
-floor(a) D.  The basis product D is never materialized: setup runs
-prefix and suffix products over word residues, and nothing touches a
-value wider than a double word.
+needs the secret primes: ``mod_ecrt_combine`` is one float64 BLAS
+product of the terms against narrow limbs of the cofactor residues,
+narrow enough that every sum is an integer below 2^53 and so exact
+(the exact word products through floating-point BLAS of FFLAS-FFPACK,
+Dumas, Giorgi and Pernet, 2008), then one correction by floor(a) D.
+The basis product D is never materialized: setup runs prefix and
+suffix products over word residues, and nothing touches a value wider
+than a double word.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -37,12 +40,20 @@ from .modmath import MAX_MODULUS_BITS, is_prime_word
 # Cap on s, which fixes the precision a = ceil(log2 s) + 2.  It does not
 # keep the transfer within 64 bits: the public half checks that itself,
 # and its int64 rule, s * 2^(31 + a) < 2^63, admits only s < 2^15, which
-# keeps its shifted terms and the secret half's split-word products exact.
+# keeps its shifted terms exact.  The secret half's limbs narrow as s
+# grows, 22 - ceil(log2 s) bits each, and stay at least 6 bits wide up
+# to this cap.
 MAX_BASIS_LEN = 1 << 16
 
-# Rows per pass of the public half: bounds the floor's temporaries, so
-# peak memory stays flat.
-TRANSFER_BLOCK_ROWS = 256
+# Rows per pass of both halves: bounds the public half's temporaries
+# and the secret half's float64 copy of u, so peak memory stays flat.
+# Also sized by measurement, with 2 OpenBLAS threads on 2 CPUs at
+# Squirrels V.  A (64 x 339)(339 x 33) block product is split across
+# both threads, and with the other CPU busy each such call stalled
+# 8 ms, up to 0.25 s a transfer; a 32-row block runs on the calling
+# thread, and all 2055 rows take 3.1 ms.  The public half takes 9.4 ms
+# at 32 rows against 9.3 ms at 64 and 9.6 ms at 256.
+TRANSFER_BLOCK_ROWS = 32
 
 
 def _word_dtype(primes, *exact: bool):
@@ -95,9 +106,6 @@ class RnsResidues:
     @classmethod
     def from_int(cls, x: int, basis: PrimeBasis) -> "RnsResidues":
         return cls(basis, tuple(x % p for p in basis))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -185,9 +193,8 @@ def mod_ecrt_setup(public: PrimeBasis, secret: PrimeBasis) -> EcrtPrecomp:
     units = np.array(public.primes, dtype=dtype) % r
     prefix = _prefix_products(units, r)
     suffix = _prefix_products(units[:, ::-1], r)[:, ::-1]
-    ones = np.ones_like(r)
-    before = np.hstack([ones, prefix[:, :-1]])
-    after = np.hstack([suffix[:, 1:], ones])
+    before = np.hstack([np.ones_like(r), prefix[:, :-1]])
+    after = np.hstack([suffix[:, 1:], np.ones_like(r)])
     return EcrtPrecomp(
         secret_basis=secret,
         product_res=tuple(prefix[:, -1].tolist()),
@@ -235,8 +242,7 @@ def mod_ecrt_reduce(
     dtype = _word_dtype(basis.primes, s << (31 + a) < 1 << 63)
     p = np.array(basis.primes, dtype=dtype)
     qv = np.array(q, dtype=dtype)
-    u = np.empty(x.shape, dtype=dtype)
-    f = np.empty(x.shape[0], dtype=dtype)
+    u, f = np.empty(x.shape, dtype=dtype), np.empty(x.shape[0], dtype=dtype)
     for start in range(0, x.shape[0], TRANSFER_BLOCK_ROWS):
         rows = slice(start, start + TRANSFER_BLOCK_ROWS)
         u[rows] = x[rows].astype(dtype) * qv % p
@@ -244,26 +250,48 @@ def mod_ecrt_reduce(
     return u, f
 
 
+def _limb_product(u: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(u @ c) mod r for an int64 (m, s) table u of terms below 2^31 and an
+    int64 (s, t) table c of residues below r < 2^31, as one float64 BLAS
+    product.
+
+    With b = 22 - ceil(log2 s) bits (ceil(log2 1) taken as 0) and
+    L = ceil(31 / b), c is cut into L limbs (c >> b i) & (2^b - 1),
+    stacked most significant first as one (s, L t) table.  Every term
+    u * limb is a nonnegative integer, and each sum is at most
+    s (2^31 - 1)(2^b - 1) < 2^53, so every partial sum is exact in any
+    order, whatever the thread split, FMA or blocking of the BLAS.  The
+    rows of u are widened to float64 one ``TRANSFER_BLOCK_ROWS`` block at
+    a time, and each block's exact sums are stored as int64.  The (m, L t)
+    sums are reduced mod r in place, and Horner's rule folds them
+    together, each step below 2^(31 + b) + 2^31 and written over the limb
+    it consumed, so no (m, t) temporary outlives its step.
+    """
+    b = 22 - (len(c) - 1).bit_length()
+    n_limbs = -(-31 // b)
+    limbs = np.hstack([c >> b * i & (1 << b) - 1 for i in reversed(range(n_limbs))], dtype=float)
+    w = np.empty((len(u), limbs.shape[1]), dtype=np.int64)
+    for start in range(0, len(u), TRANSFER_BLOCK_ROWS):
+        rows = slice(start, start + TRANSFER_BLOCK_ROWS)
+        w[rows] = u[rows].astype(np.float64) @ limbs
+    w %= np.tile(r, n_limbs)
+    return reduce(lambda z, lo: np.remainder((z << b) + lo, r, out=lo), np.hsplit(w, n_limbs))
+
+
 def mod_ecrt_combine(pre: EcrtPrecomp, u: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The secret half of the transfer: the (m, s) terms u and m floors f
     of ``mod_ecrt_reduce`` to the (m, t) table of sum_j u_j (D/p_j) -
     f D mod every secret prime r_k.
 
-    The cofactor residues c[j, k] = (D/p_j) mod r_k are split into 16-bit
-    halves, c = c_hi 2^16 + c_lo, and
-
-        z = ((u @ c_hi) mod r * 2^16 + u @ c_lo) mod r.
-
-    The outputs are only (m, t), so there is no block loop.  In int64,
-    which needs an int64 u from the public half, the two products are
-    ``np.einsum`` sums, exact because
-    with u < 2^31 every u @ c_lo sum is below 2^15 * 2^31 * 2^16 = 2^62,
-    every u @ c_hi sum below 2^15 * 2^31 * 2^15 = 2^61, and
-    (u @ c_hi mod r) 2^16 + u @ c_lo below 2^47 + 2^62 < 2^63.  In
-    Python ints otherwise, with ``@``.
+    With c[j, k] = (D/p_j) mod r_k, the sum is (u @ c) mod r.  In int64,
+    which needs an int64 u from the public half (so u < 2^31) and secret
+    primes below 2^31, ``_limb_product`` computes it as one float64 BLAS
+    product over limbs of c, narrow enough that every sum is an integer
+    below 2^53.  In Python ints otherwise, where ``u @ c`` is exact.
+    The correction f D mod r stays in int64: f mod r times D mod r is
+    below 2^62.
     """
-    s = len(pre.cofactor_res[0])
-    if u.ndim != 2 or u.shape[1] != s:
+    if u.ndim != 2 or u.shape[1] != len(pre.cofactor_res[0]):
         raise ValueError("residues do not match the precomputed public basis")
     if f.shape != u.shape[:1]:
         raise ValueError(f"{f.shape} floors for {u.shape[0]} rows")
@@ -271,15 +299,9 @@ def mod_ecrt_combine(pre: EcrtPrecomp, u: np.ndarray, f: np.ndarray) -> np.ndarr
     dtype = _word_dtype(secret, u.dtype == np.int64)
     u, f = u.astype(dtype, copy=False), f.astype(dtype, copy=False)
     r = np.array(secret, dtype=dtype)
-    product_res = np.array(pre.product_res, dtype=dtype)
     c = np.array(pre.cofactor_res, dtype=dtype).T  # (s, t)
-    c_hi, c_lo = c >> 16, c & 0xFFFF
-    if dtype is np.int64:
-        hi, lo = np.einsum("ij,jk->ik", u, c_hi), np.einsum("ij,jk->ik", u, c_lo)
-    else:
-        hi, lo = u @ c_hi, u @ c_lo
-    z = (hi % r * (1 << 16) + lo) % r
-    return (z - f[:, None] % r * product_res) % r
+    z = _limb_product(u, c, r) if dtype is np.int64 else u @ c % r
+    return (z - f[:, None] % r * np.array(pre.product_res, dtype=dtype)) % r
 
 
 def mod_ecrt_rows(
@@ -292,8 +314,12 @@ def mod_ecrt_rows(
     The public half, ``mod_ecrt_reduce``, reduces each term once, u = x q
     mod p, and ``approx_floor`` pins down floor(a) for each row; the
     secret half, ``mod_ecrt_combine``, takes u to sum_j u_j (D/p_j) -
-    floor(a) D mod every secret prime r_k at once with two exact
-    split-word products.
+    floor(a) D mod every secret prime r_k at once.  Both walk the rows in
+    blocks of ``TRANSFER_BLOCK_ROWS``.  When every prime is below 2^31
+    the secret half is one exact float64 BLAS product over limbs of the
+    cofactor residues, each sum an integer below 2^53; a wider prime
+    puts the half it enters, and the secret half after it, on Python
+    ints.
     """
     return mod_ecrt_combine(pre, *mod_ecrt_reduce(q, basis, x))
 

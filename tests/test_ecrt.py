@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from random import Random
@@ -282,7 +284,7 @@ def test_floor_accumulate_matches_oracle_on_int64_blocks(s):
     rng = Random(s)
     np_rng = np.random.default_rng(s)
     p = np.array(sample_distinct_primes(31, s, rng), dtype=np.int64)
-    x = np_rng.integers(0, p, size=(ecrt.TRANSFER_BLOCK_ROWS, s))
+    x = np_rng.integers(0, p, size=(256, s))
     q = np_rng.integers(1, p)
     _assert_floor_matches_oracle(x, q, p, ecrt.default_precision(s))
 
@@ -394,7 +396,7 @@ def test_mod_ecrt_rejects_foreign_residues():
 @pytest.mark.parametrize("secret_width", [16, 40])
 def test_mod_ecrt_rows_matches_single_rows_across_blocks(secret_width):
     # 16-bit secret primes run in int64, 40-bit ones in Python ints; 600
-    # rows span three transfer blocks.
+    # rows span many transfer blocks and end in a partial one.
     rng = Random(600 + secret_width)
     basis = _random_basis(rng, 12, widths=(31,))
     secret = _random_secret(rng, 3, set(basis.primes), widths=(secret_width,))
@@ -521,6 +523,60 @@ def test_mod_ecrt_rows_matches_oracle_at_int64_edge():
     for q in (tuple(p - 1 for p in basis.primes), (1,) * s):
         got = _assert_transfer_matches_oracle(pre, q, basis, x)
         assert got.dtype == np.int64
+
+
+@pytest.mark.parametrize("rows", [0, 1, ecrt.TRANSFER_BLOCK_ROWS - 1, ecrt.TRANSFER_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("s", [64, 65, 512, 513])
+def test_mod_ecrt_rows_matches_oracle_at_limb_width_steps(s, rows):
+    # The secret half's limbs are 22 - ceil(log2 s) bits wide: 16 bits in
+    # 2 limbs at s = 64, 15 in 3 at 65, 13 at 512 and 12 at 513.  Every
+    # operand is at its largest: primes just below 2^31 and q = 1, so
+    # u = x, with x = p - 1 and, on odd rows, p - 2, the largest odd
+    # term.  The cofactor and product residues are the setup's, then all
+    # r - 1, then all 2^30 - 1, whose low limbs are all ones at every
+    # width here; with odd terms, a sum past 2^53 would round.
+    t = 11
+    primes = _primes_below(1 << 31, s + t)
+    secret, basis = PrimeBasis(primes[:t]), _sieved_basis(primes[t:])
+    pre = mod_ecrt_setup(basis, secret)
+
+    def uniform(residue):
+        # ``pre`` with every product and cofactor residue mod r set to residue(r).
+        return dataclasses.replace(
+            pre,
+            product_res=tuple(residue(r) for r in secret.primes),
+            cofactor_res=tuple((residue(r),) * s for r in secret.primes),
+        )
+
+    x = np.array(basis.primes, dtype=np.int64) - 1 - np.arange(rows)[:, None] % 2
+    for precomp in (pre, uniform(lambda r: r - 1), uniform(lambda r: (1 << 30) - 1)):
+        got = _assert_transfer_matches_oracle(precomp, (1,) * s, basis, x)
+        assert got.dtype == np.int64
+
+
+def test_mod_ecrt_combine_holds_one_block_of_float64_terms():
+    # Squirrels V: the secret half may hold the (m, L t) limb sums as
+    # float64 and as int64, and one block of u widened to float64, never
+    # a float64 copy of the whole (m, s) table u, which alone would
+    # exceed the bound.
+    m, s, t = 2055, 339, 11
+    rng = Random(2055)
+    basis = PrimeBasis(sample_distinct_primes(31, s, rng))
+    secret = PrimeBasis(sample_distinct_primes(31, t, rng, exclude=basis.primes))
+    pre = mod_ecrt_setup(basis, secret)
+    qc, x = q_coefficients(basis), _random_table(basis, m, s)
+    u, f = mod_ecrt_reduce(qc, basis, x)
+    n_limbs = -(-31 // (22 - (s - 1).bit_length()))
+    bound = 2 * m * n_limbs * t * 8 + ecrt.TRANSFER_BLOCK_ROWS * s * 8 + (64 << 10)
+    assert m * s * 8 > bound
+    tracemalloc.start()
+    try:
+        got = mod_ecrt_combine(pre, u, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+    assert np.array_equal(got, _per_prime_transfer(pre, qc, basis, x))
 
 
 def test_mod_ecrt_rows_matches_oracle_on_object_path():
