@@ -13,7 +13,6 @@ from .errors import (
     BudgetExceeded,
     CvkError,
     DimensionMismatch,
-    Exhausted,
     MalformedSignature,
     NotInvertible,
     ResampleLimit,
@@ -25,7 +24,6 @@ __all__ = [
     "BudgetExceeded",
     "CvkError",
     "DimensionMismatch",
-    "Exhausted",
     "MalformedSignature",
     "NotInvertible",
     "OpCounter",

@@ -5,8 +5,9 @@ Exit codes: 0 = Accept, 1 = Reject, 2 = malformed input or usage error.
 
 Named instances carry published parameters only; key material flows
 through toy instances, whose parameters travel in a JSON sidecar written
-by ``keygen``.  Compression and verification keys are verifier-private
-and are written with owner-only permissions.
+by ``keygen``.  A file's privacy follows from its kind: CK, VK and toy
+SK files (``serial.PRIVATE_KINDS``) are written with owner-only
+permissions.
 """
 
 import argparse
@@ -24,10 +25,11 @@ from .ecrt import PrimeBasis
 from .errors import CvkError
 
 
-def _write(path: str, blob: bytes, private: bool = False) -> None:
-    """A private file is an owner-only temp file renamed over ``path``, so
-    it keeps no older file's mode and replaces a symlink, not its target."""
-    if not private:
+def _write(path: str, blob: bytes) -> None:
+    """A file of a private kind is an owner-only temp file renamed over
+    ``path``, so it keeps no older file's mode and replaces a symlink, not
+    its target.  A JSON sidecar has no header and is public."""
+    if not serial.is_private(blob):
         with open(path, "wb") as fh:
             fh.write(blob)
         return
@@ -67,6 +69,10 @@ def _int_fields(doc: dict, path: str, *keys: str) -> dict:
     return {key: doc[key] for key in keys}
 
 
+# The integer fields of each scheme's params sidecar, in file order.
+_SIDECAR_INTS = {"squirrels": ("n", "q", "beta_sq"), "wave": ("n", "k", "w")}
+
+
 def _load_params(args):
     """The ``--params`` sidecar, which must be for ``--scheme``; None for rw."""
     scheme, path = args.scheme, args.params
@@ -86,28 +92,21 @@ def _load_params(args):
         if not isinstance(primes, list) or any(type(p) is not int for p in primes):
             raise CvkError(f"{path}: 'primes' must be a list of integers")
         return sq.SquirrelsParams(
-            **_int_fields(doc, path, "n", "q", "beta_sq"),
+            **_int_fields(doc, path, *_SIDECAR_INTS[scheme]),
             s=len(primes),
             tag=tag,
             public_basis=PrimeBasis(tuple(primes)),
         )
-    return wv.WaveParams(**_int_fields(doc, path, "n", "k", "w"), tag=tag)
+    return wv.WaveParams(**_int_fields(doc, path, *_SIDECAR_INTS[scheme]), tag=tag)
 
 
-def _dump_squirrels_params(params: sq.SquirrelsParams, path: str) -> None:
-    doc = {
-        "scheme": "squirrels",
-        "tag": params.tag,
-        "n": params.n,
-        "q": params.q,
-        "beta_sq": params.beta_sq,
-        "primes": list(params.public_basis.primes),
-    }
-    _write(path, json.dumps(doc, indent=2).encode() + b"\n")
-
-
-def _dump_wave_params(params: wv.WaveParams, path: str) -> None:
-    doc = {"scheme": "wave", "tag": params.tag, "n": params.n, "k": params.k, "w": params.w}
+def _dump_params(args, params) -> None:
+    """The ``--out-params`` sidecar that ``_load_params`` reads back."""
+    path = _require(args.out_params, "--out-params")
+    doc = {"scheme": args.scheme, "tag": params.tag}
+    doc |= {key: getattr(params, key) for key in _SIDECAR_INTS[args.scheme]}
+    if args.scheme == "squirrels":
+        doc["primes"] = list(params.public_basis.primes)
     _write(path, json.dumps(doc, indent=2).encode() + b"\n")
 
 
@@ -192,18 +191,18 @@ def cmd_keygen(args) -> int:
     rng = Random(args.seed)
     if args.scheme == "squirrels":
         pk, params, secret = sq.toy_keygen(args.n, args.entry_bound, rng, q=args.q)
-        _dump_squirrels_params(params, _require(args.out_params, "--out-params"))
+        _dump_params(args, params)
         _write(args.out_pk, serial.encode_squirrels_pk(pk, params))
-        _write(_require(args.out_sk, "--out-sk"), serial.encode_squirrels_sk(secret, params), private=True)
+        _write(_require(args.out_sk, "--out-sk"), serial.encode_squirrels_sk(secret, params))
     elif args.scheme == "wave":
         params = wv.WaveParams(n=args.n, k=args.k, w=args.w, tag="toy")
         pk = wv.wave_toy_keygen(params, rng)
-        _dump_wave_params(params, _require(args.out_params, "--out-params"))
+        _dump_params(args, params)
         _write(args.out_pk, serial.encode_wave_pk(pk, params))
     else:
         kp = rw.rw_keygen(args.bits, rng)
         _write(args.out_pk, serial.encode_rw_pk(kp.n))
-        _write(_require(args.out_sk, "--out-sk"), serial.encode_rw_sk(kp), private=True)
+        _write(_require(args.out_sk, "--out-sk"), serial.encode_rw_sk(kp))
     return 0
 
 
@@ -212,13 +211,13 @@ def cmd_ck_gen(args) -> int:
     params = _load_params(args)
     if args.scheme == "squirrels":
         ck = sq.ckeygen(params, args.t, rng)
-        _write(args.out, serial.encode_squirrels_ck(ck, params), private=True)
+        _write(args.out, serial.encode_squirrels_ck(ck, params))
     elif args.scheme == "wave":
         ck = wv.wave_ckeygen(params, args.c, rng)
-        _write(args.out, serial.encode_wave_ck(ck, params), private=True)
+        _write(args.out, serial.encode_wave_ck(ck, params))
     else:
         ell = rw.rw_ckeygen(args.mu, rng)
-        _write(args.out, serial.encode_rw_ck(ell), private=True)
+        _write(args.out, serial.encode_rw_ck(ell))
     return 0
 
 
@@ -228,17 +227,17 @@ def cmd_vk_gen(args) -> int:
         pk = serial.decode_squirrels_pk(_read(args.pk), params)
         ck = serial.decode_squirrels_ck(_read(args.ck), params)
         vk = sq.vkeygen(ck, pk, params)
-        _write(args.out, serial.encode_squirrels_vk(vk, params), private=True)
+        _write(args.out, serial.encode_squirrels_vk(vk, params))
     elif args.scheme == "wave":
         pk = serial.decode_wave_pk(_read(args.pk), params)
         ck = serial.decode_wave_ck(_read(args.ck), params, args.c)
         vk = wv.wave_vkeygen(pk, ck, params)
-        _write(args.out, serial.encode_wave_vk(vk, params), private=True)
+        _write(args.out, serial.encode_wave_vk(vk, params))
     else:
         n = serial.decode_rw_pk(_read(args.pk))
         ell = serial.decode_rw_ck(_read(args.ck))
         vk = rw.rw_vkeygen(ell, n)
-        _write(args.out, serial.encode_rw_vk(vk), private=True)
+        _write(args.out, serial.encode_rw_vk(vk))
     return 0
 
 
@@ -354,6 +353,13 @@ def cmd_simulate_forgery(args) -> int:
 # ── argument wiring ──────────────────────────────────────────────────────
 
 
+def _shared(*names: str, **options) -> argparse.ArgumentParser:
+    """A parent parser for a flag that several commands take."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **options)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvk",
@@ -361,83 +367,75 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("params", help="print parameter tables")
-    p.add_argument("--scheme", required=True, choices=["squirrels", "wave"])
+    named = _shared("--scheme", required=True, choices=["squirrels", "wave"])
+    keyed = _shared("--scheme", required=True, choices=["squirrels", "wave", "rw"])
+    seed = _shared("--seed", type=int)
+    sidecar = _shared("--params")
+    out = _shared("--out", required=True)
+    sig = _shared("--sig", required=True)
+    message = _shared("--message")
+    message.add_argument("--message-file")
+    # One default, so that ck-gen, vk-gen and cverify agree on the Wave c.
+    wave_c = _shared("--c", type=int, default=4)
+
+    p = sub.add_parser("params", parents=[named], help="print parameter tables")
     p.add_argument("--instance")
     p.set_defaults(run=cmd_params)
 
-    p = sub.add_parser("keygen", help="toy key generation")
-    p.add_argument("--scheme", required=True, choices=["squirrels", "wave", "rw"])
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("keygen", parents=[keyed, seed], help="toy key generation")
     p.add_argument("--out-pk", required=True)
     p.add_argument("--out-sk")
     p.add_argument("--out-params")
+    # Valid for Wave at n = 12: k < n, w <= n, and ck-gen's c <= n - k.
     p.add_argument("--n", type=int, default=12)
-    p.add_argument("--k", type=int, default=12)
-    p.add_argument("--w", type=int, default=16)
+    p.add_argument("--k", type=int, default=6)
+    p.add_argument("--w", type=int, default=8)
     p.add_argument("--q", type=int, default=16)
     p.add_argument("--entry-bound", type=int, default=3)
     p.add_argument("--bits", type=int, default=128)
     p.set_defaults(run=cmd_keygen)
 
-    p = sub.add_parser("ck-gen", help="sample a compression key")
-    p.add_argument("--scheme", required=True, choices=["squirrels", "wave", "rw"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--params")
+    p = sub.add_parser(
+        "ck-gen", parents=[keyed, seed, sidecar, wave_c, out], help="sample a compression key"
+    )
     p.add_argument("--t", type=int, default=2)
-    p.add_argument("--c", type=int, default=4)
     p.add_argument("--mu", type=int, default=31)
-    p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_ck_gen)
 
-    p = sub.add_parser("vk-gen", help="compress a public key")
-    p.add_argument("--scheme", required=True, choices=["squirrels", "wave", "rw"])
-    p.add_argument("--params")
+    p = sub.add_parser(
+        "vk-gen", parents=[keyed, sidecar, wave_c, out], help="compress a public key"
+    )
     p.add_argument("--pk", required=True)
     p.add_argument("--ck", required=True)
-    p.add_argument("--c", type=int, default=4)
-    p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_vk_gen)
 
-    p = sub.add_parser("sign-toy", help="sign with the desk-scale signer")
-    p.add_argument("--scheme", required=True, choices=["squirrels", "wave", "rw"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--params")
+    p = sub.add_parser(
+        "sign-toy", parents=[keyed, seed, sidecar, message, out],
+        help="sign with the desk-scale signer",
+    )
     p.add_argument("--sk")
     p.add_argument("--pk")
-    p.add_argument("--message")
-    p.add_argument("--message-file")
-    p.add_argument("--out", required=True)
     p.set_defaults(run=cmd_sign_toy)
 
-    p = sub.add_parser("verify", help="full verification")
-    p.add_argument("--scheme", required=True, choices=["squirrels", "wave", "rw"])
-    p.add_argument("--params")
+    p = sub.add_parser("verify", parents=[keyed, sidecar, sig, message], help="full verification")
     p.add_argument("--pk", required=True)
-    p.add_argument("--sig", required=True)
-    p.add_argument("--message")
-    p.add_argument("--message-file")
     p.set_defaults(run=cmd_verify)
 
-    p = sub.add_parser("cverify", help="compressed verification")
-    p.add_argument("--scheme", required=True, choices=["squirrels", "wave", "rw"])
-    p.add_argument("--params")
+    p = sub.add_parser(
+        "cverify", parents=[keyed, sidecar, sig, wave_c, message], help="compressed verification"
+    )
     p.add_argument("--vk", required=True)
-    p.add_argument("--sig", required=True)
-    p.add_argument("--c", type=int, default=4)
-    p.add_argument("--message")
-    p.add_argument("--message-file")
     p.set_defaults(run=cmd_cverify)
 
-    p = sub.add_parser("bench-ops", help="operation-count comparison")
-    p.add_argument("--scheme", required=True, choices=["squirrels", "wave"])
+    p = sub.add_parser("bench-ops", parents=[named], help="operation-count comparison")
     p.add_argument("--instance", required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--c", type=int)
     p.set_defaults(run=cmd_bench_ops)
 
-    p = sub.add_parser("simulate-forgery", help="membership-oracle forgery game")
-    p.add_argument("--scheme", required=True, choices=["squirrels", "wave"])
+    p = sub.add_parser(
+        "simulate-forgery", parents=[named, seed], help="membership-oracle forgery game"
+    )
     p.add_argument("--strategy", default="random", choices=list(security.STRATEGIES))
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--queries", type=int, default=3)
@@ -445,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, default=2)
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--query-bound", type=int, default=1 << 20)
-    p.add_argument("--seed", type=int)
     p.set_defaults(run=cmd_simulate_forgery)
 
     return parser

@@ -9,10 +9,6 @@ class NotInvertible(CvkError):
     """Modular inverse requested for a non-unit (gcd(a, m) != 1)."""
 
 
-class Exhausted(CvkError):
-    """A sampling loop consumed its randomness budget without success."""
-
-
 class SharedFactor(CvkError):
     """Two prime bases overlap, so the CRT transfer is undefined."""
 
@@ -32,4 +28,4 @@ class BudgetExceeded(CvkError):
 
 
 class ResampleLimit(CvkError):
-    """A rejection-sampling loop hit its attempt cap."""
+    """A sampling loop hit its attempt cap without a usable draw."""

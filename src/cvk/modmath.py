@@ -29,7 +29,7 @@ import math
 from random import Random
 from typing import Collection, Iterable
 
-from .errors import Exhausted, NotInvertible
+from .errors import NotInvertible, ResampleLimit
 
 # Moduli must leave double-width products inside two 63-bit words.
 MAX_MODULUS_BITS = 63
@@ -143,7 +143,7 @@ def sample_prime(width: int, rng: Random, exclude: Collection[int] = ()) -> int:
     accepted by ``is_prime_word``, exact at every supported width.
 
     Raises:
-        Exhausted: after 10 * 2^width / width candidates (at least 64)
+        ResampleLimit: after 10 * 2^width / width candidates (at least 64)
             without a prime outside ``exclude``.
     """
     if not MIN_PRIME_WIDTH <= width <= MAX_PRIME_WIDTH:
@@ -155,7 +155,7 @@ def sample_prime(width: int, rng: Random, exclude: Collection[int] = ()) -> int:
         candidate = top | rng.getrandbits(width - 1) | 1
         if candidate not in excluded and is_prime_word(candidate):
             return candidate
-    raise Exhausted(f"no {width}-bit prime found in {max_draws} draws")
+    raise ResampleLimit(f"no {width}-bit prime found in {max_draws} draws")
 
 
 def sample_distinct_primes(

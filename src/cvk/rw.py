@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from .errors import MalformedSignature
+from .errors import MalformedSignature, ResampleLimit
 from .modmath import (
     PRIME_COUNT_31BIT,
     count_primes_bounds,
@@ -94,7 +94,7 @@ def _sample_congruent_prime(bits: int, residue: int, rng: Random) -> int:
             continue
         if is_prime_word(c):
             return c
-    raise RuntimeError("prime search ran too long")  # pragma: no cover
+    raise ResampleLimit("prime search ran too long")  # pragma: no cover
 
 
 def rw_keygen(bits: int = 128, rng: Random | None = None) -> RwKeypair:

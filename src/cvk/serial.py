@@ -41,6 +41,9 @@ KIND_VK = 2
 KIND_SIG = 3
 KIND_SK = 4  # toy signing key: artifact plumbing for the CLI pipeline
 
+# Compression, verification and toy signing keys stay with their owner.
+PRIVATE_KINDS = frozenset({KIND_CK, KIND_VK, KIND_SK})
+
 # Toy keys are 0; named instances are numbered from 1 in their table order.
 _SQ_TAG_CODES = {"toy": 0} | {tag: i for i, tag in enumerate(sq.SQUIRRELS_TAGS, 1)}
 
@@ -70,6 +73,14 @@ class KeyFileHeader:
 
 def wrap(scheme: int, kind: int, tag: int, payload: bytes) -> bytes:
     return KeyFileHeader(scheme, kind, tag, len(payload)).pack() + payload
+
+
+def is_private(blob: bytes) -> bool:
+    """Whether ``blob``'s header names one of the ``PRIVATE_KINDS``."""
+    if len(blob) < HEADER.size:
+        return False
+    magic, _, kind, _, _ = HEADER.unpack_from(blob)
+    return magic == MAGIC and kind in PRIVATE_KINDS
 
 
 def unwrap(blob: bytes, scheme: int, kind: int) -> tuple[KeyFileHeader, bytes]:

@@ -171,15 +171,27 @@ def test_private_key_files_are_owner_only(sq_files):
         assert mode == 0o600, f"{name} written with mode {oct(mode)}"
 
 
-def _private_argv(command, scheme, files, tmp_path, out):
-    """A call that writes one private file, ``out``, for the scheme."""
-    if command == "keygen":
+# keygen, ck-gen and vk-gen write a private file (CK, VK or toy SK); the
+# other commands here write a public one (PK, signature or sidecar).
+_PRIVATE_WRITERS = ("keygen", "ck-gen", "vk-gen")
+
+
+def _argv_writing(command, scheme, files, tmp_path, out):
+    """A call that writes ``out`` for the scheme: the SK, PK or sidecar
+    for keygen, keygen-pk or keygen-params, else the command's ``--out``."""
+    if command.startswith("keygen"):
         size = ("--bits", 96) if scheme == "rw" else ("--n", 10)
+        outs = {"keygen": "sk", "keygen-pk": "pk", "keygen-params": "params"}
+        paths = {name: tmp_path / f"{name}.out" for name in outs.values()} | {outs[command]: out}
         return (
-            "keygen", "--scheme", scheme, "--seed", 1, *size, "--out-sk", out,
-            "--out-pk", tmp_path / "pk.out", "--out-params", tmp_path / "params.out",
+            "keygen", "--scheme", scheme, "--seed", 1, *size, "--out-sk", paths["sk"],
+            "--out-pk", paths["pk"], "--out-params", paths["params"],
         )
     sidecar = () if scheme == "rw" else ("--params", files["params"])
+    if command == "sign-toy":
+        signer = ("--pk", files["pk"]) if scheme == "wave" else ("--sk", files["sk"])
+        return ("sign-toy", "--scheme", scheme, *sidecar, *signer, "--seed", 1,
+                "--message", "m", "--out", out)
     if command == "ck-gen":
         extra = {
             "squirrels": ("--t", 2), "wave": ("--c", 4), "rw": ("--mu", 20),
@@ -192,27 +204,37 @@ def _private_argv(command, scheme, files, tmp_path, out):
     )
 
 
+_ALL_SCHEMES = ("squirrels", "wave", "rw")
+
+
 @pytest.mark.parametrize(
     "command, scheme",
     [("keygen", "squirrels"), ("keygen", "rw")]
-    + [(cmd, scheme) for cmd in ("ck-gen", "vk-gen") for scheme in ("squirrels", "wave", "rw")],
+    + [(cmd, scheme) for cmd in ("ck-gen", "vk-gen") for scheme in _ALL_SCHEMES]
+    + [(cmd, scheme) for cmd in ("keygen-pk", "sign-toy") for scheme in _ALL_SCHEMES]
+    + [("keygen-params", "squirrels"), ("keygen-params", "wave")],
 )
 def test_private_write_over_a_loose_file_or_a_symlink(request, tmp_path, command, scheme):
-    # A 0644 file at the path must not keep its mode, and a symlink must not
-    # be written through: the path ends up an owner-only file, or exit 2.
+    # A private file must not keep the 0644 mode of a file at the path, and
+    # a symlink must not be written through: the path ends up an owner-only
+    # file, or exit 2.  A public file written over a 0644 file keeps 0644.
     files = request.getfixturevalue(f"{'sq' if scheme == 'squirrels' else scheme}_files")
-    out = tmp_path / "private.cvk"
+    out = tmp_path / "out.cvk"
     out.write_bytes(b"old")
     out.chmod(0o644)
-    assert run(*_private_argv(command, scheme, files, tmp_path, out)) == 0
-    assert stat.S_IMODE(out.lstat().st_mode) == 0o600
+    assert run(*_argv_writing(command, scheme, files, tmp_path, out)) == 0
+    private = command in _PRIVATE_WRITERS
+    assert stat.S_IMODE(out.lstat().st_mode) == (0o600 if private else 0o644)
     written = out.read_bytes()
+    assert written != b"old"
+    if not private:
+        return
     out.unlink()
     target = tmp_path / "shared.cvk"
     target.write_bytes(b"public")
     target.chmod(0o644)
     out.symlink_to(target)
-    code = run(*_private_argv(command, scheme, files, tmp_path, out))
+    code = run(*_argv_writing(command, scheme, files, tmp_path, out))
     assert target.read_bytes() == b"public"
     assert stat.S_IMODE(target.stat().st_mode) == 0o644
     if code == 0:
@@ -220,6 +242,27 @@ def test_private_write_over_a_loose_file_or_a_symlink(request, tmp_path, command
         assert out.read_bytes() == written
     else:
         assert code == 2
+
+
+@pytest.mark.parametrize("scheme", _ALL_SCHEMES)
+def test_pipeline_at_default_sizes_accepts(tmp_path, capsys, scheme):
+    # No size flags: keygen's sizes and the c or t of ck-gen, vk-gen and
+    # cverify must fit together, for both verifiers.
+    pk, sk, ck, vk, sig = (tmp_path / f"{name}.cvk" for name in ("pk", "sk", "ck", "vk", "sig"))
+    params = tmp_path / "params.json"
+    sidecar = () if scheme == "rw" else ("--params", params)
+    signer = ("--pk", pk) if scheme == "wave" else ("--sk", sk)
+    assert run("keygen", "--scheme", scheme, "--seed", 1,
+               "--out-pk", pk, "--out-sk", sk, "--out-params", params) == 0
+    assert run("ck-gen", "--scheme", scheme, *sidecar, "--seed", 2, "--out", ck) == 0
+    assert run("vk-gen", "--scheme", scheme, *sidecar, "--pk", pk, "--ck", ck, "--out", vk) == 0
+    assert run("sign-toy", "--scheme", scheme, *sidecar, *signer, "--seed", 3,
+               "--message", "hello", "--out", sig) == 0
+    assert run("verify", "--scheme", scheme, *sidecar, "--pk", pk, "--sig", sig,
+               "--message", "hello") == 0
+    assert run("cverify", "--scheme", scheme, *sidecar, "--vk", vk, "--sig", sig,
+               "--message", "hello") == 0
+    assert read_out(capsys).split() == ["accept", "accept"]
 
 
 def test_cli_compression_key_primes_are_31_bits(sq_files):

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvk.errors import Exhausted, NotInvertible
+from cvk.errors import NotInvertible, ResampleLimit
 from cvk import modmath as mm
 
 odd_moduli = st.integers(min_value=3, max_value=(1 << 63) - 1).map(lambda m: m | 1)
@@ -221,7 +221,7 @@ def test_sample_prime_respects_exclusions():
 
 def test_sample_prime_exhausted():
     every_8bit_prime = {int(p) for p in sympy.primerange(129, 256)}
-    with pytest.raises(Exhausted):
+    with pytest.raises(ResampleLimit):
         mm.sample_prime(8, Random(0), exclude=every_8bit_prime)
 
 

@@ -52,6 +52,22 @@ def test_header_magic_and_fields():
     assert header.tag == 822 and header.length == 3
 
 
+@pytest.mark.parametrize("kind", range(5))
+@pytest.mark.parametrize("scheme", [serial.SCHEME_RW, serial.SCHEME_SQUIRRELS, serial.SCHEME_WAVE])
+def test_is_private_reads_the_kind_from_the_header(scheme, kind):
+    # CK, VK and toy SK are private; PK and SIG are public, whatever the scheme.
+    blob = serial.wrap(scheme, kind, 0, b"payload")
+    assert serial.is_private(blob) == (kind in (serial.KIND_CK, serial.KIND_VK, serial.KIND_SK))
+    assert not serial.is_private(blob[: serial.HEADER.size - 1])
+    assert not serial.is_private(b"CVK0" + blob[4:])
+
+
+def test_is_private_is_false_without_a_header():
+    sidecar = b'{\n  "scheme": "wave",\n  "tag": "toy",\n  "n": 12,\n  "k": 6,\n  "w": 8\n}\n'
+    assert not serial.is_private(sidecar)
+    assert not serial.is_private(b"")
+
+
 @pytest.mark.parametrize("tag, code", [("65535", 65535), ("65536", None), ("70000", None)])
 def test_wave_tag_code_fits_the_header_or_is_refused(wv_world, tag, code):
     pk, params, *_ = wv_world
