@@ -188,6 +188,11 @@ def cmd_params(args) -> int:
 
 
 def cmd_keygen(args) -> int:
+    # A Wave toy signer needs only the PK, and an RW key has no sidecar.
+    unwritten = {"wave": ("--out-sk", args.out_sk), "rw": ("--out-params", args.out_params)}
+    flag, value = unwritten.get(args.scheme, (None, None))
+    if value is not None:
+        raise CvkError(f"{flag}: scheme {args.scheme} writes no such file")
     rng = Random(args.seed)
     if args.scheme == "squirrels":
         pk, params, secret = sq.toy_keygen(args.n, args.entry_bound, rng, q=args.q)

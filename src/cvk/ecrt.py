@@ -16,21 +16,23 @@ theorem", 1995).
 
 The transfer has a public half and a secret half.  The terms u_i and
 floor(a) depend on the public primes alone: ``mod_ecrt_reduce``
-computes them once for a table of values, and a caller that moves the
+computes them once for a table of values, as one term table [u | -f]
+with the negated floor as its last column, and a caller that moves the
 same table to many secret bases (a new compression key at every
-verification-key refresh) keeps them.  Only the final weighted sum
-needs the secret primes: ``mod_ecrt_combine`` is one float64 BLAS
-product of the terms against narrow limbs of the cofactor residues,
-narrow enough that every sum is an integer below 2^53 and so exact
-(the exact word products through floating-point BLAS of FFLAS-FFPACK,
-Dumas, Giorgi and Pernet, 2008), then one correction by floor(a) D.
+verification-key refresh) keeps it.  Only the final weighted sum needs
+the secret primes, and in it the correction -floor(a) D is one more
+term, weighted by D mod r_k beside the cofactor residues.
+``mod_ecrt_combine`` is one float64 BLAS product of the table against
+narrow limbs of those s + 1 residues, narrow enough that every sum is
+an integer below 2^53 and so exact (the exact word products through
+floating-point BLAS of FFLAS-FFPACK, Dumas, Giorgi and Pernet, 2008),
+then one Horner chain over the limbs with one reduction mod r per limb.
 The basis product D is never materialized: setup runs prefix and
 suffix products over word residues, and nothing touches a value wider
 than a double word.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .modmath import MAX_MODULUS_BITS, is_prime_word
 MAX_BASIS_LEN = 1 << 16
 
 # Rows per pass of both halves: bounds the public half's temporaries
-# and the secret half's float64 copy of u, so peak memory stays flat.
+# and the secret half's block of BLAS sums, so peak memory stays flat.
 # Also sized by measurement, with 2 OpenBLAS threads on 2 CPUs at
 # Squirrels V.  A (64 x 339)(339 x 33) block product is split across
 # both threads, and with the other CPU busy each such call stalled
@@ -217,21 +219,22 @@ def approx_floor(u: np.ndarray, p: np.ndarray, precision: int) -> np.ndarray:
     return (u.shape[1] + ((u << precision) // p).sum(axis=1)) >> precision
 
 
-def mod_ecrt_reduce(
-    q: tuple[int, ...], basis: PrimeBasis, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def mod_ecrt_reduce(q: tuple[int, ...], basis: PrimeBasis, x: np.ndarray) -> np.ndarray:
     """The public half of the transfer: for the (m, s) array ``x`` of
-    reduced residues (checked where they enter), the (m, s) table of
-    reduced terms u = x q mod p and the m floors f = ``approx_floor(u, p,
-    a)``, a = ``default_precision(s)``.
+    reduced residues (checked where they enter), the (m, s + 1) term
+    table T = [u | -f] of the reduced terms u = x q mod p and the negated
+    floors f = ``approx_floor(u, p, a)``, a = ``default_precision(s)``.
 
-    Both depend on the public primes alone, so a caller that transfers
-    the same residues to many secret bases computes them once.  Rows go
-    in blocks of ``TRANSFER_BLOCK_ROWS``, which bounds the temporaries of
-    the floor.  Runs in int64 when every public prime is below 2^31 and
-    s * 2^(31 + a) < 2^63, which forces s < 2^15; in Python ints
+    T depends on the public primes alone, so a caller that transfers the
+    same residues to many secret bases computes it once.  Rows go in
+    blocks of ``TRANSFER_BLOCK_ROWS``, which bounds the temporaries of
+    the floor; each block's u is written straight into T, and no whole u
+    exists beside it.  Runs in int64 when every public prime is below
+    2^31 and s * 2^(31 + a) < 2^63, which forces s < 2^15; in Python ints
     otherwise.  In int64 each shifted term u << a is below 2^(31 + a) and
-    the floors sum below s * 2^a, both under s * 2^(31 + a): exact.
+    the floors sum below s * 2^a, both under s * 2^(31 + a): exact.  T is
+    then float64, also exact: every entry is an integer, 0 <= u < 2^31
+    and 0 <= f <= s.
     """
     s = len(basis)
     if len(q) != s:
@@ -242,66 +245,63 @@ def mod_ecrt_reduce(
     dtype = _word_dtype(basis.primes, s << (31 + a) < 1 << 63)
     p = np.array(basis.primes, dtype=dtype)
     qv = np.array(q, dtype=dtype)
-    u, f = np.empty(x.shape, dtype=dtype), np.empty(x.shape[0], dtype=dtype)
+    terms = np.empty((x.shape[0], s + 1), dtype=np.float64 if dtype is np.int64 else object)
     for start in range(0, x.shape[0], TRANSFER_BLOCK_ROWS):
         rows = slice(start, start + TRANSFER_BLOCK_ROWS)
-        u[rows] = x[rows].astype(dtype) * qv % p
-        f[rows] = approx_floor(u[rows], p, a)
-    return u, f
+        u = x[rows].astype(dtype) * qv % p
+        terms[rows, :s] = u
+        terms[rows, s] = -approx_floor(u, p, a)
+    return terms
 
 
-def _limb_product(u: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """(u @ c) mod r for an int64 (m, s) table u of terms below 2^31 and an
-    int64 (s, t) table c of residues below r < 2^31, as one float64 BLAS
-    product.
+def mod_ecrt_combine(pre: EcrtPrecomp, terms: np.ndarray) -> np.ndarray:
+    """The secret half of the transfer: the (m, s + 1) term table
+    T = [u | -f] of ``mod_ecrt_reduce`` to the (m, t) table of
+    sum_j u_j (D/p_j) - f D mod every secret prime r_k.
 
+    With c the (s + 1, t) table of the cofactor residues (D/p_j) mod r_k
+    and, as its last row, D mod r_k, the sum is (T @ c) mod r: the
+    correction by f D is one more term.  In Python ints, ``T @ c % r`` is
+    exact; they are used unless T is float64 (so u < 2^31, from the
+    public half's int64 path) and every secret prime is below 2^31.
+
+    Otherwise the sum is one float64 BLAS product and one Horner chain.
     With b = 22 - ceil(log2 s) bits (ceil(log2 1) taken as 0) and
     L = ceil(31 / b), c is cut into L limbs (c >> b i) & (2^b - 1),
-    stacked most significant first as one (s, L t) table.  Every term
-    u * limb is a nonnegative integer, and each sum is at most
-    s (2^31 - 1)(2^b - 1) < 2^53, so every partial sum is exact in any
-    order, whatever the thread split, FMA or blocking of the BLAS.  The
-    rows of u are widened to float64 one ``TRANSFER_BLOCK_ROWS`` block at
-    a time, and each block's exact sums are stored as int64.  The (m, L t)
-    sums are reduced mod r in place, and Horner's rule folds them
-    together, each step below 2^(31 + b) + 2^31 and written over the limb
-    it consumed, so no (m, t) temporary outlives its step.
+    stacked most significant first as one (s + 1, L t) table.  A term
+    u * limb is at most (2^31 - 1)(2^b - 1) and the last column's
+    -f * limb at most s (2^b - 1) in magnitude, so the magnitudes of a
+    sum add up to at most s 2^31 (2^b - 1) < 2^53: every partial sum is
+    an exact integer in any order, whatever the thread split, FMA or
+    blocking of the BLAS.  T goes into the product one
+    ``TRANSFER_BLOCK_ROWS`` block at a time, with no cast, and each
+    block's sums are stored as int64.  The Horner chain reduces the top
+    limb's sums mod r, then takes z = ((z << b) + w_i) mod r for each
+    lower limb, in place: each step is below 2^(31 + b) + 2^53 <= 2^54 in
+    magnitude, and floor mod leaves it in [0, r).
     """
-    b = 22 - (len(c) - 1).bit_length()
-    n_limbs = -(-31 // b)
-    limbs = np.hstack([c >> b * i & (1 << b) - 1 for i in reversed(range(n_limbs))], dtype=float)
-    w = np.empty((len(u), limbs.shape[1]), dtype=np.int64)
-    for start in range(0, len(u), TRANSFER_BLOCK_ROWS):
-        rows = slice(start, start + TRANSFER_BLOCK_ROWS)
-        w[rows] = u[rows].astype(np.float64) @ limbs
-    w %= np.tile(r, n_limbs)
-    return reduce(lambda z, lo: np.remainder((z << b) + lo, r, out=lo), np.hsplit(w, n_limbs))
-
-
-def mod_ecrt_combine(pre: EcrtPrecomp, u: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The secret half of the transfer: the (m, s) terms u and m floors f
-    of ``mod_ecrt_reduce`` to the (m, t) table of sum_j u_j (D/p_j) -
-    f D mod every secret prime r_k.
-
-    With c[j, k] = (D/p_j) mod r_k, the sum is (u @ c) mod r.  In int64,
-    which needs an int64 u from the public half (so u < 2^31) and secret
-    primes below 2^31, ``_limb_product`` computes it as one float64 BLAS
-    product over limbs of c, narrow enough that every sum is an integer
-    below 2^53.  In Python ints otherwise, where ``u @ c`` is exact.
-    The correction f D mod r stays in int64: f mod r times D mod r is
-    below 2^62.
-    """
-    if u.ndim != 2 or u.shape[1] != len(pre.cofactor_res[0]):
-        raise ValueError("residues do not match the precomputed public basis")
-    if f.shape != u.shape[:1]:
-        raise ValueError(f"{f.shape} floors for {u.shape[0]} rows")
+    if terms.ndim != 2 or terms.shape[1] != len(pre.cofactor_res[0]) + 1:
+        raise ValueError("terms do not match the precomputed public basis")
     secret = pre.secret_basis.primes
-    dtype = _word_dtype(secret, u.dtype == np.int64)
-    u, f = u.astype(dtype, copy=False), f.astype(dtype, copy=False)
+    dtype = _word_dtype(secret, terms.dtype == np.float64)
     r = np.array(secret, dtype=dtype)
-    c = np.array(pre.cofactor_res, dtype=dtype).T  # (s, t)
-    z = _limb_product(u, c, r) if dtype is np.int64 else u @ c % r
-    return (z - f[:, None] % r * np.array(pre.product_res, dtype=dtype)) % r
+    c = np.array([cof + (d,) for cof, d in zip(pre.cofactor_res, pre.product_res)], dtype=dtype).T
+    if dtype is object:
+        # Through int64, so that a float64 table enters as Python ints.
+        return terms.astype(np.int64).astype(object) @ c % r
+    b = 22 - (len(c) - 2).bit_length()  # len(c) = s + 1
+    n_limbs, t = -(-31 // b), len(r)
+    limbs = np.hstack([c >> b * i & (1 << b) - 1 for i in reversed(range(n_limbs))], dtype=float)
+    w = np.empty((len(terms), n_limbs * t), dtype=np.int64)
+    for start in range(0, len(terms), TRANSFER_BLOCK_ROWS):
+        rows = slice(start, start + TRANSFER_BLOCK_ROWS)
+        w[rows] = terms[rows] @ limbs
+    z = w[:, :t] % r
+    for lo in range(t, n_limbs * t, t):
+        z <<= b
+        z += w[:, lo : lo + t]
+        z %= r
+    return z
 
 
 def mod_ecrt_rows(
@@ -312,16 +312,17 @@ def mod_ecrt_rows(
     (m, t) result represents value i or value i - D.
 
     The public half, ``mod_ecrt_reduce``, reduces each term once, u = x q
-    mod p, and ``approx_floor`` pins down floor(a) for each row; the
-    secret half, ``mod_ecrt_combine``, takes u to sum_j u_j (D/p_j) -
-    floor(a) D mod every secret prime r_k at once.  Both walk the rows in
+    mod p, and ``approx_floor`` pins down floor(a) for each row, into
+    one term table [u | -floor(a)]; the secret half, ``mod_ecrt_combine``,
+    takes it to sum_j u_j (D/p_j) - floor(a) D mod every secret prime r_k
+    at once, the correction as one more term.  Both walk the rows in
     blocks of ``TRANSFER_BLOCK_ROWS``.  When every prime is below 2^31
     the secret half is one exact float64 BLAS product over limbs of the
-    cofactor residues, each sum an integer below 2^53; a wider prime
-    puts the half it enters, and the secret half after it, on Python
-    ints.
+    cofactor and product residues, each sum an integer below 2^53, and
+    one Horner chain; a wider prime puts the half it enters, and the
+    secret half after it, on Python ints.
     """
-    return mod_ecrt_combine(pre, *mod_ecrt_reduce(q, basis, x))
+    return mod_ecrt_combine(pre, mod_ecrt_reduce(q, basis, x))
 
 
 def mod_ecrt(pre: EcrtPrecomp, q: tuple[int, ...], x_res: RnsResidues) -> RnsResidues:

@@ -76,19 +76,15 @@ def inv_mod(a: int, m: int) -> int:
     if m <= 2 or m % 2 == 0:
         raise ValueError(f"inv_mod needs an odd modulus, got {m}")
     a %= m
-
-    def half_mod(x: int) -> int:
-        # x/2 mod m for odd m: add m first when x is odd.
-        return (x + m * (x & 1)) >> 1
-
     delta, f, g, d, e = 1, m, a, 0, 1
     for _ in range(_divsteps_for_bits(m.bit_length())):
         if delta > 0 and g & 1:
-            delta, f, g, d, e = 1 - delta, g, (g - f) >> 1, e, half_mod(e - d)
+            delta, f, g, d, e = 1 - delta, g, (g - f) >> 1, e, e - d
         elif g & 1:
-            delta, f, g, d, e = 1 + delta, f, (g + f) >> 1, d, half_mod(e + d)
+            delta, g, e = 1 + delta, (g + f) >> 1, e + d
         else:
-            delta, f, g, d, e = 1 + delta, f, g >> 1, d, half_mod(e)
+            delta, g = 1 + delta, g >> 1
+        e = (e + m * (e & 1)) >> 1  # e/2 mod m for odd m: add m first when e is odd
     # f holds +-gcd(a, m); d holds the candidate inverse scaled by sign(f).
     inv = d * f % m
     if a * inv % m != 1:

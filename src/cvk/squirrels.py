@@ -142,28 +142,29 @@ class SquirrelsPublicKey:
             check_public_key(self, params)
             object.__setattr__(self, "_checked", key)
 
-    def ecrt_terms(self, params: SquirrelsParams) -> tuple[np.ndarray, np.ndarray]:
+    def ecrt_terms(self, params: SquirrelsParams) -> np.ndarray:
         """The public half of the basis transfer of every residue row: the
-        (n-1, s) terms u = x q mod p and the n-1 floors of
-        ``mod_ecrt_reduce``, as read-only arrays.
+        (n-1, s+1) term table [u | -f] of ``mod_ecrt_reduce``, the terms
+        u = x q mod p beside the negated floors, read-only.  On the int64
+        path it is float64, 8 (n-1)(s+1) bytes: as much as u and f in
+        int64, and ready for the secret half's BLAS product.
 
-        They depend only on the key and the public basis, so every
-        compression key reuses them.  The first call for a given n and
+        It depends only on the key and the public basis, so every
+        compression key reuses it.  The first call for a given n and
         public basis runs ``check``, computes ``q_coefficients`` and the
-        terms, and keeps them with the key.  A call with another n or
-        basis checks the key again and replaces them, so no call gets
-        terms computed for other params, and a key keeps terms only for
-        params it passed.  The terms are public data.
+        table, and keeps it with the key.  A call with another n or basis
+        checks the key again and replaces it, so no call gets a table
+        computed for other params, and a key keeps a table only for
+        params it passed.  The table is public data.
         """
         key = (params.n, params.public_basis)
         if not self._terms or self._terms[0] != key:
             self.check(params)
             basis = params.public_basis
-            u, f = mod_ecrt_reduce(q_coefficients(basis), basis, self.residues)
-            u.setflags(write=False)
-            f.setflags(write=False)
-            object.__setattr__(self, "_terms", (key, u, f))
-        return self._terms[1:]
+            terms = mod_ecrt_reduce(q_coefficients(basis), basis, self.residues)
+            terms.setflags(write=False)
+            object.__setattr__(self, "_terms", (key, terms))
+        return self._terms[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,11 +384,13 @@ def vkeygen(
     to coordinate-plus-{0,1}-product, which is the shift the multiplier
     window of ``k_prime_bounds`` accounts for.
 
-    The public half of the transfer comes from ``pk.ecrt_terms``, which
-    checks the key and computes it on the key's first install; each
-    compression key pays only the secret half, ``mod_ecrt_combine``.
+    The public half of the transfer, the term table [u | -f], comes
+    from ``pk.ecrt_terms``, which checks the key and computes it on the
+    key's first install; each compression key pays only the secret half,
+    ``mod_ecrt_combine``: one exact BLAS product of the table against
+    limbs of the cofactor and product residues, and one Horner chain.
     """
-    moved = mod_ecrt_combine(ck.precomp, *pk.ecrt_terms(params))
+    moved = mod_ecrt_combine(ck.precomp, pk.ecrt_terms(params))
     r = np.array(ck.secret_basis.primes, dtype=np.int64)
     rows = np.vstack([(moved + np.array(ck.precomp.product_res)) % r, r - 1]).T
     return SquirrelsVerificationKey(

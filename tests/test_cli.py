@@ -176,6 +176,18 @@ def test_private_key_files_are_owner_only(sq_files):
 _PRIVATE_WRITERS = ("keygen", "ck-gen", "vk-gen")
 
 
+# The files keygen writes for each scheme besides the PK.
+_KEYGEN_WRITES = {"squirrels": ("sk", "params"), "wave": ("params",), "rw": ("sk",)}
+
+
+def _keygen_outputs(scheme, paths):
+    """The keygen output flags, besides ``--out-pk``, that the scheme
+    writes, each with its path from ``paths``."""
+    return tuple(
+        token for name in _KEYGEN_WRITES[scheme] for token in (f"--out-{name}", paths[name])
+    )
+
+
 def _argv_writing(command, scheme, files, tmp_path, out):
     """A call that writes ``out`` for the scheme: the SK, PK or sidecar
     for keygen, keygen-pk or keygen-params, else the command's ``--out``."""
@@ -184,8 +196,8 @@ def _argv_writing(command, scheme, files, tmp_path, out):
         outs = {"keygen": "sk", "keygen-pk": "pk", "keygen-params": "params"}
         paths = {name: tmp_path / f"{name}.out" for name in outs.values()} | {outs[command]: out}
         return (
-            "keygen", "--scheme", scheme, "--seed", 1, *size, "--out-sk", paths["sk"],
-            "--out-pk", paths["pk"], "--out-params", paths["params"],
+            "keygen", "--scheme", scheme, "--seed", 1, *size, "--out-pk", paths["pk"],
+            *_keygen_outputs(scheme, paths),
         )
     sidecar = () if scheme == "rw" else ("--params", files["params"])
     if command == "sign-toy":
@@ -252,8 +264,8 @@ def test_pipeline_at_default_sizes_accepts(tmp_path, capsys, scheme):
     params = tmp_path / "params.json"
     sidecar = () if scheme == "rw" else ("--params", params)
     signer = ("--pk", pk) if scheme == "wave" else ("--sk", sk)
-    assert run("keygen", "--scheme", scheme, "--seed", 1,
-               "--out-pk", pk, "--out-sk", sk, "--out-params", params) == 0
+    assert run("keygen", "--scheme", scheme, "--seed", 1, "--out-pk", pk,
+               *_keygen_outputs(scheme, {"sk": sk, "params": params})) == 0
     assert run("ck-gen", "--scheme", scheme, *sidecar, "--seed", 2, "--out", ck) == 0
     assert run("vk-gen", "--scheme", scheme, *sidecar, "--pk", pk, "--ck", ck, "--out", vk) == 0
     assert run("sign-toy", "--scheme", scheme, *sidecar, *signer, "--seed", 3,
@@ -263,6 +275,19 @@ def test_pipeline_at_default_sizes_accepts(tmp_path, capsys, scheme):
     assert run("cverify", "--scheme", scheme, *sidecar, "--vk", vk, "--sig", sig,
                "--message", "hello") == 0
     assert read_out(capsys).split() == ["accept", "accept"]
+
+
+@pytest.mark.parametrize("scheme, unwritten", [("wave", "sk"), ("rw", "params")])
+def test_keygen_refuses_an_output_flag_its_scheme_does_not_write(
+    tmp_path, capsys, scheme, unwritten
+):
+    # Exit 2 naming the flag, before any file is written: not the asked-for
+    # file, not the PK, not the files the scheme does write.
+    outs = {name: tmp_path / f"{name}.out" for name in ("pk", "sk", "params")}
+    assert run("keygen", "--scheme", scheme, "--seed", 1, "--out-pk", outs["pk"],
+               *_keygen_outputs(scheme, outs), f"--out-{unwritten}", outs[unwritten]) == 2
+    assert f"--out-{unwritten}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_compression_key_primes_are_31_bits(sq_files):

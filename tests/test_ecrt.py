@@ -451,14 +451,18 @@ def _per_prime_transfer(pre, q, basis, x):
 
 def _assert_transfer_matches_oracle(pre, q, basis, x):
     """Run the public half and the secret half one after the other, check
-    the public half's terms, and compare the result, and the one call of
-    ``mod_ecrt_rows``, with the oracle."""
-    u, f = mod_ecrt_reduce(q, basis, x)
-    p = np.array(basis.primes, dtype=u.dtype)
-    assert u.shape == x.shape and f.shape == (x.shape[0],)
-    assert np.array_equal(u, x.astype(u.dtype) * np.array(q, dtype=u.dtype) % p)
-    assert np.array_equal(f, approx_floor(u, p, pre.precision))
-    got = mod_ecrt_combine(pre, u, f)
+    the public half's term table [u | -f] exactly against u and the
+    floors computed in its word dtype, and compare the result, and the
+    one call of ``mod_ecrt_rows``, with the oracle."""
+    terms = mod_ecrt_reduce(q, basis, x)
+    s = len(basis)
+    dtype = np.int64 if terms.dtype == np.float64 else object
+    p = np.array(basis.primes, dtype=dtype)
+    u = x.astype(dtype) * np.array(q, dtype=dtype) % p
+    assert terms.shape == (x.shape[0], s + 1)
+    assert np.array_equal(terms[:, :s], u)
+    assert np.array_equal(terms[:, s], -approx_floor(u, p, pre.precision))
+    got = mod_ecrt_combine(pre, terms)
     expected = _per_prime_transfer(pre, q, basis, x)
     assert got.dtype == expected.dtype
     assert got.shape == (x.shape[0], len(pre.secret_basis))
@@ -526,15 +530,18 @@ def test_mod_ecrt_rows_matches_oracle_at_int64_edge():
 
 
 @pytest.mark.parametrize("rows", [0, 1, ecrt.TRANSFER_BLOCK_ROWS - 1, ecrt.TRANSFER_BLOCK_ROWS + 1])
-@pytest.mark.parametrize("s", [64, 65, 512, 513])
+@pytest.mark.parametrize("s", [63, 64, 65, 511, 512, 513])
 def test_mod_ecrt_rows_matches_oracle_at_limb_width_steps(s, rows):
-    # The secret half's limbs are 22 - ceil(log2 s) bits wide: 16 bits in
-    # 2 limbs at s = 64, 15 in 3 at 65, 13 at 512 and 12 at 513.  Every
-    # operand is at its largest: primes just below 2^31 and q = 1, so
-    # u = x, with x = p - 1 and, on odd rows, p - 2, the largest odd
-    # term.  The cofactor and product residues are the setup's, then all
-    # r - 1, then all 2^30 - 1, whose low limbs are all ones at every
-    # width here; with odd terms, a sum past 2^53 would round.
+    # The secret half's limbs are 22 - ceil(log2 s) bits wide, sized from
+    # s and not from the s + 1 rows of the term table: 16 bits in 2 limbs
+    # at s = 63 and 64, 15 in 3 at 65, 13 at 511 and 512 and 12 at 513.
+    # Every operand is at its largest: primes just below 2^31 and q = 1,
+    # so u = x, with x = p - 1 and, on odd rows, p - 2, the largest odd
+    # term; every floor is then s, the largest, so the table's last
+    # column -f is -s.  The cofactor and product residues are the
+    # setup's, then all r - 1, then all 2^30 - 1, whose low limbs are all
+    # ones at every width here; with odd terms, a sum past 2^53 would
+    # round.
     t = 11
     primes = _primes_below(1 << 31, s + t)
     secret, basis = PrimeBasis(primes[:t]), _sieved_basis(primes[t:])
@@ -549,6 +556,7 @@ def test_mod_ecrt_rows_matches_oracle_at_limb_width_steps(s, rows):
         )
 
     x = np.array(basis.primes, dtype=np.int64) - 1 - np.arange(rows)[:, None] % 2
+    assert np.array_equal(mod_ecrt_reduce((1,) * s, basis, x)[:, s], np.full(rows, -s))
     for precomp in (pre, uniform(lambda r: r - 1), uniform(lambda r: (1 << 30) - 1)):
         got = _assert_transfer_matches_oracle(precomp, (1,) * s, basis, x)
         assert got.dtype == np.int64
@@ -556,27 +564,51 @@ def test_mod_ecrt_rows_matches_oracle_at_limb_width_steps(s, rows):
 
 def test_mod_ecrt_combine_holds_one_block_of_float64_terms():
     # Squirrels V: the secret half may hold the (m, L t) limb sums as
-    # float64 and as int64, and one block of u widened to float64, never
-    # a float64 copy of the whole (m, s) table u, which alone would
-    # exceed the bound.
+    # float64 and as int64, and one block of terms in float64, never a
+    # copy of the whole (m, s + 1) term table, which alone would exceed
+    # the bound.
     m, s, t = 2055, 339, 11
     rng = Random(2055)
     basis = PrimeBasis(sample_distinct_primes(31, s, rng))
     secret = PrimeBasis(sample_distinct_primes(31, t, rng, exclude=basis.primes))
     pre = mod_ecrt_setup(basis, secret)
     qc, x = q_coefficients(basis), _random_table(basis, m, s)
-    u, f = mod_ecrt_reduce(qc, basis, x)
+    terms = mod_ecrt_reduce(qc, basis, x)
     n_limbs = -(-31 // (22 - (s - 1).bit_length()))
     bound = 2 * m * n_limbs * t * 8 + ecrt.TRANSFER_BLOCK_ROWS * s * 8 + (64 << 10)
     assert m * s * 8 > bound
     tracemalloc.start()
     try:
-        got = mod_ecrt_combine(pre, u, f)
+        got = mod_ecrt_combine(pre, terms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= bound
     assert np.array_equal(got, _per_prime_transfer(pre, qc, basis, x))
+
+
+def test_mod_ecrt_reduce_writes_the_term_table_block_by_block():
+    # Squirrels V: the public half holds its (m, s + 1) float64 term table
+    # and the temporaries of one block of rows, never a whole int64 u
+    # beside the table, which alone would exceed the bound.
+    m, s = 2055, 339
+    basis = PrimeBasis(sample_distinct_primes(31, s, Random(2056)))
+    qc, x = q_coefficients(basis), _random_table(basis, m, s)
+    table_bytes = m * (s + 1) * 8
+    bound = table_bytes + 8 * ecrt.TRANSFER_BLOCK_ROWS * s * 8 + (64 << 10)
+    assert table_bytes + m * s * 8 > bound
+    tracemalloc.start()
+    try:
+        terms = mod_ecrt_reduce(qc, basis, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+    assert terms.dtype == np.float64 and terms.shape == (m, s + 1)
+    p = np.array(basis.primes, dtype=np.int64)
+    u = x * np.array(qc, dtype=np.int64) % p
+    assert np.array_equal(terms[:, :s], u)
+    assert np.array_equal(terms[:, s], -approx_floor(u, p, ecrt.default_precision(s)))
 
 
 def test_mod_ecrt_rows_matches_oracle_on_object_path():
@@ -602,12 +634,16 @@ def test_mod_ecrt_reduce_is_reused_across_secret_bases(secret_width):
     basis = PrimeBasis(sample_distinct_primes(31, 40, rng))
     qc = q_coefficients(basis)
     x = _random_table(basis, 300, secret_width)
-    u, f = mod_ecrt_reduce(qc, basis, x)
-    assert u.dtype == f.dtype == np.int64
+    terms = mod_ecrt_reduce(qc, basis, x)
+    assert terms.dtype == np.float64
+    p = np.array(basis.primes, dtype=np.int64)
+    u = x * np.array(qc, dtype=np.int64) % p
+    f = approx_floor(u, p, ecrt.default_precision(40))
+    assert np.array_equal(terms, np.hstack([u, -f[:, None]]))
     for _ in range(3):
         secret = PrimeBasis(sample_distinct_primes(secret_width, 4, rng, exclude=basis.primes))
         pre = mod_ecrt_setup(basis, secret)
-        got = mod_ecrt_combine(pre, u, f)
+        got = mod_ecrt_combine(pre, terms)
         assert got.dtype == (np.int64 if secret_width < 32 else object)
         assert np.array_equal(got, mod_ecrt_rows(pre, qc, basis, x))
         assert np.array_equal(got, _per_prime_transfer(pre, qc, basis, x))
@@ -622,16 +658,16 @@ def test_mod_ecrt_halves_take_python_ints_for_wide_public_primes():
     pre = mod_ecrt_setup(basis, secret)
     qc = q_coefficients(basis)
     x = np.array([[rng.randrange(p) for p in basis.primes] for _ in range(40)], dtype=object)
-    u, f = mod_ecrt_reduce(qc, basis, x)
-    assert u.dtype == f.dtype == object
+    assert mod_ecrt_reduce(qc, basis, x).dtype == object
     got = _assert_transfer_matches_oracle(pre, qc, basis, x)
     assert got.dtype == object
 
 
 def test_mod_ecrt_combine_rejects_mismatched_terms():
     basis, pre, qc = _transfer_setup()
-    u, f = mod_ecrt_reduce(qc, basis, np.zeros((4, 3), dtype=np.int64))
-    with pytest.raises(ValueError):
-        mod_ecrt_combine(pre, u[:, :2], f)
-    with pytest.raises(ValueError):
-        mod_ecrt_combine(pre, u, f[:3])
+    terms = mod_ecrt_reduce(qc, basis, np.zeros((4, 3), dtype=np.int64))
+    assert terms.shape == (4, 4)
+    with pytest.raises(ValueError):  # u without its floor column
+        mod_ecrt_combine(pre, terms[:, :3])
+    with pytest.raises(ValueError):  # one row, not a table
+        mod_ecrt_combine(pre, terms[0])

@@ -453,8 +453,8 @@ def test_squirrels_pk_decoder_returns_key_or_malformed(payload):
         pk = serial.decode_squirrels_pk(blob, FUZZ_PARAMS)
     except MalformedSignature:
         return
-    u, f = pk.ecrt_terms(FUZZ_PARAMS)
-    assert u.shape == (FUZZ_PARAMS.n - 1, FUZZ_PARAMS.s) and f.shape == (FUZZ_PARAMS.n - 1,)
+    terms = pk.ecrt_terms(FUZZ_PARAMS)
+    assert terms.shape == (FUZZ_PARAMS.n - 1, FUZZ_PARAMS.s + 1)
     vk = sq.vkeygen(FUZZ_CK, pk, FUZZ_PARAMS)
     assert vk.rows.shape == (2, FUZZ_PARAMS.n)
     assert serial.encode_squirrels_pk(pk, FUZZ_PARAMS) == blob

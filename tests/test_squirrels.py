@@ -523,8 +523,11 @@ def test_vkeygen_with_cached_terms_matches_fresh_key_at_full_size():
     residues, params, rng = _full_size_i_key(1035)
     cks = [sq.ckeygen(params, 5, rng) for _ in range(3)]
     kept = _assert_cached_terms_change_nothing(residues, params, cks)
-    u, f = kept.ecrt_terms(params)
-    assert u.dtype == f.dtype == np.int64
+    terms = kept.ecrt_terms(params)
+    assert terms.dtype == np.float64
+    p = np.array(params.public_basis.primes, dtype=np.int64)
+    u = residues * np.array(q_coefficients(params.public_basis), dtype=np.int64) % p
+    assert np.array_equal(terms[:, :-1], u)
 
 
 def test_vkeygen_with_cached_terms_matches_fresh_key_at_40_bit_secret_primes():
@@ -548,16 +551,46 @@ def test_vkeygen_with_cached_terms_matches_fresh_key_at_40_bit_secret_primes():
     assert np.array_equal(vk.rows[:, :-1], expected.T.astype(np.int64))
 
 
+def _held_bytes(obj) -> int:
+    """Bytes of the arrays an object keeps in its attributes, counted
+    through tuples."""
+    def count(value):
+        if isinstance(value, np.ndarray):
+            return value.nbytes
+        return sum(map(count, value)) if isinstance(value, tuple) else 0
+
+    return sum(map(count, vars(obj).values()))
+
+
+def test_squirrels_v_public_key_holds_its_residues_and_one_term_table():
+    # After its first install, a Squirrels V key holds its int64 residues
+    # and the (n-1, s+1) float64 term table [u | -f], the same bytes as
+    # u and f kept as two int64 arrays, and nothing else.
+    rng = Random(2056)
+    params = replace(
+        sq.named_params("V"), public_basis=PrimeBasis(sample_distinct_primes(31, 339, rng))
+    )
+    primes = np.array(params.public_basis.primes)
+    residues = np.random.default_rng(2056).integers(0, primes, size=(params.n - 1, params.s))
+    pk = sq.SquirrelsPublicKey(residues)
+    assert _held_bytes(pk) == 8 * (params.n - 1) * params.s
+    vk = sq.vkeygen(sq.ckeygen(params, 11, rng), pk, params)
+    assert vk.rows.shape == (11, params.n)
+    terms = pk.ecrt_terms(params)
+    assert terms.dtype == np.float64 and terms.shape == (params.n - 1, params.s + 1)
+    assert _held_bytes(pk) == 8 * (params.n - 1) * params.s + 8 * (params.n - 1) * (params.s + 1)
+
+
 def test_public_key_is_frozen(toy):
     pk, params, _ = toy
     key = sq.SquirrelsPublicKey(pk.residues)
     with pytest.raises(FrozenInstanceError):
         key.residues = pk.residues.copy()
-    u, f = key.ecrt_terms(params)
-    for arr in (key.residues, u, f):
+    terms = key.ecrt_terms(params)
+    for arr in (key.residues, terms, terms[:, -1]):
         with pytest.raises(ValueError):
             arr[0] = 0
-    assert key.ecrt_terms(params)[0] is u  # kept, not recomputed
+    assert key.ecrt_terms(params) is terms  # kept, not recomputed
     source = pk.residues.copy()
     viewed = sq.SquirrelsPublicKey(source[:, :])
     source[0, 0] ^= 1
@@ -580,9 +613,8 @@ def test_public_key_reused_with_another_basis_gets_new_terms():
     key = sq.SquirrelsPublicKey(residues)
     for params in (params_a, params_b, params_a):
         basis = params.public_basis
-        u, f = key.ecrt_terms(params)
-        want_u, want_f = mod_ecrt_reduce(q_coefficients(basis), basis, residues)
-        assert np.array_equal(u, want_u) and np.array_equal(f, want_f)
+        terms = key.ecrt_terms(params)
+        assert np.array_equal(terms, mod_ecrt_reduce(q_coefficients(basis), basis, residues))
         secret = sample_distinct_primes(31, 2, rng, exclude=first.primes + second.primes)
         ck = sq.compression_key(params, PrimeBasis(secret))
         fresh = sq.vkeygen(ck, sq.SquirrelsPublicKey(residues), params)
