@@ -13,12 +13,17 @@ Arithmetic unpacks to numpy lanes.  Nothing is memoized: ``to_array(dtype)``
 returns a fresh array of the dtype asked for, and a matrix holds only its
 packed bytes.  ``f3_matmul`` streams the packed rows of its left operand.
 
-Products run as float32 BLAS products, reduced mod 3 afterwards.  Each
-term is at most 2 * 2 = 4, so an inner dimension below 2^22 keeps every
-sum below 2^24, where float32 represents integers exactly: the result is
-the integer product, not an approximation (the FFLAS-FFPACK approach).
+Products run as float32 BLAS products.  Each term is at most 2 * 2 = 4,
+so an inner dimension below 2^22 keeps every sum below 2^24, where
+float32 represents integers exactly: the result is the integer product,
+not an approximation (the FFLAS-FFPACK approach).  Those sums are
+nonnegative integers below 2^24, so they cast to int32 without loss and
+are reduced mod 3 there: an integer ``% 3`` runs about five times faster
+than the float remainder over the same block.
 """
 
+import functools
+import threading
 from random import Random
 
 import numpy as np
@@ -31,7 +36,8 @@ MAX_INNER_DIMENSION = 1 << 22  # 4 * 2^22 = 2^24, float32's exact-integer limit
 # no faster at Wave 822; the allocator can keep a freed block resident,
 # and at 512 rows (8.8 MB) that added 9 MB to the process's peak RSS.
 MATMUL_BLOCK_ROWS = 128
-# Mersenne Twister words per getrandbits call in random_trits (4 MiB).
+# Mersenne Twister words per random_raw call in random_trits: 8 MiB of
+# uint64 words, one byte each once shifted and cast.
 SAMPLER_WORDS = 1 << 20
 # BYTE_LANES[b] is byte b's four 2-bit fields, least significant first.
 BYTE_LANES = (np.arange(256, dtype=np.uint8)[:, None] >> np.uint8([0, 2, 4, 6])) & 3
@@ -43,10 +49,26 @@ def row_stride(cols: int) -> int:
     return (cols + TRITS_PER_BYTE - 1) // TRITS_PER_BYTE
 
 
-def _pack(arr: np.ndarray) -> np.ndarray:
-    """(rows, cols) trits to (rows, stride) packed bytes, padding zeroed."""
-    if arr.size and arr.max() > 2:
+def _trit_array(values) -> np.ndarray:
+    """``values`` as a uint8 array, checked as given, before the cast:
+    each value must equal 0, 1 or 2, so nothing out of range wraps and
+    no fraction truncates into a trit.  Whole floats pass, so a float64
+    ``np.eye`` still packs."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if arr.size and (
+        kind not in "biuf"
+        or arr.max() > 2
+        or (kind in "if" and arr.min() < 0)
+        or (kind == "f" and np.any(arr % 1))
+    ):
         raise ValueError("trits must lie in {0, 1, 2}")
+    return arr.astype(np.uint8, copy=False)
+
+
+def _pack(arr: np.ndarray) -> np.ndarray:
+    """(rows, cols) uint8 trits to (rows, stride) packed bytes, padding
+    zeroed."""
     out = np.zeros((arr.shape[0], row_stride(arr.shape[1])), dtype=np.uint8)
     for k in range(TRITS_PER_BYTE):
         lane = arr[:, k::TRITS_PER_BYTE]
@@ -81,7 +103,7 @@ def _unpack(raw: np.ndarray, cols: int, dtype=np.uint8) -> np.ndarray:
 
 def pack_trits(values) -> bytes:
     """Pack a trit sequence, 2-bit fields LSB-first, padding zeroed."""
-    arr = np.asarray(values, dtype=np.uint8)
+    arr = _trit_array(values)
     if arr.ndim != 1:
         raise ValueError("pack_trits takes a flat sequence")
     return _pack(arr[None, :]).tobytes()
@@ -96,24 +118,60 @@ def unpack_trits(data: bytes, count: int) -> np.ndarray:
     return _unpack(raw, count)[0]
 
 
+@functools.cache
+def _twister() -> "np.random.MT19937":
+    """The one numpy ``MT19937`` that ``random_trits`` loads each
+    ``Random``'s state into, under ``_TWISTER_LOCK``.  Built once, on
+    first use: making one takes about 0.15 ms, several times a short
+    draw, and only a process that samples trits imports ``numpy.random``."""
+    return np.random.MT19937(0)
+
+
+_TWISTER_LOCK = threading.Lock()
+
+
 def random_trits(count: int, rng: Random) -> np.ndarray:
     """``count`` uniform trits, draw for draw ``rng.randrange(3)``.
 
     ``randrange(3)`` keeps the top two bits of one 32-bit Mersenne
-    Twister word and rejects the value 3.  ``getrandbits(32 * m)`` returns
-    the next m words, first word least significant, so reading it as
-    little-endian words and filtering them the same way gives the same
-    trits and leaves ``rng`` in the same state.
+    Twister word and rejects the value 3.  This reads ``rng``'s MT19937
+    state through ``getstate()``, runs numpy's ``MT19937`` bit generator
+    from a copy of it, filters its ``random_raw`` words the same way and
+    writes the advanced state back with ``setstate()``: the same trits,
+    and ``rng`` ends in the same state, ``gauss_next`` included.  An
+    ``rng`` whose ``getrandbits`` is overridden does not draw from that
+    state, so it is refused with ``TypeError``.
+
+    The 624 key words change only when the draws run past the last one
+    and regenerate them.  Until then only the position moves, and the
+    key is written back as it was read: numpy's ``state`` getter alone
+    takes about 0.07 ms, several times a short draw.
     """
+    if not isinstance(rng, Random) or type(rng).getrandbits is not Random.getrandbits:
+        raise TypeError("random_trits needs a random.Random with its own getrandbits")
     out = np.empty(count, dtype=np.uint8)
-    filled = 0
-    while filled < count:
-        need = min(count - filled, SAMPLER_WORDS)
-        word_bytes = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        kept = (np.frombuffer(word_bytes, "<u4") >> 30).astype(np.uint8)
-        kept = kept[kept < 3]
-        out[filled : filled + kept.size] = kept
-        filled += kept.size
+    filled = drawn = 0
+    twister = _twister()
+    with _TWISTER_LOCK:
+        version, internal, gauss_next = rng.getstate()
+        # The setter reads the key words by index: a tuple of ints sets
+        # them about 35 times faster than a uint32 array.
+        key, pos = internal[:-1], internal[-1]
+        twister.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
+        while filled < count:
+            words = twister.random_raw(min(count - filled, SAMPLER_WORDS))
+            drawn += words.size
+            words >>= 30
+            kept = words.astype(np.uint8)
+            kept = kept[kept < 3]
+            out[filled : filled + kept.size] = kept
+            filled += kept.size
+        if pos + drawn > len(key):
+            state = twister.state["state"]
+            key, pos = tuple(state["key"].tolist()), state["pos"]
+        else:
+            pos += drawn
+        rng.setstate((version, (*key, pos), gauss_next))
     return out
 
 
@@ -141,7 +199,7 @@ class TernaryMatrix:
 
     @classmethod
     def from_array(cls, arr) -> "TernaryMatrix":
-        arr = np.asarray(arr, dtype=np.uint8)
+        arr = _trit_array(arr)
         if arr.ndim != 2:
             raise ValueError("from_array takes a 2-D array")
         return cls(arr.shape[0], arr.shape[1], _pack(arr).tobytes())
@@ -181,7 +239,8 @@ def f3_matmul(a: TernaryMatrix, b: TernaryMatrix) -> np.ndarray:
     ``a`` is never unpacked whole and neither operand caches a view.  Each block
     goes from bytes to float32 trits in one gather from a float32 copy of
     ``BYTE_LANES``, padding fields included, against zero rows of ``b``
-    below its last; BLAS multiplies it exactly.  At Wave 822, c = 80, a
+    below its last; BLAS multiplies it exactly, and the block's sums are
+    reduced mod 3 in int32 into the output.  At Wave 822, c = 80, a
     product took a median 8% longer than one reading a cached unpacked
     view of ``a``; unpacking each block through uint8 took 19% longer."""
     if a.cols != b.rows:
@@ -196,5 +255,5 @@ def f3_matmul(a: TernaryMatrix, b: TernaryMatrix) -> np.ndarray:
     for start in range(0, a.rows, MATMUL_BLOCK_ROWS):
         rows = slice(start, start + MATMUL_BLOCK_ROWS)
         block = lanes.take(raw[rows], axis=0).reshape(-1, len(rhs)) @ rhs
-        out[rows] = np.remainder(block, 3, out=block)
+        out[rows] = block.astype(np.int32) % 3
     return out

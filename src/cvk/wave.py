@@ -121,7 +121,7 @@ class WaveSignature:
 
     @classmethod
     def from_trits(cls, salt: bytes, trits) -> "WaveSignature":
-        arr = np.asarray(trits, dtype=np.uint8)
+        arr = np.asarray(trits)  # pack_trits checks the values as given
         return cls(salt=salt, s_packed=pack_trits(arr), n=arr.size)
 
     def trits(self) -> np.ndarray:

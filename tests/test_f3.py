@@ -31,6 +31,20 @@ def test_pack_unpack_roundtrip(trits):
     assert list(unpack_trits(packed, len(trits))) == trits
 
 
+@pytest.mark.parametrize(
+    "pack, values",
+    [
+        (pack_trits, np.array([-254, -255, 258])),  # wrapped to [2, 1, 2]
+        (TernaryMatrix.from_array, np.array([[-255, 257]], dtype=np.int16)),  # to [[1, 1]]
+        (pack_trits, [1.7, 2.2, 0.5]),  # truncated to [1, 2, 0]
+        (lambda trits: WaveSignature.from_trits(b"s" * 16, trits), [2.5, 1.0]),  # to [2, 1]
+    ],
+)
+def test_packers_refuse_values_that_the_cast_would_change(pack, values):
+    with pytest.raises(ValueError, match=r"trits must lie in \{0, 1, 2\}"):
+        pack(values)
+
+
 def test_unpack_rejects_bad_field():
     with pytest.raises(ValueError):
         unpack_trits(b"\x03", 4)  # 2-bit field holding 3
@@ -210,3 +224,64 @@ def test_random_trits_across_draw_chunks(monkeypatch):
     bulk, loop = Random(5), Random(5)
     assert random_trits(1000, bulk).tolist() == [loop.randrange(3) for _ in range(1000)]
     assert bulk.getstate() == loop.getstate()
+
+
+def test_random_trits_refuses_a_random_with_its_own_getrandbits():
+    # Its draws would not come from the MT19937 state that is read.
+    class Biased(Random):
+        def getrandbits(self, k):
+            return 0
+
+    with pytest.raises(TypeError):
+        random_trits(4, Biased(1))
+
+
+def _after_gauss(rng):
+    rng.gauss(0, 1)  # leaves gauss_next pending
+
+
+def _after_623_words(rng):
+    rng.getrandbits(32 * 623)  # one word before the next twist
+
+
+def _at_word_600(rng):
+    rng.getrandbits(32 * 600)
+
+
+@pytest.mark.parametrize("prelude", [_after_gauss, _after_623_words, _at_word_600])
+@pytest.mark.parametrize("count", [0, 1, 2, 17, 24, 30, 1000])
+def test_random_trits_keeps_the_random_state_around_the_twist(prelude, count):
+    # From word 600 a draw of 24 trits may end at word 624 or past it; 30
+    # trits always run past it and regenerate the key, 1 never does.
+    bulk, loop = Random(count), Random(count)
+    prelude(bulk)
+    prelude(loop)
+    got = random_trits(count, bulk)
+    assert got.tolist() == [loop.randrange(3) for _ in range(count)]
+    assert bulk.getstate() == loop.getstate()
+    assert bulk.gauss(0, 1) == loop.gauss(0, 1)
+
+
+def _full(rows: int, cols: int) -> np.ndarray:
+    return np.full((rows, cols), 2, dtype=np.uint8)
+
+
+def test_matmul_exact_at_the_largest_inner_dimension():
+    # All-2 operands make every sum 4 * (2^22 - 1) = 2^24 - 4, the largest
+    # float32 must hold, which is divisible by 3; one entry set to 1 makes
+    # row 0's sums 2^24 - 6, whose residue is 1.
+    inner = MAX_INNER_DIMENSION - 1
+    lhs = _full(2, inner)
+    lhs[0, 0] = 1
+    left = TernaryMatrix.from_array(lhs)
+    right = TernaryMatrix.from_array(_full(inner, 2))
+    got = f3_matmul(left, right)
+    assert np.array_equal(got, _int64_matmul(left, right))
+    assert got.tolist() == [[1, 1], [0, 0]]
+
+
+def test_matmul_wave1644_inner_dimension_with_a_partial_last_block():
+    inner = 8256  # Wave 1644's n - k
+    left = TernaryMatrix.from_array(_full(MATMUL_BLOCK_ROWS + 3, inner))
+    right = TernaryMatrix.from_array(_full(inner, 16))
+    assert np.array_equal(f3_matmul(left, right), _int64_matmul(left, right))
