@@ -16,22 +16,25 @@ theorem", 1995).
 
 The transfer has a public half and a secret half.  The terms u_i and
 floor(a) depend on the public primes alone: ``mod_ecrt_reduce``
-computes them once for a table of values, as one term table [u | -f]
-with the negated floor as its last column, and a caller that moves the
+computes them once for a table of values and a caller that moves the
 same table to many secret bases (a new compression key at every
-verification-key refresh) keeps it.  Only the final weighted sum needs
-the secret primes, and in it the correction -floor(a) D is one more
-term, weighted by D mod r_k beside the cofactor residues.
-``mod_ecrt_combine`` is one float64 BLAS product of the table against
-narrow limbs of those s + 1 residues, narrow enough that every sum is
-an integer below 2^53 and so exact (the exact word products through
-floating-point BLAS of FFLAS-FFPACK, Dumas, Giorgi and Pernet, 2008),
-then one Horner chain over the limbs with one reduction mod r per limb.
-The basis product D is never materialized: setup runs prefix and
-suffix products over word residues, and nothing touches a value wider
-than a double word.
+verification-key refresh) keeps it.  The table is balanced: each term
+u_i > p_i / 2 is lifted to u_i - p_i, and since p_i (D/p_i) = D, the
+k lifted terms of a row add k D, so the last column k - floor(a) keeps
+the sum unchanged mod every r_k.  Only the final weighted sum needs the
+secret primes, and in it that column is one more term, weighted by
+D mod r_k beside the cofactor residues.  ``mod_ecrt_combine`` is one
+float64 BLAS product of the table against L balanced limbs of those
+s + 1 weights, L the fewest limbs that keep every sum an integer below
+2^53 and so exact (the exact word products through floating-point BLAS
+of FFLAS-FFPACK, Dumas, Giorgi and Pernet, 2008): 2 up to s = 358, so
+at every named Squirrels instance.  A float64 Horner chain with no
+integer division joins the limbs.  The basis product D is never
+materialized: setup runs prefix and suffix products over word residues,
+and nothing touches a value wider than a double word.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +45,9 @@ from .modmath import MAX_MODULUS_BITS, is_prime_word
 # Cap on s, which fixes the precision a = ceil(log2 s) + 2.  It does not
 # keep the transfer within 64 bits: the public half checks that itself,
 # and its int64 rule, s * 2^(31 + a) < 2^63, admits only s < 2^15, which
-# keeps its shifted terms exact.  The secret half's limbs narrow as s
-# grows, 22 - ceil(log2 s) bits each, and stay at least 6 bits wide up
-# to this cap.
+# keeps its shifted terms exact.  The secret half's balanced limbs
+# (``limb_split``) number 2 up to s = 358, 3 up to 13001 and 4 up to
+# this cap.
 MAX_BASIS_LEN = 1 << 16
 
 # Rows per pass of both halves: bounds the public half's temporaries
@@ -110,25 +113,47 @@ class RnsResidues:
         return cls(basis, tuple(x % p for p in basis))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EcrtPrecomp:
-    """Precomputed residues driving the basis transfer.
+    """Precomputed residues driving the basis transfer: the (t, s + 1)
+    word table ``weights``,
 
-    ``product_res[k]``    = (p_1 ... p_s)       mod r_k
-    ``cofactor_res[k][i]`` = (p_1 ... p_s)/p_i  mod r_k
+    ``weights[k, i]`` = (p_1 ... p_s)/p_i  mod r_k  for i < s,
+    ``weights[k, s]`` = (p_1 ... p_s)      mod r_k.
 
-    Storage is keyed by secret prime first (k-major), the (t, s) layout
-    the setup scans run along.  Built by ``mod_ecrt_setup`` only.
+    Keyed by secret prime first (k-major), the layout the setup scans
+    run along and the CK file stores.  int64 when every secret prime is
+    below 2^31, Python ints otherwise, and held read-only in an array no
+    other array shares (a view is copied).  Built by ``mod_ecrt_setup``.
     """
 
     secret_basis: PrimeBasis
-    product_res: tuple[int, ...]
-    cofactor_res: tuple[tuple[int, ...], ...]
+    weights: np.ndarray
+
+    def __post_init__(self):
+        weights = np.ascontiguousarray(self.weights)
+        if weights.base is not None:
+            weights = weights.copy()
+        t = len(self.secret_basis)
+        if weights.ndim != 2 or len(weights) != t:
+            raise ValueError(f"weights of shape {weights.shape} for {t} secret primes")
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, EcrtPrecomp)
+            and self.secret_basis == other.secret_basis
+            and np.array_equal(self.weights, other.weights)
+        )
+
+    def __hash__(self):
+        return hash(self.secret_basis)
 
     @property
     def precision(self) -> int:
         """Fractional bits of the floor-recovery accumulator, fixed by s."""
-        return default_precision(len(self.cofactor_res[0]))
+        return default_precision(self.weights.shape[1] - 1)
 
 
 def default_precision(source_len: int) -> int:
@@ -171,7 +196,7 @@ def _prefix_products(units: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def mod_ecrt_setup(public: PrimeBasis, secret: PrimeBasis) -> EcrtPrecomp:
     """Residues of the public product and its cofactors along the secret
-    basis.
+    basis, as the ``weights`` table of an ``EcrtPrecomp``.
 
     The (t, s) table of public primes mod each secret prime gets one
     prefix and one suffix product scan along its rows; the cofactor of
@@ -197,11 +222,7 @@ def mod_ecrt_setup(public: PrimeBasis, secret: PrimeBasis) -> EcrtPrecomp:
     suffix = _prefix_products(units[:, ::-1], r)[:, ::-1]
     before = np.hstack([np.ones_like(r), prefix[:, :-1]])
     after = np.hstack([suffix[:, 1:], np.ones_like(r)])
-    return EcrtPrecomp(
-        secret_basis=secret,
-        product_res=tuple(prefix[:, -1].tolist()),
-        cofactor_res=tuple(map(tuple, (before * after % r).tolist())),
-    )
+    return EcrtPrecomp(secret, np.hstack([before * after % r, prefix[:, -1:]]))
 
 
 def approx_floor(u: np.ndarray, p: np.ndarray, precision: int) -> np.ndarray:
@@ -221,20 +242,26 @@ def approx_floor(u: np.ndarray, p: np.ndarray, precision: int) -> np.ndarray:
 
 def mod_ecrt_reduce(q: tuple[int, ...], basis: PrimeBasis, x: np.ndarray) -> np.ndarray:
     """The public half of the transfer: for the (m, s) array ``x`` of
-    reduced residues (checked where they enter), the (m, s + 1) term
-    table T = [u | -f] of the reduced terms u = x q mod p and the negated
-    floors f = ``approx_floor(u, p, a)``, a = ``default_precision(s)``.
+    reduced residues (checked where they enter), the (m, s + 1) balanced
+    term table T = [v | k - f].  With u = x q mod p the reduced terms and
+    f = ``approx_floor(u, p, a)``, a = ``default_precision(s)``, the
+    floors, v lifts each u_j > p_j / 2 to u_j - p_j, into (-p_j/2, p_j/2],
+    and k counts the lifted terms of a row.  Since p_j (D/p_j) = D,
+
+        sum_j u_j (D/p_j) - f D = sum_j v_j (D/p_j) + (k - f) D,
+
+    so T stands for the same sum as [u | -f] modulo every secret prime.
 
     T depends on the public primes alone, so a caller that transfers the
     same residues to many secret bases computes it once.  Rows go in
     blocks of ``TRANSFER_BLOCK_ROWS``, which bounds the temporaries of
-    the floor; each block's u is written straight into T, and no whole u
+    the floor; each block's v is written straight into T, and no whole u
     exists beside it.  Runs in int64 when every public prime is below
     2^31 and s * 2^(31 + a) < 2^63, which forces s < 2^15; in Python ints
     otherwise.  In int64 each shifted term u << a is below 2^(31 + a) and
     the floors sum below s * 2^a, both under s * 2^(31 + a): exact.  T is
-    then float64, also exact: every entry is an integer, 0 <= u < 2^31
-    and 0 <= f <= s.
+    then float64, also exact: every entry is an integer, |v| <= 2^30 - 1
+    and |k - f| <= s.
     """
     s = len(basis)
     if len(q) != s:
@@ -249,59 +276,106 @@ def mod_ecrt_reduce(q: tuple[int, ...], basis: PrimeBasis, x: np.ndarray) -> np.
     for start in range(0, x.shape[0], TRANSFER_BLOCK_ROWS):
         rows = slice(start, start + TRANSFER_BLOCK_ROWS)
         u = x[rows].astype(dtype) * qv % p
+        floors = approx_floor(u, p, a)
+        lift = u > p >> 1
+        u -= p * lift
         terms[rows, :s] = u
-        terms[rows, s] = -approx_floor(u, p, a)
+        terms[rows, s] = lift.sum(axis=1) - floors
     return terms
 
 
-def mod_ecrt_combine(pre: EcrtPrecomp, terms: np.ndarray) -> np.ndarray:
-    """The secret half of the transfer: the (m, s + 1) term table
-    T = [u | -f] of ``mod_ecrt_reduce`` to the (m, t) table of
-    sum_j u_j (D/p_j) - f D mod every secret prime r_k.
+def limb_split(s: int) -> tuple[int, int]:
+    """(L, B): the limb count and base of the secret half for s public
+    primes, its int64 path (every prime below 2^31, s < 2^15).
 
-    With c the (s + 1, t) table of the cofactor residues (D/p_j) mod r_k
-    and, as its last row, D mod r_k, the sum is (T @ c) mod r: the
-    correction by f D is one more term.  In Python ints, ``T @ c % r`` is
-    exact; they are used unless T is float64 (so u < 2^31, from the
-    public half's int64 path) and every secret prime is below 2^31.
+    A weight lifted to (-r/2, r/2] is at most 2^30 - 1 in magnitude, and
+    L balanced digits of base B = ceil(2^(31/L)), each at most
+    floor(B/2) in magnitude, span it.  A BLAS sum of the balanced table
+    (|v| <= 2^30 - 1, |k - f| <= s) against one limb is then at most
+    s 2^30 floor(B/2) in magnitude, and a Horner step z B + w, z in
+    [0, r), with its reduction r floor(z / r), at most that plus
+    2^31 (B + 1).  L is the fewest limbs with
 
-    Otherwise the sum is one float64 BLAS product and one Horner chain.
-    With b = 22 - ceil(log2 s) bits (ceil(log2 1) taken as 0) and
-    L = ceil(31 / b), c is cut into L limbs (c >> b i) & (2^b - 1),
-    stacked most significant first as one (s + 1, L t) table.  A term
-    u * limb is at most (2^31 - 1)(2^b - 1) and the last column's
-    -f * limb at most s (2^b - 1) in magnitude, so the magnitudes of a
-    sum add up to at most s 2^31 (2^b - 1) < 2^53: every partial sum is
-    an exact integer in any order, whatever the thread split, FMA or
-    blocking of the BLAS.  T goes into the product one
-    ``TRANSFER_BLOCK_ROWS`` block at a time, with no cast, and each
-    block's sums are stored as int64.  The Horner chain reduces the top
-    limb's sums mod r, then takes z = ((z << b) + w_i) mod r for each
-    lower limb, in place: each step is below 2^(31 + b) + 2^53 <= 2^54 in
-    magnitude, and floor mod leaves it in [0, r).
+        s 2^30 floor(B/2) + 2^31 (B + 1) < 2^53,
+
+    so every partial sum and every step is an exact float64 integer in
+    any order, whatever the thread split, FMA or blocking of the BLAS:
+    L = 2 (B = 46341) up to s = 358, L = 3 (B = 1291) up to s = 13001.
     """
-    if terms.ndim != 2 or terms.shape[1] != len(pre.cofactor_res[0]) + 1:
+    n_limbs = 2  # one limb would need s 2^60 < 2^53
+    while True:
+        base = math.ceil(2 ** (31 / n_limbs))
+        if s * (base // 2) << 30 < (1 << 53) - ((base + 1) << 31):
+            return n_limbs, base
+        n_limbs += 1
+
+
+def _reduce_float(z: np.ndarray, r: np.ndarray, r_inv: np.ndarray) -> None:
+    """z mod r in place, for float64 integers z with |z| + r < 2^53 and r,
+    r_inv = 1/r of z's shape: the quotient z (1/r) rounds to within one
+    of z / r, so z - r floor(z (1/r)) lies in [-r, 2r), and one
+    conditional add and one conditional subtract bring it into [0, r)."""
+    q = z * r_inv
+    np.floor(q, out=q)
+    q *= r
+    z -= q
+    np.add(z, r, out=z, where=z < 0)
+    np.subtract(z, r, out=z, where=z >= r)
+
+
+def mod_ecrt_combine(pre: EcrtPrecomp, terms: np.ndarray) -> np.ndarray:
+    """The secret half of the transfer: the (m, s + 1) balanced term table
+    T = [v | k - f] of ``mod_ecrt_reduce`` to the (m, t) table of
+    sum_j v_j (D/p_j) + (k - f) D mod every secret prime r_k.
+
+    With c = ``pre.weights``.T, the (s + 1, t) table of the cofactor
+    residues and, as its last row, D mod r_k, the sum is (T @ c) mod r:
+    the floor correction is one more term.  In Python ints, ``T @ c % r``
+    is exact; they are used unless T is float64 (from the public half's
+    int64 path) and every secret prime is below 2^31.
+
+    Otherwise the sum is one float64 BLAS product and one float64 Horner
+    chain.  c is lifted to (-r/2, r/2] and cut into the L balanced limbs
+    of base B of ``limb_split``, stacked most significant first as one
+    (s + 1, L t) table; every sum and every chain step then stays an
+    exact integer below 2^53.  T goes into the product one
+    ``TRANSFER_BLOCK_ROWS`` block at a time, with no cast.  The chain
+    reduces the top limb's sums mod r, then takes z = (z B + w_i) mod r
+    for each lower limb, in place, each reduction z - r floor(z (1/r))
+    with one conditional add and one conditional subtract and no integer
+    division.  The result is int64.
+    """
+    weights = pre.weights
+    if terms.ndim != 2 or terms.shape[1] != weights.shape[1]:
         raise ValueError("terms do not match the precomputed public basis")
     secret = pre.secret_basis.primes
-    dtype = _word_dtype(secret, terms.dtype == np.float64)
-    r = np.array(secret, dtype=dtype)
-    c = np.array([cof + (d,) for cof, d in zip(pre.cofactor_res, pre.product_res)], dtype=dtype).T
-    if dtype is object:
+    if _word_dtype(secret, terms.dtype == np.float64) is object:
         # Through int64, so that a float64 table enters as Python ints.
-        return terms.astype(np.int64).astype(object) @ c % r
-    b = 22 - (len(c) - 2).bit_length()  # len(c) = s + 1
-    n_limbs, t = -(-31 // b), len(r)
-    limbs = np.hstack([c >> b * i & (1 << b) - 1 for i in reversed(range(n_limbs))], dtype=float)
-    w = np.empty((len(terms), n_limbs * t), dtype=np.int64)
+        r = np.array(secret, dtype=object)
+        return terms.astype(np.int64).astype(object) @ weights.T.astype(object) % r
+    n_limbs, base = limb_split(weights.shape[1] - 1)
+    words = np.array(secret, dtype=np.int64)[:, None]
+    rest = weights - words * (weights > words >> 1)
+    digits = []  # least significant first
+    for _ in range(n_limbs - 1):
+        digits.append((rest + base // 2) % base - base // 2)
+        rest = (rest - digits[-1]) // base
+    limbs = np.hstack([d.T for d in [rest] + digits[::-1]], dtype=np.float64)
+    t = len(secret)
+    w = np.empty((len(terms), n_limbs * t))
     for start in range(0, len(terms), TRANSFER_BLOCK_ROWS):
         rows = slice(start, start + TRANSFER_BLOCK_ROWS)
-        w[rows] = terms[rows] @ limbs
-    z = w[:, :t] % r
+        np.matmul(terms[rows], limbs, out=w[rows])
+    # Broadcast once: a ufunc is slower along a trailing axis of length t.
+    r = np.tile(np.array(secret, dtype=np.float64), (len(terms), 1))
+    r_inv = 1 / r
+    z = w[:, :t].copy()
+    _reduce_float(z, r, r_inv)
     for lo in range(t, n_limbs * t, t):
-        z <<= b
+        z *= base
         z += w[:, lo : lo + t]
-        z %= r
-    return z
+        _reduce_float(z, r, r_inv)
+    return z.astype(np.int64)
 
 
 def mod_ecrt_rows(
@@ -313,14 +387,14 @@ def mod_ecrt_rows(
 
     The public half, ``mod_ecrt_reduce``, reduces each term once, u = x q
     mod p, and ``approx_floor`` pins down floor(a) for each row, into
-    one term table [u | -floor(a)]; the secret half, ``mod_ecrt_combine``,
-    takes it to sum_j u_j (D/p_j) - floor(a) D mod every secret prime r_k
-    at once, the correction as one more term.  Both walk the rows in
-    blocks of ``TRANSFER_BLOCK_ROWS``.  When every prime is below 2^31
-    the secret half is one exact float64 BLAS product over limbs of the
-    cofactor and product residues, each sum an integer below 2^53, and
-    one Horner chain; a wider prime puts the half it enters, and the
-    secret half after it, on Python ints.
+    one balanced term table [v | k - floor(a)]; the secret half,
+    ``mod_ecrt_combine``, takes it to sum_j u_j (D/p_j) - floor(a) D mod
+    every secret prime r_k at once, the correction as one more term.
+    Both walk the rows in blocks of ``TRANSFER_BLOCK_ROWS``.  When every
+    prime is below 2^31 the secret half is one exact float64 BLAS product
+    over balanced limbs of the cofactor and product residues, each sum an
+    integer below 2^53, and one float64 Horner chain; a wider prime puts
+    the half it enters, and the secret half after it, on Python ints.
     """
     return mod_ecrt_combine(pre, mod_ecrt_reduce(q, basis, x))
 

@@ -133,25 +133,15 @@ def is_prime_word(n: int) -> bool:
 
 
 def sample_prime(width: int, rng: Random, exclude: Collection[int] = ()) -> int:
-    """Sample a uniform prime r with 2^(width-1) < r < 2^width.
-
-    Candidates are drawn uniformly over odd ``width``-bit integers and
-    accepted by ``is_prime_word``, exact at every supported width.
+    """Sample a uniform prime r with 2^(width-1) < r < 2^width outside
+    ``exclude``: one draw of ``sample_distinct_primes``.
 
     Raises:
         ResampleLimit: after 10 * 2^width / width candidates (at least 64)
             without a prime outside ``exclude``.
     """
-    if not MIN_PRIME_WIDTH <= width <= MAX_PRIME_WIDTH:
-        raise ValueError(f"prime width must be in [8, 62], got {width}")
-    max_draws = max(64, (10 << width) // width)
-    excluded = frozenset(exclude)
-    top = 1 << (width - 1)
-    for _ in range(max_draws):
-        candidate = top | rng.getrandbits(width - 1) | 1
-        if candidate not in excluded and is_prime_word(candidate):
-            return candidate
-    raise ResampleLimit(f"no {width}-bit prime found in {max_draws} draws")
+    (prime,) = sample_distinct_primes(width, 1, rng, exclude)
+    return prime
 
 
 def sample_distinct_primes(
@@ -160,13 +150,32 @@ def sample_distinct_primes(
     rng: Random,
     exclude: Iterable[int] = (),
 ) -> tuple[int, ...]:
-    """Sample ``count`` distinct primes of the given width."""
+    """Sample ``count`` distinct uniform primes of the given width outside
+    ``exclude``.
+
+    Candidates are drawn uniformly over odd ``width``-bit integers and
+    accepted by ``is_prime_word``, exact at every supported width.  The
+    exclusion set is built once per call and grows by each prime drawn.
+
+    Raises:
+        ResampleLimit: after 10 * 2^width / width candidates (at least 64)
+            without a new prime.
+    """
+    if not MIN_PRIME_WIDTH <= width <= MAX_PRIME_WIDTH:
+        raise ValueError(f"prime width must be in [8, 62], got {width}")
+    max_draws = max(64, (10 << width) // width)
     taken = set(exclude)
+    top = 1 << (width - 1)
     out = []
     for _ in range(count):
-        r = sample_prime(width, rng, exclude=taken)
-        taken.add(r)
-        out.append(r)
+        for _ in range(max_draws):
+            candidate = top | rng.getrandbits(width - 1) | 1
+            if candidate not in taken and is_prime_word(candidate):
+                break
+        else:
+            raise ResampleLimit(f"no {width}-bit prime found in {max_draws} draws")
+        taken.add(candidate)
+        out.append(candidate)
     return tuple(out)
 
 

@@ -148,8 +148,11 @@ def decode_squirrels_pk(blob: bytes, params: sq.SquirrelsParams) -> sq.Squirrels
 
 
 def _squirrels_ck_payload(ck: sq.SquirrelsCompressionKey) -> bytes:
-    pre = ck.precomp
-    return _words("<i4", ck.secret_basis.primes, pre.product_res, pre.cofactor_res, ck.inv_delta)
+    """t primes, t product residues, t s cofactor residues (prime-major)
+    and t inverse residues: the precomp's weights with the last column
+    first."""
+    weights = ck.precomp.weights
+    return _words("<i4", ck.secret_basis.primes, weights[:, -1], weights[:, :-1], ck.inv_delta)
 
 
 def _rebuild_squirrels_ck(

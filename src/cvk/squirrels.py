@@ -31,7 +31,7 @@ from .ecrt import (
     mod_ecrt_setup,
     q_coefficients,
 )
-from .errors import MalformedSignature, ResampleLimit
+from .errors import DimensionMismatch, MalformedSignature, ResampleLimit
 from .modmath import PRIME_COUNT_31BIT, inv_mod, is_prime_word, sample_distinct_primes
 from .opcount import OpCounter
 
@@ -144,8 +144,9 @@ class SquirrelsPublicKey:
 
     def ecrt_terms(self, params: SquirrelsParams) -> np.ndarray:
         """The public half of the basis transfer of every residue row: the
-        (n-1, s+1) term table [u | -f] of ``mod_ecrt_reduce``, the terms
-        u = x q mod p beside the negated floors, read-only.  On the int64
+        (n-1, s+1) balanced term table [v | k - f] of ``mod_ecrt_reduce``,
+        read-only: the terms u = x q mod p, each lifted to u - p past p/2,
+        beside the count k of lifted terms less the floor f.  On the int64
         path it is float64, 8 (n-1)(s+1) bytes: as much as u and f in
         int64, and ready for the secret half's BLAS product.
 
@@ -219,7 +220,8 @@ class SquirrelsVerificationKey:
 
     ``r`` and ``inv_delta_words`` are the secret primes and ``inv_delta``
     as read-only int64 arrays, built once here for ``cverify``; the key
-    is frozen, so they always match the fields they come from."""
+    is frozen, so they always match the fields they come from.  Rows,
+    primes and ``inv_delta`` that disagree on t are refused."""
 
     secret_basis: PrimeBasis
     inv_delta: tuple[int, ...]
@@ -233,6 +235,12 @@ class SquirrelsVerificationKey:
             "r": np.array(self.secret_basis.primes, dtype=np.int64),
             "inv_delta_words": np.array(self.inv_delta, dtype=np.int64),
         }
+        t = len(self.secret_basis)
+        if arrays["rows"].ndim != 2 or len(arrays["rows"]) != t or len(self.inv_delta) != t:
+            raise ValueError(
+                f"{t} secret primes, {len(self.inv_delta)} inverse residues and "
+                f"rows of shape {arrays['rows'].shape}"
+            )
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -296,8 +304,16 @@ def verify(
     counter: OpCounter | None = None,
 ) -> bool:
     """Full verification: ``public_target``, then one congruence per
-    public prime."""
+    public prime.
+
+    Raises:
+        DimensionMismatch: if the key is not (n-1, s).
+    """
     basis = check_basis(params)
+    if pk.residues.shape != (params.n - 1, params.s):
+        raise DimensionMismatch(
+            f"public key is {pk.residues.shape}, expected {(params.n - 1, params.s)}"
+        )
     c = public_target(sig, message, params)
     if c is None:
         return False
@@ -358,7 +374,7 @@ def compression_key(
         )
     precomp = mod_ecrt_setup(basis, secret_basis)
     inv_delta = tuple(
-        inv_mod(d, r) for d, r in zip(precomp.product_res, secret_basis.primes)
+        inv_mod(d, r) for d, r in zip(precomp.weights[:, -1].tolist(), secret_basis.primes)
     )
     return SquirrelsCompressionKey(secret_basis, precomp, inv_delta)
 
@@ -384,15 +400,23 @@ def vkeygen(
     to coordinate-plus-{0,1}-product, which is the shift the multiplier
     window of ``k_prime_bounds`` accounts for.
 
-    The public half of the transfer, the term table [u | -f], comes
-    from ``pk.ecrt_terms``, which checks the key and computes it on the
-    key's first install; each compression key pays only the secret half,
+    The public half of the transfer, the balanced term table, comes from
+    ``pk.ecrt_terms``, which checks the key and computes it on the key's
+    first install; each compression key pays only the secret half,
     ``mod_ecrt_combine``: one exact BLAS product of the table against
-    limbs of the cofactor and product residues, and one Horner chain.
+    balanced limbs of the cofactor and product residues, and one float64
+    Horner chain.  Its (n-1, t) result, reduced, is added to the product
+    residues straight into the (t, n) rows, and one conditional subtract
+    reduces the sum.
     """
     moved = mod_ecrt_combine(ck.precomp, pk.ecrt_terms(params))
-    r = np.array(ck.secret_basis.primes, dtype=np.int64)
-    rows = np.vstack([(moved + np.array(ck.precomp.product_res)) % r, r - 1]).T
+    r = np.array(ck.secret_basis.primes, dtype=np.int64)[:, None]
+    rows = np.empty((len(r), params.n), dtype=np.int64)
+    body = rows[:, :-1]
+    # Unsafe casting admits the Python ints of a secret prime past 2^31.
+    np.add(moved.T, ck.precomp.weights[:, -1:], out=body, casting="unsafe")
+    body -= r * (body >= r)
+    rows[:, -1:] = r - 1
     return SquirrelsVerificationKey(
         secret_basis=ck.secret_basis, inv_delta=ck.inv_delta, rows=rows
     )
@@ -419,7 +443,14 @@ def cverify(
     and ``SquirrelsParams``, which caps q at 2^16), rows < r_j < 2^31
     (``compression_key``) and n < 2^15 (``SquirrelsParams``) keep |sum|
     below 2^63, and the reduced sum times inv_delta_j stays below 2^62.
+
+    Raises:
+        DimensionMismatch: if the key's rows do not have n entries.
     """
+    if vk.rows.shape[1] != params.n:
+        raise DimensionMismatch(
+            f"verification key rows have {vk.rows.shape[1]} entries, expected {params.n}"
+        )
     c = public_target(sig, message, params)
     if c is None:
         return False

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from dataclasses import replace
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cvk import ecrt
+from cvk import squirrels as sq
 from cvk.ecrt import (
     PrimeBasis,
     RnsResidues,
@@ -103,19 +105,33 @@ def test_q_coefficients_bigint_oracle(width, size):
 
 def test_setup_frozen_example():
     pre = mod_ecrt_setup(PrimeBasis((3, 5, 7)), PrimeBasis((11, 13)))
-    assert pre.product_res == (105 % 11, 105 % 13) == (6, 1)
+    assert pre.weights.shape == (2, 4)
+    assert pre.weights[:, -1].tolist() == [105 % 11, 105 % 13] == [6, 1]
     # cofactor of the first prime is 35
-    assert (pre.cofactor_res[0][0], pre.cofactor_res[1][0]) == (2, 9)
+    assert pre.weights[:, 0].tolist() == [2, 9]
     # all three cofactors against a big-integer oracle
     for k, r in enumerate((11, 13)):
         for i, p in enumerate((3, 5, 7)):
-            assert pre.cofactor_res[k][i] == (105 // p) % r
+            assert pre.weights[k, i] == (105 // p) % r
 
 
 def test_setup_single_prime_is_trivial():
     pre = mod_ecrt_setup(PrimeBasis((7,)), PrimeBasis((11, 13)))
-    assert pre.product_res == (7, 7)
-    assert pre.cofactor_res == ((1,), (1,))
+    assert pre.weights.tolist() == [[1, 7], [1, 7]]
+
+
+def test_precomp_weights_are_read_only_and_owned():
+    basis, secret = PrimeBasis((3, 5, 7)), PrimeBasis((11, 13))
+    pre = mod_ecrt_setup(basis, secret)
+    with pytest.raises(ValueError):
+        pre.weights[0, 0] = 0
+    source = pre.weights.copy()
+    viewed = ecrt.EcrtPrecomp(secret, source[:, :])
+    source[0, 0] += 1
+    assert viewed == pre and hash(viewed) == hash(pre)
+    assert dataclasses.replace(pre, weights=source) != pre
+    with pytest.raises(ValueError):  # one row per secret prime
+        ecrt.EcrtPrecomp(secret, source[:1])
 
 
 def test_setup_precision_follows_basis_length():
@@ -142,22 +158,22 @@ def test_setup_oracle_random_instances(rng):
         pre = mod_ecrt_setup(basis, secret)
         product = math.prod(basis.primes)
         for k, r in enumerate(secret.primes):
-            assert pre.product_res[k] == product % r
+            assert pre.weights[k, -1] == product % r
             for i, p in enumerate(basis.primes):
-                assert pre.cofactor_res[k][i] == (product // p) % r
+                assert pre.weights[k, i] == (product // p) % r
 
 
 def _loop_setup(public, secret):
     """Per-prime accumulate loops: the scalar reference for the scans in
-    ``mod_ecrt_setup``.  Returns (product_res, cofactor_res)."""
-    product_rows, cofactor_rows = [], []
+    ``mod_ecrt_setup``.  Returns the weights as lists, one per secret
+    prime: the cofactor residues, then the product residue."""
+    rows = []
     for r in secret.primes:
         units = [p % r for p in public.primes]
         before = list(accumulate(units[:-1], lambda a, b: a * b % r, initial=1))
         after = list(accumulate(units[:0:-1], lambda a, b: a * b % r, initial=1))[::-1]
-        product_rows.append(before[-1] * units[-1] % r)
-        cofactor_rows.append(tuple(a * b % r for a, b in zip(before, after)))
-    return tuple(product_rows), tuple(cofactor_rows)
+        rows.append([a * b % r for a, b in zip(before, after)] + [before[-1] * units[-1] % r])
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -178,9 +194,8 @@ def test_setup_matches_loop_oracle(public_width, secret_width, s, t):
     public = PrimeBasis(sample_distinct_primes(public_width, s, rng))
     secret = PrimeBasis(sample_distinct_primes(secret_width, t, rng, exclude=public.primes))
     pre = mod_ecrt_setup(public, secret)
-    assert (pre.product_res, pre.cofactor_res) == _loop_setup(public, secret)
-    assert all(type(v) is int for row in pre.cofactor_res for v in row)
-    assert all(type(v) is int for v in pre.product_res)
+    assert pre.weights.tolist() == _loop_setup(public, secret)
+    assert pre.weights.dtype == (np.int64 if secret_width < 32 else object)
 
 
 def test_setup_oracle_165_prime_basis():
@@ -193,9 +208,9 @@ def test_setup_oracle_165_prime_basis():
     pre = mod_ecrt_setup(basis, secret)
     product = math.prod(basis.primes)
     for k, r in enumerate(secret.primes):
-        assert pre.product_res[k] == product % r
+        assert pre.weights[k, -1] == product % r
         for i in (0, 42, 164):
-            assert pre.cofactor_res[k][i] == (product // basis.primes[i]) % r
+            assert pre.weights[k, i] == (product // basis.primes[i]) % r
 
 
 # ── approx_floor on reduced terms ────────────────────────────────────────
@@ -436,7 +451,7 @@ def _per_prime_transfer(pre, q, basis, x):
     dtype = np.int64 if narrow else object
     p = np.array(basis.primes, dtype=dtype)
     qv = np.array(q, dtype=dtype)
-    w = qv * np.array(pre.cofactor_res, dtype=dtype) % np.array(secret, dtype=dtype)[:, None]
+    w = qv * pre.weights[:, :-1].astype(dtype) % np.array(secret, dtype=dtype)[:, None]
     out = np.empty((x.shape[0], len(secret)), dtype=dtype)
     for start in range(0, x.shape[0], ecrt.TRANSFER_BLOCK_ROWS):
         rows = slice(start, start + ecrt.TRANSFER_BLOCK_ROWS)
@@ -445,13 +460,20 @@ def _per_prime_transfer(pre, q, basis, x):
         f = (s + ((y // p << a) + (y % p << a) // p).sum(axis=1)) >> a
         for k, r in enumerate(secret):
             z = (block * w[k] % r).sum(axis=1)
-            out[rows, k] = (z - f % r * pre.product_res[k]) % r
+            out[rows, k] = (z - f % r * pre.weights[k, -1]) % r
     return out
+
+
+def _balanced_table(u, p, floors):
+    """The balanced term table [v | k - f] from the reduced terms u: each
+    u_j above p_j / 2 becomes u_j - p_j, and k counts them."""
+    lift = 2 * u > p
+    return np.hstack([u - p * lift, (lift.sum(axis=1) - floors)[:, None]])
 
 
 def _assert_transfer_matches_oracle(pre, q, basis, x):
     """Run the public half and the secret half one after the other, check
-    the public half's term table [u | -f] exactly against u and the
+    the public half's balanced term table exactly against u and the
     floors computed in its word dtype, and compare the result, and the
     one call of ``mod_ecrt_rows``, with the oracle."""
     terms = mod_ecrt_reduce(q, basis, x)
@@ -460,8 +482,8 @@ def _assert_transfer_matches_oracle(pre, q, basis, x):
     p = np.array(basis.primes, dtype=dtype)
     u = x.astype(dtype) * np.array(q, dtype=dtype) % p
     assert terms.shape == (x.shape[0], s + 1)
-    assert np.array_equal(terms[:, :s], u)
-    assert np.array_equal(terms[:, s], -approx_floor(u, p, pre.precision))
+    assert np.array_equal(terms, _balanced_table(u, p, approx_floor(u, p, pre.precision)))
+    assert np.all(np.abs(terms[:, :s]) <= p >> 1)
     got = mod_ecrt_combine(pre, terms)
     expected = _per_prime_transfer(pre, q, basis, x)
     assert got.dtype == expected.dtype
@@ -529,37 +551,152 @@ def test_mod_ecrt_rows_matches_oracle_at_int64_edge():
         assert got.dtype == np.int64
 
 
-@pytest.mark.parametrize("rows", [0, 1, ecrt.TRANSFER_BLOCK_ROWS - 1, ecrt.TRANSFER_BLOCK_ROWS + 1])
-@pytest.mark.parametrize("s", [63, 64, 65, 511, 512, 513])
-def test_mod_ecrt_rows_matches_oracle_at_limb_width_steps(s, rows):
-    # The secret half's limbs are 22 - ceil(log2 s) bits wide, sized from
-    # s and not from the s + 1 rows of the term table: 16 bits in 2 limbs
-    # at s = 63 and 64, 15 in 3 at 65, 13 at 511 and 512 and 12 at 513.
-    # Every operand is at its largest: primes just below 2^31 and q = 1,
-    # so u = x, with x = p - 1 and, on odd rows, p - 2, the largest odd
-    # term; every floor is then s, the largest, so the table's last
-    # column -f is -s.  The cofactor and product residues are the
-    # setup's, then all r - 1, then all 2^30 - 1, whose low limbs are all
-    # ones at every width here; with odd terms, a sum past 2^53 would
-    # round.
+def _three_limb_combine(pre, table):
+    """Oracle for ``mod_ecrt_combine``: the secret half as it ran on the
+    unsigned table [u | -f], for any integer table with entries below
+    2^31 in magnitude and a last column of at most s.  In Python ints when
+    a secret prime is not below 2^31 or the table holds Python ints;
+    otherwise the weights are cut into
+    ceil(31 / b) unsigned limbs of b = 22 - ceil(log2 s) bits (three at
+    every named instance), each limb's sums are taken exactly in float64
+    and stored as int64, and an int64 Horner chain takes one % r per
+    limb."""
+    s = table.shape[1] - 1
+    secret = pre.secret_basis.primes
+    if max(secret) >= 1 << 31 or table.dtype == object:
+        r = np.array(secret, dtype=object)
+        return table.astype(np.int64).astype(object) @ pre.weights.T.astype(object) % r
+    r = np.array(secret, dtype=np.int64)
+    c = pre.weights.T.astype(np.int64)
+    b = 22 - (s - 1).bit_length()
+    n_limbs, t = -(-31 // b), len(r)
+    limbs = np.hstack([c >> b * i & (1 << b) - 1 for i in reversed(range(n_limbs))], dtype=float)
+    w = (table.astype(float) @ limbs).astype(np.int64)
+    z = w[:, :t] % r
+    for lo in range(t, n_limbs * t, t):
+        z <<= b
+        z += w[:, lo : lo + t]
+        z %= r
+    return z
+
+
+def _unsigned_table(u, floors):
+    return np.hstack([u, -floors[:, None]])
+
+
+def _limb_extremes(r, s):
+    """Weights mod r whose balanced limbs reach +-floor(B/2): +-(r - 1)/2,
+    the top limb's extreme, and +-(the largest value up to (r - 1)/2
+    whose lower limbs all equal floor(B/2))."""
+    n_limbs, base = ecrt.limb_split(s)
+    low_limbs = base // 2 * (base ** (n_limbs - 1) - 1) // (base - 1)
+    top = ((r - 1) // 2 - low_limbs) // base ** (n_limbs - 1)
+    low = top * base ** (n_limbs - 1) + low_limbs
+    return ((r - 1) // 2, (r + 1) // 2, low, r - low)
+
+
+def _assert_extremes_match_oracles(s, rows):
+    """Every term v_j = +-(p_j - 1)/2, the largest in magnitude, with
+    primes just below 2^31 and q = 1 (so u = x = (p - 1)/2 on even rows
+    and (p + 1)/2 on odd ones).  Against the setup's weights the transfer
+    matches both oracles on the unsigned table; against uniform weights
+    at each of the ``_limb_extremes``, which are no cofactors, so that
+    only the balanced table stands for the sum, it matches the
+    three-limb chain and Python ints on that table."""
     t = 11
     primes = _primes_below(1 << 31, s + t)
     secret, basis = PrimeBasis(primes[:t]), _sieved_basis(primes[t:])
     pre = mod_ecrt_setup(basis, secret)
-
-    def uniform(residue):
-        # ``pre`` with every product and cofactor residue mod r set to residue(r).
-        return dataclasses.replace(
-            pre,
-            product_res=tuple(residue(r) for r in secret.primes),
-            cofactor_res=tuple((residue(r),) * s for r in secret.primes),
-        )
-
-    x = np.array(basis.primes, dtype=np.int64) - 1 - np.arange(rows)[:, None] % 2
-    assert np.array_equal(mod_ecrt_reduce((1,) * s, basis, x)[:, s], np.full(rows, -s))
-    for precomp in (pre, uniform(lambda r: r - 1), uniform(lambda r: (1 << 30) - 1)):
-        got = _assert_transfer_matches_oracle(precomp, (1,) * s, basis, x)
+    p = np.array(basis.primes, dtype=np.int64)
+    x = (p - 1) // 2 + np.arange(rows)[:, None] % 2
+    got = _assert_transfer_matches_oracle(pre, (1,) * s, basis, x)
+    floors = approx_floor(x, p, pre.precision)
+    assert np.array_equal(got, _three_limb_combine(pre, _unsigned_table(x, floors)))
+    terms = mod_ecrt_reduce((1,) * s, basis, x)
+    assert np.array_equal(np.abs(terms[:, :s]), np.broadcast_to((p - 1) // 2, (rows, s)))
+    r = np.array(secret.primes, dtype=object)
+    for column in zip(*(_limb_extremes(r, s) for r in secret.primes)):
+        weights = np.repeat(np.array(column)[:, None], s + 1, axis=1)
+        uniform = dataclasses.replace(pre, weights=weights)
+        got = mod_ecrt_combine(uniform, terms)
         assert got.dtype == np.int64
+        assert np.array_equal(got, _three_limb_combine(uniform, terms))
+        exact = terms.astype(np.int64).astype(object) @ weights.T.astype(object) % r
+        assert np.array_equal(got, exact.astype(np.int64))
+
+
+@pytest.mark.parametrize("rows", [0, 1, ecrt.TRANSFER_BLOCK_ROWS - 1, ecrt.TRANSFER_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("s", [63, 64, 65, 511, 512, 513])
+def test_mod_ecrt_rows_matches_oracle_at_limb_width_steps(s, rows):
+    # Where the unsigned limbs of ``_unsigned_combine`` change width, 2
+    # limbs at s = 63 and 64, 3 from 65 and 12 bits at 513, and on both
+    # sides of the balanced limbs' 2 (to s = 358) and 3: the largest
+    # terms against weights at the limb extremes.
+    _assert_extremes_match_oracles(s, rows)
+
+
+@pytest.mark.parametrize("s,n_limbs", [(358, 2), (359, 3)])
+def test_mod_ecrt_combine_at_the_last_two_limb_basis(s, n_limbs):
+    # s = 358 is the largest basis with two limbs: there the bound of
+    # ``limb_split`` holds with B = 46341, and one prime more breaks it.
+    base = math.ceil(2 ** (31 / 2))
+    assert ecrt.limb_split(s) == ((2, base) if n_limbs == 2 else (3, 1291))
+    exceeds = s * (base // 2) * 2**30 + 2**31 * (base + 1) >= 2**53
+    assert exceeds == (n_limbs == 3)
+    _assert_extremes_match_oracles(s, 2 * ecrt.TRANSFER_BLOCK_ROWS + 1)
+
+
+def test_reduce_float_corrects_the_quotient_both_ways():
+    # Integers k r + d next to multiples of r, up to 2^53 - r in magnitude:
+    # z (1/r) rounds across the integer k both ways, so the reduction needs
+    # its conditional add and its conditional subtract, and brings every z
+    # into [0, r).
+    gen = np.random.default_rng(53)
+    primes = (3, 11, 65537, 1073741827) + sample_distinct_primes(31, 12, Random(53))
+    z = np.empty((3 * 20000, len(primes)))
+    for j, r in enumerate(primes):
+        k = gen.integers(-((1 << 53) // r) + 2, (1 << 53) // r - 2, size=20000)
+        z[:, j] = np.concatenate([k * r - 1, k * r, k * r + 1])
+    r = np.tile(np.array(primes, dtype=np.float64), (len(z), 1))
+    raw = z - r * np.floor(z * (1 / r))
+    assert np.any(raw < 0) and np.any(raw >= r)
+    expected = z.astype(np.int64) % np.array(primes)
+    ecrt._reduce_float(z, r, 1 / r)
+    assert np.array_equal(z, expected)
+
+
+@pytest.mark.parametrize(
+    "s,expected", [(1, (2, 46341)), (339, (2, 46341)), (13001, (3, 1291)), (13002, (4, 216))]
+)
+def test_limb_split_takes_the_fewest_limbs_under_the_bound(s, expected):
+    n_limbs, base = ecrt.limb_split(s)
+    assert (n_limbs, base) == expected
+    assert base**n_limbs >= 1 << 31 > (base - 1) ** n_limbs
+    assert s * (base // 2) * 2**30 + 2**31 * (base + 1) < 2**53
+    fewer = math.ceil(2 ** (31 / (n_limbs - 1)))
+    assert s * (fewer // 2) * 2**30 + 2**31 * (fewer + 1) >= 2**53
+
+
+def test_balanced_table_sum_equals_the_unsigned_sum():
+    # Over the integers, sum_j v_j (D/p_j) + (k - f) D equals
+    # sum_j u_j (D/p_j) - f D, so the two agree modulo every secret prime.
+    rng = Random(359)
+    basis = PrimeBasis(sample_distinct_primes(31, 20, rng))
+    secret = PrimeBasis(sample_distinct_primes(31, 4, rng, exclude=basis.primes))
+    pre = mod_ecrt_setup(basis, secret)
+    qc = q_coefficients(basis)
+    x = _random_table(basis, 64, 359)
+    terms = mod_ecrt_reduce(qc, basis, x).astype(np.int64)
+    p = np.array(basis.primes, dtype=np.int64)
+    u = x * np.array(qc, dtype=np.int64) % p
+    floors = approx_floor(u, p, pre.precision)
+    product = math.prod(basis.primes)
+    cofactors = [product // pi for pi in basis.primes]
+    for row, u_row, f in zip(terms.tolist(), u.tolist(), floors.tolist()):
+        balanced = sum(v * c for v, c in zip(row, cofactors)) + row[-1] * product
+        assert balanced == sum(ui * c for ui, c in zip(u_row, cofactors)) - f * product
+    unsigned = _three_limb_combine(pre, _unsigned_table(u, floors))
+    assert np.array_equal(mod_ecrt_combine(pre, terms.astype(float)), unsigned)
 
 
 def test_mod_ecrt_combine_holds_one_block_of_float64_terms():
@@ -607,8 +744,7 @@ def test_mod_ecrt_reduce_writes_the_term_table_block_by_block():
     assert terms.dtype == np.float64 and terms.shape == (m, s + 1)
     p = np.array(basis.primes, dtype=np.int64)
     u = x * np.array(qc, dtype=np.int64) % p
-    assert np.array_equal(terms[:, :s], u)
-    assert np.array_equal(terms[:, s], -approx_floor(u, p, ecrt.default_precision(s)))
+    assert np.array_equal(terms, _balanced_table(u, p, approx_floor(u, p, ecrt.default_precision(s))))
 
 
 def test_mod_ecrt_rows_matches_oracle_on_object_path():
@@ -639,7 +775,7 @@ def test_mod_ecrt_reduce_is_reused_across_secret_bases(secret_width):
     p = np.array(basis.primes, dtype=np.int64)
     u = x * np.array(qc, dtype=np.int64) % p
     f = approx_floor(u, p, ecrt.default_precision(40))
-    assert np.array_equal(terms, np.hstack([u, -f[:, None]]))
+    assert np.array_equal(terms, _balanced_table(u, p, f))
     for _ in range(3):
         secret = PrimeBasis(sample_distinct_primes(secret_width, 4, rng, exclude=basis.primes))
         pre = mod_ecrt_setup(basis, secret)
@@ -671,3 +807,55 @@ def test_mod_ecrt_combine_rejects_mismatched_terms():
         mod_ecrt_combine(pre, terms[:, :3])
     with pytest.raises(ValueError):  # one row, not a table
         mod_ecrt_combine(pre, terms[0])
+
+
+# ── the VK refresh against the three-limb oracle ─────────────────────────
+
+
+def _oracle_vk_rows(ck, table):
+    """``vkeygen``'s rows from the oracle's transfer of the unsigned table:
+    the product residues added and reduced by %, the r - 1 column
+    stacked, and all of it transposed."""
+    r = np.array(ck.secret_basis.primes, dtype=object)
+    moved = _three_limb_combine(ck.precomp, table)
+    return np.vstack([(moved + ck.precomp.weights[:, -1]) % r, r - 1]).T.astype(np.int64)
+
+
+@pytest.mark.parametrize("tag,t", [("I", 5), ("V", 11)])
+def test_vkeygen_matches_three_limb_oracle_over_many_refreshes(tag, t):
+    # 200 compression keys on one public key of the instance's shape.
+    base = sq.named_params(tag)
+    rng = Random(base.s + 28)
+    params = replace(base, public_basis=PrimeBasis(sample_distinct_primes(31, base.s, rng)))
+    p = np.array(params.public_basis.primes, dtype=np.int64)
+    residues = np.random.default_rng(base.s).integers(0, p, size=(base.n - 1, base.s))
+    pk = sq.SquirrelsPublicKey(residues)
+    u = residues * np.array(q_coefficients(params.public_basis), dtype=np.int64) % p
+    table = _unsigned_table(u, approx_floor(u, p, ecrt.default_precision(base.s)))
+    for _ in range(200):
+        ck = sq.ckeygen(params, t, rng)
+        assert np.array_equal(sq.vkeygen(ck, pk, params).rows, _oracle_vk_rows(ck, table))
+
+
+@pytest.mark.parametrize("public_width,secret_width", [(31, 40), (40, 31)])
+def test_vkeygen_matches_oracle_on_the_object_path(public_width, secret_width):
+    # 40-bit secret primes put the secret half on Python ints; 40-bit
+    # public primes put the public half there, and the secret half after
+    # it.  ``compression_key`` refuses secret primes past 2^31, so the
+    # compression keys are built by hand.
+    rng = Random(public_width * 100 + secret_width)
+    s, n, t = 12, 48, 3
+    basis = PrimeBasis(sample_distinct_primes(public_width, s, rng))
+    params = sq.SquirrelsParams(n=n, q=16, beta_sq=1 << 20, s=s, tag="toy", public_basis=basis)
+    residues = np.array([[rng.randrange(pi) for pi in basis.primes] for _ in range(n - 1)])
+    pk = sq.SquirrelsPublicKey(residues)
+    assert pk.ecrt_terms(params).dtype == (np.float64 if public_width == 31 else object)
+    p = np.array(basis.primes, dtype=object)
+    u = residues.astype(object) * np.array(q_coefficients(basis), dtype=object) % p
+    table = _unsigned_table(u, approx_floor(u, p, ecrt.default_precision(s)))
+    for _ in range(200):
+        secret = PrimeBasis(sample_distinct_primes(secret_width, t, rng, exclude=basis.primes))
+        pre = mod_ecrt_setup(basis, secret)
+        inv_delta = tuple(pow(d, -1, r) for d, r in zip(pre.weights[:, -1].tolist(), secret.primes))
+        ck = sq.SquirrelsCompressionKey(secret, pre, inv_delta)
+        assert np.array_equal(sq.vkeygen(ck, pk, params).rows, _oracle_vk_rows(ck, table))

@@ -159,6 +159,21 @@ def test_sample_prime_matches_removed_rule():
                 taken.add(r)
 
 
+def test_sample_distinct_primes_draws_as_one_prime_at_a_time():
+    # One exclusion set for the whole call draws the same primes, and
+    # leaves the generator in the same state, as one sample_prime call
+    # per prime with the primes drawn so far excluded.
+    for width, count, exclude in ((8, 20, {131, 137}), (16, 11, ()), (31, 11, (2147483647,))):
+        for seed in range(3):
+            whole, single = Random(seed), Random(seed)
+            taken, expected = set(exclude), []
+            for _ in range(count):
+                expected.append(mm.sample_prime(width, single, exclude=taken))
+                taken.add(expected[-1])
+            assert mm.sample_distinct_primes(width, count, whole, exclude) == tuple(expected)
+            assert whole.getstate() == single.getstate()
+
+
 class _ForcedCandidateRng(Random):
     """Yields randbits making the sampler's first candidates hit a
     scripted list, then falls back to the seeded stream."""

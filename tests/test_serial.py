@@ -142,8 +142,8 @@ def test_squirrels_ck_roundtrip(sq_world):
     again = serial.decode_squirrels_ck(blob, params)
     assert again.secret_basis == ck.secret_basis
     assert again.inv_delta == ck.inv_delta
-    assert again.precomp.product_res == ck.precomp.product_res
-    assert again.precomp.cofactor_res == ck.precomp.cofactor_res
+    assert np.array_equal(again.precomp.weights, ck.precomp.weights)
+    assert again == ck
     assert serial.encode_squirrels_ck(again, params) == blob
 
 
@@ -639,7 +639,7 @@ def test_squirrels_ck_vk_reject_primes_inside_multiplier_window(sq_world):
     pk, params, *_ = sq_world
     small = PrimeBasis((3, 5))
     precomp = mod_ecrt_setup(params.public_basis, small)
-    inv_delta = tuple(inv_mod(d, r) for d, r in zip(precomp.product_res, small.primes))
+    inv_delta = tuple(inv_mod(d, r) for d, r in zip(precomp.weights[:, -1].tolist(), small.primes))
     ck = sq.SquirrelsCompressionKey(small, precomp, inv_delta)
     vk = sq.vkeygen(ck, pk, params)
     with pytest.raises(MalformedSignature):

@@ -14,7 +14,7 @@ from cvk.ecrt import (
     mod_ecrt_setup,
     q_coefficients,
 )
-from cvk.errors import MalformedSignature, ResampleLimit, SharedFactor
+from cvk.errors import DimensionMismatch, MalformedSignature, ResampleLimit, SharedFactor
 from cvk.modmath import is_prime_word, sample_distinct_primes
 from cvk.opcount import OpCounter
 
@@ -381,7 +381,7 @@ def test_ckeygen_invariants(toy, toy_keys):
     delta = math.prod(params.public_basis.primes)
     for j, r in enumerate(primes):
         assert r > k_max - k_min
-        assert ck.precomp.product_res[j] == delta % r
+        assert ck.precomp.weights[j, -1] == delta % r
         assert ck.inv_delta[j] * (delta % r) % r == 1
 
 
@@ -527,7 +527,7 @@ def test_vkeygen_with_cached_terms_matches_fresh_key_at_full_size():
     assert terms.dtype == np.float64
     p = np.array(params.public_basis.primes, dtype=np.int64)
     u = residues * np.array(q_coefficients(params.public_basis), dtype=np.int64) % p
-    assert np.array_equal(terms[:, :-1], u)
+    assert np.array_equal(terms[:, :-1], np.where(u > p // 2, u - p, u))
 
 
 def test_vkeygen_with_cached_terms_matches_fresh_key_at_40_bit_secret_primes():
@@ -540,14 +540,14 @@ def test_vkeygen_with_cached_terms_matches_fresh_key_at_40_bit_secret_primes():
     for _ in range(3):
         secret = PrimeBasis(sample_distinct_primes(40, 3, rng, exclude=basis.primes))
         pre = mod_ecrt_setup(basis, secret)
-        inv_delta = tuple(pow(d, -1, r) for d, r in zip(pre.product_res, secret.primes))
+        inv_delta = tuple(pow(d, -1, r) for d, r in zip(pre.weights[:, -1].tolist(), secret.primes))
         cks.append(sq.SquirrelsCompressionKey(secret, pre, inv_delta))
     _assert_cached_terms_change_nothing(residues, params, cks)
     moved = mod_ecrt_rows(cks[0].precomp, q_coefficients(basis), basis, residues)
     assert moved.dtype == object
     vk = sq.vkeygen(cks[0], sq.SquirrelsPublicKey(residues), params)
     r = np.array(cks[0].secret_basis.primes, dtype=object)
-    expected = (moved + np.array(cks[0].precomp.product_res, dtype=object)) % r
+    expected = (moved + cks[0].precomp.weights[:, -1]) % r
     assert np.array_equal(vk.rows[:, :-1], expected.T.astype(np.int64))
 
 
@@ -564,8 +564,8 @@ def _held_bytes(obj) -> int:
 
 def test_squirrels_v_public_key_holds_its_residues_and_one_term_table():
     # After its first install, a Squirrels V key holds its int64 residues
-    # and the (n-1, s+1) float64 term table [u | -f], the same bytes as
-    # u and f kept as two int64 arrays, and nothing else.
+    # and the (n-1, s+1) balanced float64 term table [v | k - f], the same
+    # bytes as u and f kept as two int64 arrays, and nothing else.
     rng = Random(2056)
     params = replace(
         sq.named_params("V"), public_basis=PrimeBasis(sample_distinct_primes(31, 339, rng))
@@ -878,6 +878,44 @@ def _full_size_fold(offsets):
         assert abs(folded) > 1 << 53  # past the integers float64 holds exactly
         inv_delta.append((mid + offsets[j] + k_min) * pow(folded % p, -1, p) % p)
     return sq.SquirrelsVerificationKey(secret, tuple(inv_delta), rows), sig
+
+
+def _instance_i_keys_and_ii_params():
+    """A Squirrels I PK and VK of the right shapes, II params with a
+    basis, and a signature of II's length."""
+    rng = Random(1164)
+    params_i = sq.named_params("I")
+    params_ii = replace(
+        sq.named_params("II"), public_basis=PrimeBasis(sample_distinct_primes(31, 188, rng))
+    )
+    gen = np.random.default_rng(1164)
+    pk = sq.SquirrelsPublicKey(gen.integers(0, 1 << 30, size=(params_i.n - 1, params_i.s)))
+    secret = PrimeBasis(sample_distinct_primes(31, 5, rng))
+    rows = gen.integers(0, 1 << 30, size=(5, params_i.n))
+    vk = sq.SquirrelsVerificationKey(secret, tuple(range(1, 6)), rows)
+    sig = sq.SquirrelsSignature(bytes(sq.SALT_BYTES), (0,) * params_ii.n)
+    return pk, vk, params_ii, sig
+
+
+def test_verify_refuses_a_public_key_of_another_instance():
+    pk, _, params_ii, sig = _instance_i_keys_and_ii_params()
+    with pytest.raises(DimensionMismatch, match="public key is"):
+        sq.verify(sig, MESSAGE, pk, params_ii)
+
+
+def test_cverify_refuses_a_verification_key_of_another_instance():
+    _, vk, params_ii, sig = _instance_i_keys_and_ii_params()
+    with pytest.raises(DimensionMismatch, match="verification key rows"):
+        sq.cverify(sig, MESSAGE, vk, params_ii)
+
+
+@pytest.mark.parametrize("rows_t,inv_t", [(3, 2), (2, 3), (1, 2)])
+def test_verification_key_refuses_disagreeing_t(rows_t, inv_t):
+    secret = PrimeBasis((65537, 65539))
+    with pytest.raises(ValueError):
+        sq.SquirrelsVerificationKey(secret, (1,) * inv_t, np.zeros((rows_t, 8), dtype=np.int64))
+    with pytest.raises(ValueError):  # rows must be a table
+        sq.SquirrelsVerificationKey(secret, (1, 1), np.zeros(8, dtype=np.int64))
 
 
 def test_cverify_fold_exact_at_full_size():
