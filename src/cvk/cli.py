@@ -113,74 +113,80 @@ def _dump_params(args, params) -> None:
 # ── params ───────────────────────────────────────────────────────────────
 
 
+# Each table's columns: header, row field, width (the gap before the
+# column included) and the format after the width.
+_SQUIRRELS_COLUMNS = (
+    ("instance", "instance", 8, ""),
+    ("lambda", "lambda", 8, ""),
+    ("n", "n", 6, ""),
+    ("s", "s", 5, ""),
+    ("t", "t", 4, ""),
+    ("mu", "mu", 7, ".1f"),
+    ("|PK|", "pk_bytes", 11, ""),
+    ("|CK|", "ck_bytes", 9, ""),
+    ("|VK|", "vk_bytes", 8, ""),
+    ("ratio", "ratio", 7, ".2f"),
+    ("k_min", "k_min", 10, ""),
+    ("k_max", "k_max", 10, ""),
+)
+_WAVE_COLUMNS = (
+    ("instance", "instance", 8, ""),
+    ("lambda", "lambda", 8, ""),
+    ("n", "n", 7, ""),
+    ("k", "k", 6, ""),
+    ("c", "c", 5, ""),
+    ("mu", "mu", 7, ".1f"),
+    ("|PK|", "pk_bytes", 10, ""),
+    ("|CK|", "ck_bytes", 9, ""),
+    ("|VK|", "vk_bytes", 8, ""),
+    ("ratio", "ratio", 7, ".2f"),
+)
+
+
+def _table_row(params, mu: float, pk: int, ck: int, vk: int, **fields) -> dict:
+    """The fields both schemes' tables share, and the scheme's own."""
+    return {
+        "instance": params.tag,
+        "lambda": params.classical_bits,
+        "mu": mu,
+        "pk_bytes": pk,
+        "ck_bytes": ck,
+        "vk_bytes": vk,
+        "ratio": pk / vk,
+        **fields,
+    }
+
+
 def squirrels_table_row(tag: str) -> dict:
     params = sq.named_params(tag)
     t, mu = sq.choose_t(params.classical_bits)
-    pk = sq.pk_bytes(params)
-    vk = sq.vk_bytes(params, t)
     k_min, k_max = sq.k_prime_bounds(params)
-    return {
-        "instance": tag,
-        "lambda": params.classical_bits,
-        "n": params.n,
-        "s": params.s,
-        "t": t,
-        "mu": mu,
-        "pk_bytes": pk,
-        "ck_bytes": sq.ck_bytes(params, t),
-        "vk_bytes": vk,
-        "ratio": pk / vk,
-        "k_min": k_min,
-        "k_max": k_max,
-    }
+    return _table_row(
+        params, mu, sq.pk_bytes(params), sq.ck_bytes(params, t), sq.vk_bytes(params, t),
+        n=params.n, s=params.s, t=t, k_min=k_min, k_max=k_max,
+    )
 
 
 def wave_table_row(tag: str) -> dict:
     params = wv.named_params(tag)
     c, mu = wv.wave_choose_c(params.classical_bits)
-    pk = wv.pk_bytes(params)
-    vk = wv.vk_bytes(params, c)
-    return {
-        "instance": tag,
-        "lambda": params.classical_bits,
-        "n": params.n,
-        "k": params.k,
-        "c": c,
-        "mu": mu,
-        "pk_bytes": pk,
-        "ck_bytes": wv.ck_bytes(params, c),
-        "vk_bytes": vk,
-        "ratio": pk / vk,
-    }
+    return _table_row(
+        params, mu, wv.pk_bytes(params), wv.ck_bytes(params, c), wv.vk_bytes(params, c),
+        n=params.n, k=params.k, c=c,
+    )
 
 
 def cmd_params(args) -> int:
     if args.scheme == "squirrels":
-        tags = [args.instance] if args.instance else list(sq.SQUIRRELS_TAGS)
-        print(
-            "instance  lambda     n    s   t     mu       |PK|     |CK|    |VK|  ratio"
-            "     k_min     k_max"
-        )
-        for tag in tags:
-            r = squirrels_table_row(tag)
-            print(
-                f"{r['instance']:>8}  {r['lambda']:>6}  {r['n']:>4} {r['s']:>4} "
-                f"{r['t']:>3}  {r['mu']:>5.1f}  {r['pk_bytes']:>9} {r['ck_bytes']:>8} "
-                f"{r['vk_bytes']:>7}  {r['ratio']:>5.2f} {r['k_min']:>9} {r['k_max']:>9}"
-            )
+        tags, table_row, columns = sq.SQUIRRELS_TAGS, squirrels_table_row, _SQUIRRELS_COLUMNS
+        note = ""
     else:
-        tags = [args.instance] if args.instance else list(wv.WAVE_TAGS)
-        print(
-            "instance  lambda      n     k    c     mu      |PK|     |CK|    |VK|  ratio"
-            " (|PK| at 4 trits per byte)"
-        )
-        for tag in tags:
-            r = wave_table_row(tag)
-            print(
-                f"{r['instance']:>8}  {r['lambda']:>6}  {r['n']:>5} {r['k']:>5} "
-                f"{r['c']:>4}  {r['mu']:>5.1f}  {r['pk_bytes']:>8} {r['ck_bytes']:>8} "
-                f"{r['vk_bytes']:>7}  {r['ratio']:>5.2f}"
-            )
+        tags, table_row, columns = wv.WAVE_TAGS, wave_table_row, _WAVE_COLUMNS
+        note = " (|PK| at 4 trits per byte)"
+    print("".join(f"{header:>{width}}" for header, _, width, _ in columns) + note)
+    for tag in [args.instance] if args.instance else tags:
+        row = table_row(tag)
+        print("".join(f"{row[key]:>{width}{spec}}" for _, key, width, spec in columns))
     return 0
 
 

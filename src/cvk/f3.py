@@ -20,9 +20,14 @@ not an approximation (the FFLAS-FFPACK approach).  Those sums are
 nonnegative integers below 2^24, so they cast to int32 without loss and
 are reduced mod 3 there: an integer ``% 3`` runs about five times faster
 than the float remainder over the same block.
+
+``random_trits`` has one path: each call builds its own numpy ``MT19937``
+from the caller's ``Random`` state and writes the advanced state back,
+so no generator outlives the call.  That costs about 0.2 ms per call
+besides the draws; a caller that needs only a few trits draws them with
+``rng.randrange(3)``, the same draws.
 """
 
-import functools
 import threading
 from random import Random
 
@@ -118,60 +123,49 @@ def unpack_trits(data: bytes, count: int) -> np.ndarray:
     return _unpack(raw, count)[0]
 
 
-@functools.cache
-def _twister() -> "np.random.MT19937":
-    """The one numpy ``MT19937`` that ``random_trits`` loads each
-    ``Random``'s state into, under ``_TWISTER_LOCK``.  Built once, on
-    first use: making one takes about 0.15 ms, several times a short
-    draw, and only a process that samples trits imports ``numpy.random``."""
-    return np.random.MT19937(0)
-
-
-_TWISTER_LOCK = threading.Lock()
+# Held around each draw's read, run and write-back of a Random's state, so
+# two threads drawing from one Random never get the same trits.
+_SAMPLER_LOCK = threading.Lock()
 
 
 def random_trits(count: int, rng: Random) -> np.ndarray:
     """``count`` uniform trits, draw for draw ``rng.randrange(3)``.
 
     ``randrange(3)`` keeps the top two bits of one 32-bit Mersenne
-    Twister word and rejects the value 3.  This reads ``rng``'s MT19937
-    state through ``getstate()``, runs numpy's ``MT19937`` bit generator
-    from a copy of it, filters its ``random_raw`` words the same way and
-    writes the advanced state back with ``setstate()``: the same trits,
-    and ``rng`` ends in the same state, ``gauss_next`` included.  An
-    ``rng`` whose ``getrandbits`` is overridden does not draw from that
-    state, so it is refused with ``TypeError``.
+    Twister word and rejects the value 3.  Each call reads ``rng``'s
+    MT19937 state through ``getstate()``, runs a numpy ``MT19937`` bit
+    generator of its own from a copy of it, filters its ``random_raw``
+    words the same way and writes the advanced state back with
+    ``setstate()``: the same trits, and ``rng`` ends in the same state,
+    ``gauss_next`` included.  The generator is dropped when the call
+    returns, so no state that a secret was drawn from outlives the
+    caller's ``Random``.  An ``rng`` whose ``getrandbits`` is overridden
+    does not draw from that state, so it is refused with ``TypeError``.
 
-    The 624 key words change only when the draws run past the last one
-    and regenerate them.  Until then only the position moves, and the
-    key is written back as it was read: numpy's ``state`` getter alone
-    takes about 0.07 ms, several times a short draw.
+    A call costs about 0.2 ms besides its draws (building the generator
+    and reading its state back), so a caller that needs only a few trits
+    calls ``rng.randrange(3)`` for each: the same draws and end state.
     """
     if not isinstance(rng, Random) or type(rng).getrandbits is not Random.getrandbits:
         raise TypeError("random_trits needs a random.Random with its own getrandbits")
     out = np.empty(count, dtype=np.uint8)
-    filled = drawn = 0
-    twister = _twister()
-    with _TWISTER_LOCK:
+    filled = 0
+    twister = np.random.MT19937(0)
+    with _SAMPLER_LOCK:
         version, internal, gauss_next = rng.getstate()
         # The setter reads the key words by index: a tuple of ints sets
         # them about 35 times faster than a uint32 array.
-        key, pos = internal[:-1], internal[-1]
-        twister.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
+        state = {"key": internal[:-1], "pos": internal[-1]}
+        twister.state = {"bit_generator": "MT19937", "state": state}
         while filled < count:
             words = twister.random_raw(min(count - filled, SAMPLER_WORDS))
-            drawn += words.size
             words >>= 30
             kept = words.astype(np.uint8)
             kept = kept[kept < 3]
             out[filled : filled + kept.size] = kept
             filled += kept.size
-        if pos + drawn > len(key):
-            state = twister.state["state"]
-            key, pos = tuple(state["key"].tolist()), state["pos"]
-        else:
-            pos += drawn
-        rng.setstate((version, (*key, pos), gauss_next))
+        state = twister.state["state"]
+        rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
     return out
 
 

@@ -20,7 +20,6 @@ from random import Random
 import numpy as np
 
 from .errors import BudgetExceeded
-from .f3 import random_trits
 from .modmath import is_prime_word
 from .squirrels import check_t, keyspace_log2
 from .wave import LOG2_3, check_c
@@ -265,7 +264,7 @@ def wave_segp_instance(nk: int, c: int) -> SegpInstance:
 
     def sample_query(rng: Random):
         while True:
-            v = tuple(random_trits(nk, rng).tolist())
+            v = tuple(rng.randrange(3) for _ in range(nk))
             if any(v):
                 return v
 

@@ -47,6 +47,11 @@ COORD_BITS = 16  # serialized signature coordinates: signed 16-bit
 # parameters and keys are built rather than on every call.
 MAX_DIMENSION = 1 << 15
 MAX_SECRET_PRIME = 1 << 31
+# Public primes are words below 2^31 too, checked where params are built:
+# ``verify`` sums n < 2^15 products of a target coordinate below 2^17 and
+# a residue in int64, below 2^63 only for residues below 2^31, and the PK
+# stores each residue as one signed 32-bit ``<i4`` word.
+MAX_PUBLIC_PRIME = 1 << 31
 
 # Named instances: dimension, hash bound, max squared norm, public prime
 # count, classical security target.
@@ -77,8 +82,12 @@ class SquirrelsParams:
             raise ValueError(f"dimension {self.n} not in [2, {MAX_DIMENSION})")
         if self.beta_sq < 0:
             raise ValueError(f"squared norm bound must be nonnegative, got {self.beta_sq}")
-        if self.public_basis is not None and len(self.public_basis) != self.s:
-            raise ValueError("public basis length disagrees with s")
+        if self.public_basis is not None:
+            if len(self.public_basis) != self.s:
+                raise ValueError("public basis length disagrees with s")
+            widest = max(self.public_basis.primes)
+            if widest >= MAX_PUBLIC_PRIME:
+                raise ValueError(f"public prime {widest} not below {MAX_PUBLIC_PRIME}")
 
 
 def check_q(q: int) -> None:
@@ -218,10 +227,12 @@ class SquirrelsVerificationKey:
     prime (secret-prime-major, matching the verification loop).  Row
     index n-1 holds r_j - 1, the image of the implicit -1 coordinate.
 
-    ``r`` and ``inv_delta_words`` are the secret primes and ``inv_delta``
-    as read-only int64 arrays, built once here for ``cverify``; the key
-    is frozen, so they always match the fields they come from.  Rows,
-    primes and ``inv_delta`` that disagree on t are refused."""
+    ``rows`` is held as a read-only int64 array that no other array
+    shares (a view is copied), and ``r`` and ``inv_delta_words`` are the
+    secret primes and ``inv_delta`` as read-only int64 arrays, built once
+    here for ``cverify``; the key is frozen, so they always match the
+    fields they come from.  Rows, primes and ``inv_delta`` that disagree
+    on t are refused."""
 
     secret_basis: PrimeBasis
     inv_delta: tuple[int, ...]
@@ -230,8 +241,11 @@ class SquirrelsVerificationKey:
     inv_delta_words: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        rows = np.ascontiguousarray(self.rows, dtype=np.int64)
+        if rows.base is not None:
+            rows = rows.copy()
         arrays = {
-            "rows": np.ascontiguousarray(self.rows, dtype=np.int64),
+            "rows": rows,
             "r": np.array(self.secret_basis.primes, dtype=np.int64),
             "inv_delta_words": np.array(self.inv_delta, dtype=np.int64),
         }
@@ -609,8 +623,8 @@ def toy_keygen(
         factors = _factorize(det, rng)
         if len(set(factors)) != len(factors):
             continue  # determinant not squarefree
-        if any(p >= (1 << 31) for p in factors):
-            continue  # residues must fit signed 32-bit storage
+        if max(factors) >= MAX_PUBLIC_PRIME:
+            continue  # params refuse it
         logger.debug(
             "toy keygen: accepted after %d attempts, co-cyclic rate %.2f",
             attempt, cocyclic_hits / attempt,

@@ -86,6 +86,30 @@ def test_params_command_prints_rows(capsys):
     assert "ratio (|PK| at 4 trits per byte)" in out.splitlines()[0]
 
 
+PARAMS_TABLES = {
+    "squirrels": """\
+instance  lambda     n    s   t     mu       |PK|     |CK|    |VK|  ratio     k_min     k_max
+       I     128  1034  165   5  121.1     681780     3360   20700  32.94    -91554   8551824
+      II     128  1164  188   5  121.1     874576     3820   23300  37.54   -106640   9631610
+     III     192  1556  262   8  189.5    1629640     8480   49824  32.71   -167584  12903034
+      IV     192  1718  275   8  189.5    1888700     8896   55008  34.34   -158579  14220809
+       V     256  2056  339  11  256.3    2786580    15048   90508  30.79   -210152  17040602
+""",
+    "wave": """\
+instance  lambda      n     k    c     mu      |PK|     |CK|    |VK|  ratio (|PK| at 4 trits per byte)
+     822     128   8576  4288   80  126.8   4596736    85760  169920  27.05
+    1249     192  12544  6272  120  190.2   9834496   188160  372720  26.39
+    1644     256  16512  8256  160  253.6  17040384   330240  654080  26.05
+""",
+}
+
+
+@pytest.mark.parametrize("scheme", PARAMS_TABLES)
+def test_params_command_prints_the_whole_table(capsys, scheme):
+    assert run("params", "--scheme", scheme) == 0
+    assert read_out(capsys) == PARAMS_TABLES[scheme]
+
+
 def test_params_unknown_instance_errors(capsys):
     assert run("params", "--scheme", "squirrels", "--instance", "VII") == 2
 
@@ -145,10 +169,11 @@ def test_tampered_signature_bytes_reject_or_malform(sq_files, tmp_path):
         lambda doc: {**doc, "n": -3},
         lambda doc: {**doc, "n": 1},
         lambda doc: {**doc, "beta_sq": -1},
+        lambda doc: {**doc, "primes": [sympy.prevprime(1 << 40), *doc["primes"][1:]]},
     ],
     ids=[
         "string-field", "top-level-list", "float-prime", "missing-field",
-        "negative-n", "n-one", "negative-beta-sq",
+        "negative-n", "n-one", "negative-beta-sq", "40-bit-prime",
     ],
 )
 def test_malformed_params_sidecar_is_exit_2(sq_files, tmp_path, capsys, corrupt):

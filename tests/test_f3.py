@@ -1,3 +1,6 @@
+import gc
+import sys
+import threading
 import tracemalloc
 from random import Random
 
@@ -19,7 +22,7 @@ from cvk.f3 import (
     row_stride,
     unpack_trits,
 )
-from cvk.wave import WaveSignature
+from cvk.wave import WaveParams, WaveSignature, wave_ckeygen
 
 trit_rows = st.integers(min_value=1, max_value=16)
 
@@ -260,6 +263,75 @@ def test_random_trits_keeps_the_random_state_around_the_twist(prelude, count):
     assert got.tolist() == [loop.randrange(3) for _ in range(count)]
     assert bulk.getstate() == loop.getstate()
     assert bulk.gauss(0, 1) == loop.gauss(0, 1)
+
+
+def _twisters_holding(rng: Random) -> list:
+    """Every live numpy ``MT19937`` whose key words are ``rng``'s: any
+    of them would replay every later draw of ``rng``."""
+    key = list(rng.getstate()[1][:-1])
+    return [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, np.random.MT19937) and obj.state["state"]["key"].tolist() == key
+    ]
+
+
+@pytest.mark.parametrize("count", [4, 3000])
+def test_random_trits_leaves_no_generator_with_the_callers_state(count):
+    # 3000 trits run past word 624, so the key is regenerated.
+    rng = Random(count)
+    random_trits(count, rng)
+    assert _twisters_holding(rng) == []
+
+
+def test_wave_ckeygen_leaves_no_generator_with_the_callers_state():
+    rng = Random(29)
+    wave_ckeygen(WaveParams(n=200, k=100, w=50, tag="toy"), 20, rng)
+    assert _twisters_holding(rng) == []
+
+
+def _in_threads(*calls) -> list:
+    """Run each call in its own thread, started together, with a short
+    switch interval; their results in call order."""
+    results = [None] * len(calls)
+    barrier = threading.Barrier(len(calls), timeout=30)
+
+    def run(index, call):
+        barrier.wait()
+        results[index] = call()
+
+    threads = [threading.Thread(target=run, args=item) for item in enumerate(calls)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_random_trits_in_threads_with_their_own_randoms():
+    def draws(seed):
+        rng = Random(seed)
+        return lambda: [random_trits(20_000, rng).tolist() for _ in range(8)] + [rng.getstate()]
+
+    for seeds in [(1, 2, 3), (4, 4, 5)]:
+        assert _in_threads(*map(draws, seeds)) == [draws(seed)() for seed in seeds]
+
+
+def test_random_trits_in_threads_sharing_one_random():
+    # Each thread's draw is one of the three sequential draws, no draw is
+    # made twice, and the Random ends where all three leave it.
+    for seed in range(5):
+        shared, loop = Random(seed), Random(seed)
+        got = _in_threads(*[lambda: random_trits(400_000, shared).tobytes()] * 3)
+        expected = [random_trits(400_000, loop).tobytes() for _ in range(3)]
+        assert sorted(got) == sorted(expected)
+        assert shared.getstate() == loop.getstate()
 
 
 def _full(rows: int, cols: int) -> np.ndarray:

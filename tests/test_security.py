@@ -337,14 +337,19 @@ def test_game_too_large_is_refused_before_enumerating_or_drawing(monkeypatch):
     def fails(*args):
         raise AssertionError("enumerated or drew for a game above the cap")
 
+    class NoDraws(Random):
+        # Every draw of a Random comes through one of these two.
+        random = getrandbits = fails
+
     monkeypatch.setattr(sec, "_enumerate_f3_subspaces", fails)
-    monkeypatch.setattr(sec, "random_trits", fails)
     start = time.perf_counter()
     inst = sec.wave_segp_instance(10**7, 10**7)
     assert (inst.s_size, inst.kappa, inst.query_trits) == (1, 0, 10**7)
+    with pytest.raises(AssertionError, match="drew"):
+        inst.sample_query(NoDraws(9))
     for strategy in sec.STRATEGIES:
         with pytest.raises(ValueError, match="draw 60000000000 trits, above the cap"):
-            sec.simulate_segp_game(inst, strategy, 2000, 3, Random(9))
+            sec.simulate_segp_game(inst, strategy, 2000, 3, NoDraws(9))
     assert time.perf_counter() - start < 1.0
 
 

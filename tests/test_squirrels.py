@@ -314,6 +314,46 @@ def test_params_reject_short_dimension_or_negative_norm_bound(n, beta_sq):
         sq.SquirrelsParams(n=n, q=16, beta_sq=beta_sq, s=1, tag="edge")
 
 
+def test_params_refuse_a_public_prime_past_the_word_bound():
+    below = max(p for p in range((1 << 31) - 100, 1 << 31) if is_prime_word(p))
+    above = next(p for p in range(1 << 31, (1 << 31) + 100) if is_prime_word(p))
+    edge = sq.SquirrelsParams(n=12, q=16, beta_sq=1, s=2, tag="edge")
+    replace(edge, public_basis=PrimeBasis((3, below)))
+    with pytest.raises(ValueError, match="public prime"):
+        replace(edge, public_basis=PrimeBasis((3, above)))
+
+
+def test_params_refuse_wide_public_primes_that_overflow_verify():
+    # Three 40-bit public primes, residues near p - 1 and every coordinate
+    # 30000, with row 0 solved so that each congruence holds over the
+    # integers: a valid signature whose sums pass 2^63, which verify's
+    # int64 product rejected.
+    n, q, salt = 1034, 4096, b"w" * sq.SALT_BYTES
+    rng = Random(40)
+    primes = sample_distinct_primes(40, 3, rng)
+    c = [30000 + h for h in sq.hash_to_point(MESSAGE, salt, q, n).tolist()]
+    x = [[p - 1 - rng.randrange(1000) for p in primes] for _ in range(n - 1)]
+    x[0] = [
+        (c[-1] - sum(c[i] * x[i][j] for i in range(1, n - 1))) * pow(c[0], -1, p) % p
+        for j, p in enumerate(primes)
+    ]
+    sums = [sum(c[i] * x[i][j] for i in range(n - 1)) for j in range(len(primes))]
+    assert all((total - c[-1]) % p == 0 for total, p in zip(sums, primes))
+    assert max(sums) >= 1 << 63
+    with pytest.raises(ValueError, match="public prime"):
+        sq.SquirrelsParams(
+            n=n, q=q, beta_sq=n * 30000**2, s=3, tag="edge", public_basis=PrimeBasis(primes)
+        )
+
+
+def test_vk_copies_a_view_of_its_rows():
+    big = np.arange(12, dtype=np.int64).reshape(4, 3) + 5
+    vk = sq.SquirrelsVerificationKey(PrimeBasis((31, 37)), (1, 1), big[:2])
+    assert not np.shares_memory(vk.rows, big)
+    big[:2] = 0
+    assert vk.rows.tolist() == [[5, 6, 7], [8, 9, 10]]
+
+
 # ── one owner per rule: every entry point refuses a value just outside ───
 
 
