@@ -8,6 +8,10 @@ through toy instances, whose parameters travel in a JSON sidecar written
 by ``keygen``.  A file's privacy follows from its kind: CK, VK and toy
 SK files (``serial.PRIVATE_KINDS``) are written with owner-only
 permissions.
+
+A process loads only the scheme its command names: ``rw``, ``security``,
+``squirrels`` and ``wave`` (and through them ``ecrt``, ``f3`` and
+``modmath``) load when a command first reaches them.
 """
 
 import argparse
@@ -18,11 +22,14 @@ import sys
 import tempfile
 from random import Random
 
-from . import rw, security, serial
-from . import squirrels as sq
-from . import wave as wv
-from .ecrt import PrimeBasis
+from . import LazyModule, serial
 from .errors import CvkError
+
+ecrt = LazyModule("ecrt")
+rw = LazyModule("rw")
+security = LazyModule("security")
+sq = LazyModule("squirrels")
+wv = LazyModule("wave")
 
 
 def _write(path: str, blob: bytes) -> None:
@@ -95,7 +102,7 @@ def _load_params(args):
             **_int_fields(doc, path, *_SIDECAR_INTS[scheme]),
             s=len(primes),
             tag=tag,
-            public_basis=PrimeBasis(tuple(primes)),
+            public_basis=ecrt.PrimeBasis(tuple(primes)),
         )
     return wv.WaveParams(**_int_fields(doc, path, *_SIDECAR_INTS[scheme]), tag=tag)
 
@@ -337,6 +344,10 @@ def cmd_bench_ops(args) -> int:
 
 
 def cmd_simulate_forgery(args) -> int:
+    if args.strategy not in security.STRATEGIES:
+        raise CvkError(
+            f"--strategy: {args.strategy!r} is not one of {', '.join(security.STRATEGIES)}"
+        )
     rng = Random(args.seed)
     if args.scheme == "wave":
         instance = security.wave_segp_instance(args.nk, args.c)
@@ -447,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "simulate-forgery", parents=[named, seed], help="membership-oracle forgery game"
     )
-    p.add_argument("--strategy", default="random", choices=list(security.STRATEGIES))
+    p.add_argument("--strategy", default="random")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--queries", type=int, default=3)
     p.add_argument("--nk", type=int, default=4)

@@ -297,6 +297,8 @@ def squirrels_segp_instance(width: int, query_bound: int) -> SegpInstance:
     [1, query_bound], answered by divisibility."""
     if not 2 <= width <= 16:
         raise ValueError(f"prime width must be in [2, 16], got {width}")
+    if query_bound < 1:
+        raise ValueError(f"query bound must be at least 1, got {query_bound}")
     pool = [
         n
         for n in range((1 << (width - 1)) + 1, 1 << width, 2)

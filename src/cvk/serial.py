@@ -13,20 +13,27 @@ Little-endian throughout.  Squirrels residues are signed 32-bit fields
 stored), so PK/VK/CK payload lengths land exactly on the documented
 4(n-1)s / 4(n+1)t / 4(s+3)t byte counts.  Wave payloads are packed
 trits, rows byte-aligned.
+
+Each scheme's modules load on the first call that needs them, so a
+process that reads only Wave files never runs Squirrels or RW code.
 """
+
+from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import rw
-from . import squirrels as sq
-from . import wave as wv
-from .ecrt import PrimeBasis
+from . import LazyModule
 from .errors import MalformedSignature, SharedFactor
-from .f3 import TernaryMatrix
-from .modmath import MAX_PRIME_WIDTH, MIN_PRIME_WIDTH, is_prime_word
+
+ecrt = LazyModule("ecrt")
+f3 = LazyModule("f3")
+modmath = LazyModule("modmath")
+rw = LazyModule("rw")
+sq = LazyModule("squirrels")
+wv = LazyModule("wave")
 
 MAGIC = b"CVK1"
 HEADER = struct.Struct("<4sBBHQ")
@@ -44,15 +51,14 @@ KIND_SK = 4  # toy signing key: artifact plumbing for the CLI pipeline
 # Compression, verification and toy signing keys stay with their owner.
 PRIVATE_KINDS = frozenset({KIND_CK, KIND_VK, KIND_SK})
 
-# Toy keys are 0; named instances are numbered from 1 in their table order.
-_SQ_TAG_CODES = {"toy": 0} | {tag: i for i, tag in enumerate(sq.SQUIRRELS_TAGS, 1)}
-
 
 def tag_code(scheme: int, tag: str) -> int:
-    """The header's instance code for ``tag``, which must fit its 16 bits."""
+    """The header's instance code for ``tag``, which must fit its 16 bits.
+    Toy keys are 0; named Squirrels instances are numbered from 1 in their
+    table order."""
     code = 0
-    if scheme == SCHEME_SQUIRRELS:
-        code = _SQ_TAG_CODES.get(tag, 0)
+    if scheme == SCHEME_SQUIRRELS and tag in sq.SQUIRRELS_TAGS:
+        code = sq.SQUIRRELS_TAGS.index(tag) + 1
     elif scheme == SCHEME_WAVE and tag.isdigit():
         code = int(tag)
     if code >= 1 << 16:
@@ -160,7 +166,7 @@ def _rebuild_squirrels_ck(
 ) -> sq.SquirrelsCompressionKey:
     """The compression key on the secret primes a CK or VK file stores."""
     try:
-        return sq.compression_key(params, PrimeBasis(tuple(words.tolist())))
+        return sq.compression_key(params, ecrt.PrimeBasis(tuple(words.tolist())))
     except (ValueError, SharedFactor) as exc:
         raise MalformedSignature(f"{what}: {exc}") from None
 
@@ -244,27 +250,27 @@ def decode_squirrels_sk(blob: bytes, params: sq.SquirrelsParams) -> sq.ToySquirr
 # ── Wave ─────────────────────────────────────────────────────────────────
 
 
-def encode_wave_pk(pk: TernaryMatrix, params: wv.WaveParams) -> bytes:
+def encode_wave_pk(pk: f3.TernaryMatrix, params: wv.WaveParams) -> bytes:
     payload = pk.data
     assert len(payload) == wv.pk_bytes(params)
     return wrap(SCHEME_WAVE, KIND_PK, tag_code(SCHEME_WAVE, params.tag), payload)
 
 
-def decode_wave_pk(blob: bytes, params: wv.WaveParams) -> TernaryMatrix:
+def decode_wave_pk(blob: bytes, params: wv.WaveParams) -> f3.TernaryMatrix:
     _, payload = unwrap(blob, SCHEME_WAVE, KIND_PK)
-    return _malformed(TernaryMatrix, params.k, params.redundancy, payload)
+    return _malformed(f3.TernaryMatrix, params.k, params.redundancy, payload)
 
 
-def encode_wave_ck(ck: TernaryMatrix, params: wv.WaveParams) -> bytes:
+def encode_wave_ck(ck: f3.TernaryMatrix, params: wv.WaveParams) -> bytes:
     payload = ck.data
     assert len(payload) == wv.ck_bytes(params, ck.cols)
     return wrap(SCHEME_WAVE, KIND_CK, tag_code(SCHEME_WAVE, params.tag), payload)
 
 
-def decode_wave_ck(blob: bytes, params: wv.WaveParams, c: int) -> TernaryMatrix:
+def decode_wave_ck(blob: bytes, params: wv.WaveParams, c: int) -> f3.TernaryMatrix:
     _, payload = unwrap(blob, SCHEME_WAVE, KIND_CK)
     c = _malformed(wv.check_c, c, params.redundancy)
-    return _malformed(TernaryMatrix, params.redundancy, c, payload)
+    return _malformed(f3.TernaryMatrix, params.redundancy, c, payload)
 
 
 def encode_wave_vk(vk: wv.WaveVerificationKey, params: wv.WaveParams) -> bytes:
@@ -276,7 +282,7 @@ def encode_wave_vk(vk: wv.WaveVerificationKey, params: wv.WaveParams) -> bytes:
 def decode_wave_vk(blob: bytes, params: wv.WaveParams, c: int) -> wv.WaveVerificationKey:
     _, payload = unwrap(blob, SCHEME_WAVE, KIND_VK)
     c = _malformed(wv.check_c, c, params.redundancy)
-    return wv.WaveVerificationKey(_malformed(TernaryMatrix, params.n - c, c, payload))
+    return wv.WaveVerificationKey(_malformed(f3.TernaryMatrix, params.n - c, c, payload))
 
 
 def encode_wave_sig(sig: wv.WaveSignature, params: wv.WaveParams) -> bytes:
@@ -349,7 +355,7 @@ def decode_rw_sk(blob: bytes) -> rw.RwKeypair:
     kp = _malformed(rw.RwKeypair, p, q)
     # The width check first bounds the cost of the primality tests.
     _rw_width(kp.n.bit_length(), "SK")
-    if not (is_prime_word(p) and is_prime_word(q)):
+    if not (modmath.is_prime_word(p) and modmath.is_prime_word(q)):
         raise MalformedSignature("SK: p and q must be prime")
     return kp
 
@@ -360,7 +366,8 @@ def encode_rw_ck(ell: int) -> bytes:
 
 def _rw_ell(ell: int, what: str) -> int:
     """A prime of a width ``rw_ckeygen`` draws; ell = 1 would accept anything."""
-    if not (1 << (MIN_PRIME_WIDTH - 1) < ell < 1 << MAX_PRIME_WIDTH and is_prime_word(ell)):
+    width_ok = 1 << (modmath.MIN_PRIME_WIDTH - 1) < ell < 1 << modmath.MAX_PRIME_WIDTH
+    if not (width_ok and modmath.is_prime_word(ell)):
         raise MalformedSignature(f"{what}: ell = {ell} is not a compression-key prime")
     return ell
 

@@ -2,7 +2,10 @@ import argparse
 import json
 import os
 import stat
+import subprocess
+import sys
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -10,7 +13,8 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvk import rw, serial
+import cvk
+from cvk import rw, security, serial
 from cvk.cli import _load_params, build_parser, main, squirrels_table_row, wave_table_row
 
 
@@ -281,25 +285,134 @@ def test_private_write_over_a_loose_file_or_a_symlink(request, tmp_path, command
         assert code == 2
 
 
-@pytest.mark.parametrize("scheme", _ALL_SCHEMES)
-def test_pipeline_at_default_sizes_accepts(tmp_path, capsys, scheme):
-    # No size flags: keygen's sizes and the c or t of ck-gen, vk-gen and
-    # cverify must fit together, for both verifiers.
+def _default_pipeline(scheme, tmp_path):
+    """The six pipeline commands for the scheme, with no size flags, on
+    files in ``tmp_path``."""
     pk, sk, ck, vk, sig = (tmp_path / f"{name}.cvk" for name in ("pk", "sk", "ck", "vk", "sig"))
     params = tmp_path / "params.json"
     sidecar = () if scheme == "rw" else ("--params", params)
     signer = ("--pk", pk) if scheme == "wave" else ("--sk", sk)
-    assert run("keygen", "--scheme", scheme, "--seed", 1, "--out-pk", pk,
-               *_keygen_outputs(scheme, {"sk": sk, "params": params})) == 0
-    assert run("ck-gen", "--scheme", scheme, *sidecar, "--seed", 2, "--out", ck) == 0
-    assert run("vk-gen", "--scheme", scheme, *sidecar, "--pk", pk, "--ck", ck, "--out", vk) == 0
-    assert run("sign-toy", "--scheme", scheme, *sidecar, *signer, "--seed", 3,
-               "--message", "hello", "--out", sig) == 0
-    assert run("verify", "--scheme", scheme, *sidecar, "--pk", pk, "--sig", sig,
-               "--message", "hello") == 0
-    assert run("cverify", "--scheme", scheme, *sidecar, "--vk", vk, "--sig", sig,
-               "--message", "hello") == 0
+    argvs = [
+        ("keygen", "--scheme", scheme, "--seed", 1, "--out-pk", pk,
+         *_keygen_outputs(scheme, {"sk": sk, "params": params})),
+        ("ck-gen", "--scheme", scheme, *sidecar, "--seed", 2, "--out", ck),
+        ("vk-gen", "--scheme", scheme, *sidecar, "--pk", pk, "--ck", ck, "--out", vk),
+        ("sign-toy", "--scheme", scheme, *sidecar, *signer, "--seed", 3,
+         "--message", "hello", "--out", sig),
+        ("verify", "--scheme", scheme, *sidecar, "--pk", pk, "--sig", sig, "--message", "hello"),
+        ("cverify", "--scheme", scheme, *sidecar, "--vk", vk, "--sig", sig, "--message", "hello"),
+    ]
+    return [[str(a) for a in argv] for argv in argvs]
+
+
+@pytest.mark.parametrize("scheme", _ALL_SCHEMES)
+def test_pipeline_at_default_sizes_accepts(tmp_path, capsys, scheme):
+    # No size flags: keygen's sizes and the c or t of ck-gen, vk-gen and
+    # cverify must fit together, for both verifiers.
+    for argv in _default_pipeline(scheme, tmp_path):
+        assert main(argv) == 0, argv
     assert read_out(capsys).split() == ["accept", "accept"]
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(script, *args):
+    """Run ``script`` in a new interpreter on the source tree; its last
+    stdout line, read as JSON."""
+    env = os.environ | {"PYTHONPATH": str(_SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+_LOADED = 'sorted(m for m in sys.modules if m.split(".")[0] == "cvk")'
+
+_PIPELINE_SCRIPT = f"""
+import json, sys
+from cvk.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, {_LOADED}]))
+"""
+
+# The modules a process runs for each scheme's commands, besides the
+# package, its errors and opcount, the CLI and serial.
+_SCHEME_MODULES = {
+    "squirrels": {"cvk.squirrels", "cvk.ecrt", "cvk.modmath"},
+    "wave": {"cvk.wave", "cvk.f3"},
+    "rw": {"cvk.rw", "cvk.modmath"},
+}
+
+
+@pytest.mark.parametrize("scheme", _ALL_SCHEMES)
+def test_a_process_runs_only_its_schemes_modules(tmp_path, scheme):
+    # A Wave process never runs Squirrels, ECRT, RW or security code, a
+    # Squirrels process never runs Wave, F3, RW or security code, and an
+    # RW process runs neither lattice nor code scheme.
+    argvs = _default_pipeline(scheme, tmp_path)
+    codes, loaded = _fresh_python(_PIPELINE_SCRIPT, json.dumps(argvs))
+    assert codes == [0] * 6
+    base = {"cvk", "cvk.errors", "cvk.opcount", "cvk.cli", "cvk.serial"}
+    assert set(loaded) == base | _SCHEME_MODULES[scheme]
+
+
+def test_importing_the_package_runs_no_scheme():
+    script = f"import json, sys, cvk\nprint(json.dumps([{_LOADED}, 'numpy' in sys.modules]))"
+    assert _fresh_python(script) == [["cvk", "cvk.errors", "cvk.opcount"], False]
+
+
+def test_the_package_still_hands_out_every_submodule():
+    script = f"""
+import json, sys, cvk
+first = cvk.squirrels.SQUIRRELS_TAGS
+from cvk import *
+print(json.dumps([list(first), {_LOADED}, serial.MAGIC.decode(), wave.SALT_BYTES > 0]))
+"""
+    tags, loaded, magic, wave_ok = _fresh_python(script)
+    assert tags == ["I", "II", "III", "IV", "V"]
+    assert set(loaded) >= {f"cvk.{name}" for name in cvk._SUBMODULES}
+    assert magic == "CVK1" and wave_ok
+
+
+_RACE_SCRIPT = """
+import json, sys, threading, types
+from cvk import serial
+assert "cvk.wave" not in sys.modules
+blob = open(sys.argv[1], "rb").read()
+params = types.SimpleNamespace(n=int(sys.argv[2]), redundancy=int(sys.argv[3]))
+barrier = threading.Barrier(8)
+keys, errors = [], []
+
+def first_decode():
+    barrier.wait(timeout=60)
+    try:
+        keys.append(serial.decode_wave_vk(blob, params, 4))
+    except Exception as exc:
+        errors.append(repr(exc))
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first_decode) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+print(json.dumps([
+    errors,
+    [thread.is_alive() for thread in threads],
+    [(type(key).__name__, key.vk_bottom.data.hex()) for key in keys],
+]))
+"""
+
+
+def test_threads_racing_to_load_wave_all_get_the_key(wave_files):
+    # Eight threads make the process's first Wave call together: one runs
+    # the module, the others wait for it, and none sees it half-run.
+    errors, alive, keys = _fresh_python(_RACE_SCRIPT, wave_files["vk"], 24, 12)
+    assert errors == [] and not any(alive)
+    assert len(keys) == 8 and len(set(map(tuple, keys))) == 1
+    assert keys[0][0] == "WaveVerificationKey"
 
 
 @pytest.mark.parametrize("scheme, unwritten", [("wave", "sk"), ("rw", "params")])
@@ -519,6 +632,25 @@ def test_simulate_forgery_against_the_full_verifier(capsys):
     for line in ("keyspace, kappa   1, 0", "success rate      0.000000  (0 hits)",
                  "per-query bound   0.000000", "within bound"):
         assert line in out
+
+
+@pytest.mark.parametrize("scheme", ["squirrels", "wave"])
+def test_simulate_forgery_unknown_strategy_is_exit_2(capsys, scheme):
+    assert run("simulate-forgery", "--scheme", scheme, "--strategy", "bogus") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --strategy: 'bogus' is not one of {', '.join(security.STRATEGIES)}\n"
+    )
+
+
+@pytest.mark.parametrize("bound", [0, -1, -(1 << 63)])
+def test_simulate_forgery_query_bound_below_one_is_exit_2(capsys, bound):
+    argv = ("simulate-forgery", "--scheme", "squirrels", "--query-bound", bound)
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: query bound must be at least 1, got {bound}\n"
 
 
 @pytest.mark.parametrize(
@@ -913,6 +1045,8 @@ def _flag_values(command, action, own, inputs, outputs):
     flag = action.option_strings[0]
     if action.choices:
         return st.sampled_from([*action.choices, "bogus"])
+    if flag == "--strategy":
+        return st.sampled_from([*security.STRATEGIES, "bogus"])
     if flag in _OUTPUT_FLAGS:
         return st.sampled_from(outputs)
     if flag in _INPUT_FLAGS:

@@ -310,6 +310,14 @@ def test_squirrels_game_within_bound():
     assert report.success_rate <= report.cumulative_bound + 3 * sigma
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_squirrels_query_bound_below_one_is_refused(bound):
+    # randrange(1, bound + 1) would fail at the first query, with
+    # random's own message.
+    with pytest.raises(ValueError, match=f"query bound must be at least 1, got {bound}"):
+        sec.squirrels_segp_instance(8, bound)
+
+
 @pytest.mark.parametrize("strategy", sec.STRATEGIES)
 def test_full_verifier_instance_is_never_forged(strategy):
     # c = nk: the kernel is {0} and every query is nonzero.
