@@ -7,9 +7,10 @@ probability.  Three instantiations: Rabin-Williams (the warm-up),
 Squirrels-shape lattice signatures (via a reconstruction-free modular
 CRT), and Wave-shape ternary-code signatures (via a secret projection).
 
-Importing the package runs only ``errors`` and ``opcount``; each
-submodule in ``__all__`` loads on first access (``cvk.squirrels``,
-``from cvk import wave``), so a process pays only for the scheme it uses.
+Importing the package runs only ``errors``; each submodule in
+``__all__`` loads on first access (``cvk.squirrels``, ``from cvk import
+wave``), so a process pays only for the scheme it uses.  ``OpCounter``
+is imported from ``cvk.opcount``.
 """
 
 import sys
@@ -23,7 +24,6 @@ from .errors import (
     ResampleLimit,
     SharedFactor,
 )
-from .opcount import OpCounter
 
 _SUBMODULES = ("ecrt", "f3", "modmath", "rw", "security", "serial", "squirrels", "wave")
 
@@ -33,7 +33,6 @@ __all__ = [
     "DimensionMismatch",
     "MalformedSignature",
     "NotInvertible",
-    "OpCounter",
     "ResampleLimit",
     "SharedFactor",
     *_SUBMODULES,

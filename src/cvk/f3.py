@@ -161,7 +161,7 @@ def random_trits(count: int, rng: Random) -> np.ndarray:
             words = twister.random_raw(min(count - filled, SAMPLER_WORDS))
             words >>= 30
             kept = words.astype(np.uint8)
-            kept = kept[kept < 3]
+            kept = kept.compress(kept < 3)
             out[filled : filled + kept.size] = kept
             filled += kept.size
         state = twister.state["state"]

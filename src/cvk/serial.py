@@ -8,6 +8,10 @@ Every file is a 16-byte header followed by a scheme-specific payload:
     tag     2 bytes  instance code, little-endian (0 = toy)
     length  8 bytes  payload bytes, little-endian
 
+``wrap`` packs this header onto a payload; ``unwrap`` checks magic,
+scheme, kind and length and returns the payload alone, and a caller
+that wants the tag reads it with ``HEADER.unpack_from``.
+
 Little-endian throughout.  Squirrels residues are signed 32-bit fields
 (always non-negative except the implicit final -1, which is never
 stored), so PK/VK/CK payload lengths land exactly on the documented
@@ -21,7 +25,6 @@ process that reads only Wave files never runs Squirrels or RW code.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,19 +69,8 @@ def tag_code(scheme: int, tag: str) -> int:
     return code
 
 
-@dataclass(frozen=True)
-class KeyFileHeader:
-    scheme: int
-    kind: int
-    tag: int
-    length: int
-
-    def pack(self) -> bytes:
-        return HEADER.pack(MAGIC, self.scheme, self.kind, self.tag, self.length)
-
-
 def wrap(scheme: int, kind: int, tag: int, payload: bytes) -> bytes:
-    return KeyFileHeader(scheme, kind, tag, len(payload)).pack() + payload
+    return HEADER.pack(MAGIC, scheme, kind, tag, len(payload)) + payload
 
 
 def is_private(blob: bytes) -> bool:
@@ -89,10 +81,13 @@ def is_private(blob: bytes) -> bool:
     return magic == MAGIC and kind in PRIVATE_KINDS
 
 
-def unwrap(blob: bytes, scheme: int, kind: int) -> tuple[KeyFileHeader, bytes]:
+def unwrap(blob: bytes, scheme: int, kind: int) -> bytes:
+    """``blob``'s payload, once the header's magic, scheme, kind and
+    length check out.  The tag goes unchecked: decoders take the instance
+    from their params."""
     if len(blob) < HEADER.size:
         raise MalformedSignature("file shorter than header")
-    magic, got_scheme, got_kind, tag, length = HEADER.unpack_from(blob)
+    magic, got_scheme, got_kind, _, length = HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise MalformedSignature(f"bad magic {magic!r}")
     if got_scheme != scheme or got_kind != kind:
@@ -105,7 +100,7 @@ def unwrap(blob: bytes, scheme: int, kind: int) -> tuple[KeyFileHeader, bytes]:
         raise MalformedSignature(
             f"payload is {len(payload)} bytes, header promises {length}"
         )
-    return KeyFileHeader(got_scheme, got_kind, tag, length), payload
+    return payload
 
 
 def _words(dtype: str, *parts) -> bytes:
@@ -141,7 +136,7 @@ def encode_squirrels_pk(pk: sq.SquirrelsPublicKey, params: sq.SquirrelsParams) -
 
 
 def decode_squirrels_pk(blob: bytes, params: sq.SquirrelsParams) -> sq.SquirrelsPublicKey:
-    _, payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_PK)
+    payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_PK)
     expected = sq.pk_bytes(params)
     if len(payload) != expected:
         raise MalformedSignature(f"PK payload {len(payload)} != {expected}")
@@ -180,7 +175,7 @@ def encode_squirrels_ck(ck: sq.SquirrelsCompressionKey, params: sq.SquirrelsPara
 def decode_squirrels_ck(blob: bytes, params: sq.SquirrelsParams) -> sq.SquirrelsCompressionKey:
     """Every CK word besides the t secret primes follows from them, so
     the key is rebuilt from the primes and must re-encode to the file."""
-    _, payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_CK)
+    payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_CK)
     words = _read_words(payload, "<i4")
     if words.size % (params.s + 3):
         raise MalformedSignature("CK payload does not split into t rows")
@@ -203,7 +198,7 @@ def decode_squirrels_vk(blob: bytes, params: sq.SquirrelsParams) -> sq.Squirrels
     """The inverse-determinant words must follow from the secret primes
     and every transferred entry must be reduced mod its prime; a row
     rewritten within range is not detectable from the payload alone."""
-    _, payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_VK)
+    payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_VK)
     n = params.n
     if len(payload) % (4 * (n + 1)):
         raise MalformedSignature("VK payload does not split into t columns")
@@ -228,7 +223,7 @@ def encode_squirrels_sig(sig: sq.SquirrelsSignature, params: sq.SquirrelsParams)
 
 
 def decode_squirrels_sig(blob: bytes, params: sq.SquirrelsParams) -> sq.SquirrelsSignature:
-    _, payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_SIG)
+    payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_SIG)
     expected = sq.SALT_BYTES + 2 * params.n
     if len(payload) != expected:
         raise MalformedSignature(f"signature payload {len(payload)} != {expected}")
@@ -242,7 +237,7 @@ def encode_squirrels_sk(secret: sq.ToySquirrelsSecret, params: sq.SquirrelsParam
 
 
 def decode_squirrels_sk(blob: bytes, params: sq.SquirrelsParams) -> sq.ToySquirrelsSecret:
-    _, payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_SK)
+    payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_SK)
     basis = _malformed(np.reshape, _read_words(payload, "<i8"), (params.n, params.n))
     return sq.ToySquirrelsSecret(basis=basis, inv=_malformed(np.linalg.inv, basis.astype(float)))
 
@@ -257,7 +252,7 @@ def encode_wave_pk(pk: f3.TernaryMatrix, params: wv.WaveParams) -> bytes:
 
 
 def decode_wave_pk(blob: bytes, params: wv.WaveParams) -> f3.TernaryMatrix:
-    _, payload = unwrap(blob, SCHEME_WAVE, KIND_PK)
+    payload = unwrap(blob, SCHEME_WAVE, KIND_PK)
     return _malformed(f3.TernaryMatrix, params.k, params.redundancy, payload)
 
 
@@ -268,7 +263,7 @@ def encode_wave_ck(ck: f3.TernaryMatrix, params: wv.WaveParams) -> bytes:
 
 
 def decode_wave_ck(blob: bytes, params: wv.WaveParams, c: int) -> f3.TernaryMatrix:
-    _, payload = unwrap(blob, SCHEME_WAVE, KIND_CK)
+    payload = unwrap(blob, SCHEME_WAVE, KIND_CK)
     c = _malformed(wv.check_c, c, params.redundancy)
     return _malformed(f3.TernaryMatrix, params.redundancy, c, payload)
 
@@ -280,7 +275,7 @@ def encode_wave_vk(vk: wv.WaveVerificationKey, params: wv.WaveParams) -> bytes:
 
 
 def decode_wave_vk(blob: bytes, params: wv.WaveParams, c: int) -> wv.WaveVerificationKey:
-    _, payload = unwrap(blob, SCHEME_WAVE, KIND_VK)
+    payload = unwrap(blob, SCHEME_WAVE, KIND_VK)
     c = _malformed(wv.check_c, c, params.redundancy)
     return wv.WaveVerificationKey(_malformed(f3.TernaryMatrix, params.n - c, c, payload))
 
@@ -291,7 +286,7 @@ def encode_wave_sig(sig: wv.WaveSignature, params: wv.WaveParams) -> bytes:
 
 
 def decode_wave_sig(blob: bytes, params: wv.WaveParams) -> wv.WaveSignature:
-    _, payload = unwrap(blob, SCHEME_WAVE, KIND_SIG)
+    payload = unwrap(blob, SCHEME_WAVE, KIND_SIG)
     return wv.WaveSignature(
         salt=payload[: wv.SALT_BYTES], s_packed=payload[wv.SALT_BYTES :], n=params.n
     )
@@ -331,7 +326,7 @@ def _rw_width(n_bits: int, what: str) -> None:
 def decode_rw_pk(blob: bytes) -> int:
     """An N of the shape ``rw_keygen`` makes: 64 to 512 bits, and
     p*q = 3*7 = 5 (mod 8)."""
-    _, payload = unwrap(blob, SCHEME_RW, KIND_PK)
+    payload = unwrap(blob, SCHEME_RW, KIND_PK)
     n, pos = _decode_biguint(payload, 0)
     if pos != len(payload):
         raise MalformedSignature("trailing bytes in PK")
@@ -347,7 +342,7 @@ def encode_rw_sk(kp) -> bytes:
 
 
 def decode_rw_sk(blob: bytes) -> rw.RwKeypair:
-    _, payload = unwrap(blob, SCHEME_RW, KIND_SK)
+    payload = unwrap(blob, SCHEME_RW, KIND_SK)
     p, pos = _decode_biguint(payload, 0)
     q, pos = _decode_biguint(payload, pos)
     if pos != len(payload):
@@ -373,7 +368,7 @@ def _rw_ell(ell: int, what: str) -> int:
 
 
 def decode_rw_ck(blob: bytes) -> int:
-    _, payload = unwrap(blob, SCHEME_RW, KIND_CK)
+    payload = unwrap(blob, SCHEME_RW, KIND_CK)
     if len(payload) != 8:
         raise MalformedSignature("CK payload must be 8 bytes")
     return _rw_ell(struct.unpack("<Q", payload)[0], "CK")
@@ -385,7 +380,7 @@ def encode_rw_vk(vk) -> bytes:
 
 
 def decode_rw_vk(blob: bytes) -> rw.RwVerificationKey:
-    _, payload = unwrap(blob, SCHEME_RW, KIND_VK)
+    payload = unwrap(blob, SCHEME_RW, KIND_VK)
     if len(payload) != 18:
         raise MalformedSignature("VK payload must be 18 bytes")
     ell, n_ell, n_bits = struct.unpack("<QQH", payload)
@@ -407,7 +402,7 @@ def encode_rw_sig(sig) -> bytes:
 
 
 def decode_rw_sig(blob: bytes) -> rw.RwSignature:
-    _, payload = unwrap(blob, SCHEME_RW, KIND_SIG)
+    payload = unwrap(blob, SCHEME_RW, KIND_SIG)
     if len(payload) < 2 + rw.SALT_BYTES:
         raise MalformedSignature("signature payload truncated")
     e, f = struct.unpack_from("<bB", payload, 0)

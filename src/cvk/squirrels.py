@@ -16,10 +16,10 @@ and a round-off signer stand in as test oracles.
 """
 
 import hashlib
-import logging
 import math
 from dataclasses import dataclass, field
 from random import Random
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,9 +33,9 @@ from .ecrt import (
 )
 from .errors import DimensionMismatch, MalformedSignature, ResampleLimit
 from .modmath import PRIME_COUNT_31BIT, inv_mod, is_prime_word, sample_distinct_primes
-from .opcount import OpCounter
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .opcount import OpCounter
 
 SALT_BYTES = 16
 MAX_TOY_DIMENSION = 32
@@ -315,7 +315,7 @@ def verify(
     message: bytes,
     pk: SquirrelsPublicKey,
     params: SquirrelsParams,
-    counter: OpCounter | None = None,
+    counter: "OpCounter | None" = None,
 ) -> bool:
     """Full verification: ``public_target``, then one congruence per
     public prime.
@@ -441,7 +441,7 @@ def cverify(
     message: bytes,
     vk: SquirrelsVerificationKey,
     params: SquirrelsParams,
-    counter: OpCounter | None = None,
+    counter: "OpCounter | None" = None,
 ) -> bool:
     """Compressed verification against the secret-basis key.
 
@@ -608,8 +608,7 @@ def toy_keygen(
         raise ValueError(f"toy dimension must be in [2, {MAX_TOY_DIMENSION}]")
     if entry_bound < 1:
         raise ValueError("entry bound must be positive")
-    cocyclic_hits = 0
-    for attempt in range(1, TOY_KEYGEN_ATTEMPTS + 1):
+    for _ in range(TOY_KEYGEN_ATTEMPTS):
         g = [[rng.randint(-entry_bound, entry_bound) for _ in range(n)] for _ in range(n)]
         h = _row_hnf(g)
         if h is None:
@@ -617,7 +616,6 @@ def toy_keygen(
         det = h[n - 1][n - 1]
         if any(h[i][i] != 1 for i in range(n - 1)) or det <= 1:
             continue
-        cocyclic_hits += 1
         if det >= (1 << 62):
             continue
         factors = _factorize(det, rng)
@@ -625,10 +623,6 @@ def toy_keygen(
             continue  # determinant not squarefree
         if max(factors) >= MAX_PUBLIC_PRIME:
             continue  # params refuse it
-        logger.debug(
-            "toy keygen: accepted after %d attempts, co-cyclic rate %.2f",
-            attempt, cocyclic_hits / attempt,
-        )
         basis = PrimeBasis(tuple(factors))
         check = [h[i][n - 1] for i in range(n - 1)]
         residues = np.array(

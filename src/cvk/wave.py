@@ -14,10 +14,10 @@ exercise both verifiers end to end.
 """
 
 import hashlib
-import logging
 import math
 from dataclasses import dataclass, field
 from random import Random
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,9 +32,9 @@ from .f3 import (
     row_stride,
     unpack_trits,
 )
-from .opcount import OpCounter
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .opcount import OpCounter
 
 SALT_BYTES = 16
 MAX_TOY_LENGTH = 64
@@ -236,7 +236,7 @@ def wave_verify(
     message: bytes,
     pk: TernaryMatrix,
     params: WaveParams,
-    counter: OpCounter | None = None,
+    counter: "OpCounter | None" = None,
 ) -> bool:
     """``public_target``, then the syndrome check t (I | R)^T = 0.
 
@@ -299,7 +299,7 @@ def wave_cverify(
     message: bytes,
     vk: WaveVerificationKey,
     params: WaveParams,
-    counter: OpCounter | None = None,
+    counter: "OpCounter | None" = None,
 ) -> bool:
     """``public_target``, then the c-coordinate projected syndrome check,
     reconstructing the implicit identity rows.
@@ -348,14 +348,13 @@ def wave_toy_sign(
         raise ValueError(f"toy signing capped at n <= {MAX_TOY_LENGTH}")
     nk = params.redundancy
     r_arr = pk.to_array(np.int64)
-    for attempt in range(1, TOY_SIGN_SALTS + 1):
+    for _ in range(TOY_SIGN_SALTS):
         salt = rng.randbytes(SALT_BYTES)
         h = hash_to_trits(message, salt, nk).astype(np.int64)
         tail = random_trits(params.k, rng).astype(np.int64)
         head = (h - tail @ r_arr) % 3
         s = np.concatenate([head, tail]).astype(np.uint8)
         if int(np.count_nonzero(s)) == params.w:
-            logger.debug("toy sign: hit weight %d after %d salts", params.w, attempt)
             return WaveSignature.from_trits(salt, s)
     raise ResampleLimit(f"no weight-{params.w} signature after {TOY_SIGN_SALTS} salts")
 

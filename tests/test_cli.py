@@ -334,11 +334,11 @@ _PIPELINE_SCRIPT = f"""
 import json, sys
 from cvk.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, {_LOADED}]))
+print(json.dumps([codes, {_LOADED}, "logging" in sys.modules]))
 """
 
 # The modules a process runs for each scheme's commands, besides the
-# package, its errors and opcount, the CLI and serial.
+# package, its errors, the CLI and serial.
 _SCHEME_MODULES = {
     "squirrels": {"cvk.squirrels", "cvk.ecrt", "cvk.modmath"},
     "wave": {"cvk.wave", "cvk.f3"},
@@ -350,17 +350,19 @@ _SCHEME_MODULES = {
 def test_a_process_runs_only_its_schemes_modules(tmp_path, scheme):
     # A Wave process never runs Squirrels, ECRT, RW or security code, a
     # Squirrels process never runs Wave, F3, RW or security code, and an
-    # RW process runs neither lattice nor code scheme.
+    # RW process runs neither lattice nor code scheme.  None of them runs
+    # the operation counter or loads ``logging``.
     argvs = _default_pipeline(scheme, tmp_path)
-    codes, loaded = _fresh_python(_PIPELINE_SCRIPT, json.dumps(argvs))
+    codes, loaded, logging_loaded = _fresh_python(_PIPELINE_SCRIPT, json.dumps(argvs))
     assert codes == [0] * 6
-    base = {"cvk", "cvk.errors", "cvk.opcount", "cvk.cli", "cvk.serial"}
+    base = {"cvk", "cvk.errors", "cvk.cli", "cvk.serial"}
     assert set(loaded) == base | _SCHEME_MODULES[scheme]
+    assert not logging_loaded
 
 
 def test_importing_the_package_runs_no_scheme():
     script = f"import json, sys, cvk\nprint(json.dumps([{_LOADED}, 'numpy' in sys.modules]))"
-    assert _fresh_python(script) == [["cvk", "cvk.errors", "cvk.opcount"], False]
+    assert _fresh_python(script) == [["cvk", "cvk.errors"], False]
 
 
 def test_the_package_still_hands_out_every_submodule():

@@ -47,9 +47,9 @@ def wv_world(toy_wave):
 def test_header_magic_and_fields():
     blob = serial.wrap(serial.SCHEME_WAVE, serial.KIND_PK, 822, b"abc")
     assert blob[:4] == b"CVK1"
-    header, payload = serial.unwrap(blob, serial.SCHEME_WAVE, serial.KIND_PK)
-    assert payload == b"abc"
-    assert header.tag == 822 and header.length == 3
+    assert serial.unwrap(blob, serial.SCHEME_WAVE, serial.KIND_PK) == b"abc"
+    _, _, _, tag, length = serial.HEADER.unpack_from(blob)
+    assert tag == 822 and length == 3
 
 
 @pytest.mark.parametrize("kind", range(5))
@@ -76,8 +76,10 @@ def test_wave_tag_code_fits_the_header_or_is_refused(wv_world, tag, code):
         with pytest.raises(ValueError, match="16 bits"):
             serial.encode_wave_pk(pk, params)
     else:
-        header, _ = serial.unwrap(serial.encode_wave_pk(pk, params), serial.SCHEME_WAVE, serial.KIND_PK)
-        assert header.tag == code
+        blob = serial.encode_wave_pk(pk, params)
+        payload = serial.unwrap(blob, serial.SCHEME_WAVE, serial.KIND_PK)
+        assert payload == blob[serial.HEADER.size :]
+        assert serial.HEADER.unpack_from(blob)[3] == code
 
 
 def test_unwrap_rejects_bad_magic():
