@@ -56,11 +56,11 @@ def _read(path: str) -> bytes:
 
 
 def _message(args) -> bytes:
-    if args.message_file is not None:
+    """The ``--message`` text or the ``--message-file`` bytes; argparse
+    has already seen to it that exactly one was given."""
+    if args.message is None:
         return _read(args.message_file)
-    if args.message is not None:
-        return args.message.encode()
-    raise CvkError("provide --message or --message-file")
+    return args.message.encode()
 
 
 def _require(value, flag: str):
@@ -109,12 +109,11 @@ def _load_params(args):
 
 def _dump_params(args, params) -> None:
     """The ``--out-params`` sidecar that ``_load_params`` reads back."""
-    path = _require(args.out_params, "--out-params")
     doc = {"scheme": args.scheme, "tag": params.tag}
     doc |= {key: getattr(params, key) for key in _SIDECAR_INTS[args.scheme]}
     if args.scheme == "squirrels":
         doc["primes"] = list(params.public_basis.primes)
-    _write(path, json.dumps(doc, indent=2).encode() + b"\n")
+    _write(args.out_params, json.dumps(doc, indent=2).encode() + b"\n")
 
 
 # ── params ───────────────────────────────────────────────────────────────
@@ -200,18 +199,26 @@ def cmd_params(args) -> int:
 # ── pipeline commands ────────────────────────────────────────────────────
 
 
+# The files keygen writes besides the PK: a Wave toy signer needs only the
+# PK, and an RW key has no sidecar.
+_KEYGEN_WRITES = {"squirrels": ("sk", "params"), "wave": ("params",), "rw": ("sk",)}
+
+
 def cmd_keygen(args) -> int:
-    # A Wave toy signer needs only the PK, and an RW key has no sidecar.
-    unwritten = {"wave": ("--out-sk", args.out_sk), "rw": ("--out-params", args.out_params)}
-    flag, value = unwritten.get(args.scheme, (None, None))
-    if value is not None:
-        raise CvkError(f"{flag}: scheme {args.scheme} writes no such file")
+    # Every output flag is checked before the first write, so a refused
+    # call leaves no file behind.
+    for name in ("sk", "params"):
+        flag, value = f"--out-{name}", getattr(args, f"out_{name}")
+        if name in _KEYGEN_WRITES[args.scheme]:
+            _require(value, flag)
+        elif value is not None:
+            raise CvkError(f"{flag}: scheme {args.scheme} writes no such file")
     rng = Random(args.seed)
     if args.scheme == "squirrels":
         pk, params, secret = sq.toy_keygen(args.n, args.entry_bound, rng, q=args.q)
         _dump_params(args, params)
         _write(args.out_pk, serial.encode_squirrels_pk(pk, params))
-        _write(_require(args.out_sk, "--out-sk"), serial.encode_squirrels_sk(secret, params))
+        _write(args.out_sk, serial.encode_squirrels_sk(secret, params))
     elif args.scheme == "wave":
         params = wv.WaveParams(n=args.n, k=args.k, w=args.w, tag="toy")
         pk = wv.wave_toy_keygen(params, rng)
@@ -220,7 +227,7 @@ def cmd_keygen(args) -> int:
     else:
         kp = rw.rw_keygen(args.bits, rng)
         _write(args.out_pk, serial.encode_rw_pk(kp.n))
-        _write(_require(args.out_sk, "--out-sk"), serial.encode_rw_sk(kp))
+        _write(args.out_sk, serial.encode_rw_sk(kp))
     return 0
 
 
@@ -395,8 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     sidecar = _shared("--params")
     out = _shared("--out", required=True)
     sig = _shared("--sig", required=True)
-    message = _shared("--message")
-    message.add_argument("--message-file")
+    message = argparse.ArgumentParser(add_help=False)
+    one_message = message.add_mutually_exclusive_group(required=True)
+    one_message.add_argument("--message")
+    one_message.add_argument("--message-file")
     # One default, so that ck-gen, vk-gen and cverify agree on the Wave c.
     wave_c = _shared("--c", type=int, default=4)
 

@@ -19,6 +19,8 @@ from random import Random
 
 from .errors import MalformedSignature, ResampleLimit
 from .modmath import (
+    MAX_PRIME_WIDTH,
+    MIN_PRIME_WIDTH,
     PRIME_COUNT_31BIT,
     count_primes_bounds,
     inv_mod,
@@ -49,6 +51,40 @@ class RwKeypair:
     @property
     def n(self) -> int:
         return self.p * self.q
+
+
+def check_modulus_width(n_bits: int) -> None:
+    """A modulus width ``rw_keygen`` makes, which ``encode_rw_vk`` stores
+    in 16 bits."""
+    if not MIN_MODULUS_BITS <= n_bits <= MAX_MODULUS_BITS:
+        raise ValueError(f"modulus width {n_bits} not in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}]")
+
+
+def check_modulus(n: int) -> int:
+    """An N of the shape ``rw_keygen`` makes: a width ``check_modulus_width``
+    accepts, and p*q = 3*7 = 5 (mod 8)."""
+    check_modulus_width(n.bit_length())
+    if n % 8 != 5:
+        raise ValueError(f"N = {n % 8} (mod 8), expected 5")
+    return n
+
+
+def check_keypair(kp: RwKeypair) -> RwKeypair:
+    """p and q prime, under an N that ``check_modulus`` accepts, which
+    first bounds the cost of the primality tests."""
+    check_modulus(kp.n)
+    if not (is_prime_word(kp.p) and is_prime_word(kp.q)):
+        raise ValueError("p and q must be prime")
+    return kp
+
+
+def check_ell(ell: int) -> int:
+    """A prime of a width ``rw_ckeygen`` draws; with ell = 1
+    ``rw_cverify`` would accept anything."""
+    width_ok = 1 << (MIN_PRIME_WIDTH - 1) < ell < 1 << MAX_PRIME_WIDTH
+    if not (width_ok and is_prime_word(ell)):
+        raise ValueError(f"ell = {ell} is not a compression-key prime")
+    return ell
 
 
 @dataclass(frozen=True)
@@ -99,8 +135,7 @@ def _sample_congruent_prime(bits: int, residue: int, rng: Random) -> int:
 
 def rw_keygen(bits: int = 128, rng: Random | None = None) -> RwKeypair:
     """Toy Rabin-Williams keypair with an exactly ``bits``-wide modulus."""
-    if not MIN_MODULUS_BITS <= bits <= MAX_MODULUS_BITS:
-        raise ValueError(f"toy modulus width must be in [64, 512], got {bits}")
+    check_modulus_width(bits)
     rng = rng or Random()
     half = bits // 2
     while True:
@@ -170,8 +205,11 @@ def rw_ckeygen(mu: int, rng: Random) -> int:
 
 def rw_vkeygen(ck: int, pk: int) -> RwVerificationKey:
     """Verification key (ell, N mod ell).  The same ell may be reused
-    across distinct public keys."""
-    return RwVerificationKey(ell=ck, n_ell=pk % ck, n_bits=pk.bit_length())
+    across distinct public keys.
+
+    ``check_ell`` refuses the CK; N goes unchecked, so a key can be
+    installed on a modulus ``rw_keygen`` does not make."""
+    return RwVerificationKey(ell=check_ell(ck), n_ell=pk % ck, n_bits=pk.bit_length())
 
 
 def rw_cverify(sig: RwSignature, message: bytes, vk: RwVerificationKey) -> bool:

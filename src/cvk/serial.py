@@ -12,6 +12,12 @@ Every file is a 16-byte header followed by a scheme-specific payload:
 scheme, kind and length and returns the payload alone, and a caller
 that wants the tag reads it with ``HEADER.unpack_from``.
 
+The decoders check the framing only: the header, the payload lengths,
+the word widths, and the words that must re-encode byte for byte.  Key
+rules belong to the scheme modules, which every builder calls, decoders
+included; ``_malformed`` raises an owner's refusal as
+``MalformedSignature``.
+
 Little-endian throughout.  Squirrels residues are signed 32-bit fields
 (always non-negative except the implicit final -1, which is never
 stored), so PK/VK/CK payload lengths land exactly on the documented
@@ -29,11 +35,10 @@ import struct
 import numpy as np
 
 from . import LazyModule
-from .errors import MalformedSignature, SharedFactor
+from .errors import CvkError, MalformedSignature
 
 ecrt = LazyModule("ecrt")
 f3 = LazyModule("f3")
-modmath = LazyModule("modmath")
 rw = LazyModule("rw")
 sq = LazyModule("squirrels")
 wv = LazyModule("wave")
@@ -113,10 +118,11 @@ def _words(dtype: str, *parts) -> bytes:
 
 
 def _malformed(build, *args):
-    """``build(*args)``, its ``ValueError`` raised as ``MalformedSignature``."""
+    """``build(*args)``, its ``ValueError`` or ``CvkError`` raised as
+    ``MalformedSignature``."""
     try:
         return build(*args)
-    except ValueError as exc:
+    except (ValueError, CvkError) as exc:
         raise MalformedSignature(str(exc)) from None
 
 
@@ -156,16 +162,6 @@ def _squirrels_ck_payload(ck: sq.SquirrelsCompressionKey) -> bytes:
     return _words("<i4", ck.secret_basis.primes, weights[:, -1], weights[:, :-1], ck.inv_delta)
 
 
-def _rebuild_squirrels_ck(
-    words: np.ndarray, params: sq.SquirrelsParams, what: str
-) -> sq.SquirrelsCompressionKey:
-    """The compression key on the secret primes a CK or VK file stores."""
-    try:
-        return sq.compression_key(params, ecrt.PrimeBasis(tuple(words.tolist())))
-    except (ValueError, SharedFactor) as exc:
-        raise MalformedSignature(f"{what}: {exc}") from None
-
-
 def encode_squirrels_ck(ck: sq.SquirrelsCompressionKey, params: sq.SquirrelsParams) -> bytes:
     payload = _squirrels_ck_payload(ck)
     assert len(payload) == sq.ck_bytes(params, len(ck.secret_basis))
@@ -179,7 +175,8 @@ def decode_squirrels_ck(blob: bytes, params: sq.SquirrelsParams) -> sq.Squirrels
     words = _read_words(payload, "<i4")
     if words.size % (params.s + 3):
         raise MalformedSignature("CK payload does not split into t rows")
-    ck = _rebuild_squirrels_ck(words[: words.size // (params.s + 3)], params, "CK")
+    basis = _malformed(ecrt.PrimeBasis, tuple(words[: words.size // (params.s + 3)].tolist()))
+    ck = _malformed(sq.compression_key, params, basis)
     if _squirrels_ck_payload(ck) != payload:
         raise MalformedSignature("CK words do not follow from its secret primes")
     return ck
@@ -195,26 +192,24 @@ def encode_squirrels_vk(vk: sq.SquirrelsVerificationKey, params: sq.SquirrelsPar
 
 
 def decode_squirrels_vk(blob: bytes, params: sq.SquirrelsParams) -> sq.SquirrelsVerificationKey:
-    """The inverse-determinant words must follow from the secret primes
-    and every transferred entry must be reduced mod its prime; a row
-    rewritten within range is not detectable from the payload alone."""
+    """The inverse-determinant words must follow from the secret primes,
+    and ``SquirrelsVerificationKey`` refuses an entry not reduced mod its
+    prime; a row rewritten within range is not detectable from the
+    payload alone."""
     payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_VK)
     n = params.n
     if len(payload) % (4 * (n + 1)):
         raise MalformedSignature("VK payload does not split into t columns")
     words = _read_words(payload, "<i4")
     t = words.size // (n + 1)
-    ck = _rebuild_squirrels_ck(words[:t], params, "VK")
+    basis = _malformed(ecrt.PrimeBasis, tuple(words[:t].tolist()))
+    ck = _malformed(sq.compression_key, params, basis)
     if ck.inv_delta != tuple(words[t : 2 * t].tolist()):
         raise MalformedSignature("VK inverse residues do not follow from its secret primes")
     rows = np.empty((t, n), dtype=np.int64)
     rows[:, : n - 1] = words[2 * t :].reshape(n - 1, t).T
     rows[:, n - 1] = words[:t] - 1
-    if np.any((rows < 0) | (rows >= words[:t, None])):
-        raise MalformedSignature("VK entry not reduced mod its secret prime")
-    return sq.SquirrelsVerificationKey(
-        secret_basis=ck.secret_basis, inv_delta=ck.inv_delta, rows=rows
-    )
+    return _malformed(sq.SquirrelsVerificationKey, ck.secret_basis, ck.inv_delta, rows)
 
 
 def encode_squirrels_sig(sig: sq.SquirrelsSignature, params: sq.SquirrelsParams) -> bytes:
@@ -314,26 +309,13 @@ def encode_rw_pk(n: int) -> bytes:
     return wrap(SCHEME_RW, KIND_PK, 0, _encode_biguint(n))
 
 
-def _rw_width(n_bits: int, what: str) -> None:
-    """A modulus width ``rw_keygen`` makes; ``encode_rw_vk`` stores it in 16 bits."""
-    if not rw.MIN_MODULUS_BITS <= n_bits <= rw.MAX_MODULUS_BITS:
-        raise MalformedSignature(
-            f"{what}: modulus width {n_bits} outside "
-            f"[{rw.MIN_MODULUS_BITS}, {rw.MAX_MODULUS_BITS}]"
-        )
-
-
 def decode_rw_pk(blob: bytes) -> int:
-    """An N of the shape ``rw_keygen`` makes: 64 to 512 bits, and
-    p*q = 3*7 = 5 (mod 8)."""
+    """An N that ``rw.check_modulus`` accepts."""
     payload = unwrap(blob, SCHEME_RW, KIND_PK)
     n, pos = _decode_biguint(payload, 0)
     if pos != len(payload):
         raise MalformedSignature("trailing bytes in PK")
-    _rw_width(n.bit_length(), "PK")
-    if n % 8 != 5:
-        raise MalformedSignature(f"PK: N = {n % 8} (mod 8), expected 5")
-    return n
+    return _malformed(rw.check_modulus, n)
 
 
 def encode_rw_sk(kp) -> bytes:
@@ -347,31 +329,18 @@ def decode_rw_sk(blob: bytes) -> rw.RwKeypair:
     q, pos = _decode_biguint(payload, pos)
     if pos != len(payload):
         raise MalformedSignature("trailing bytes in SK")
-    kp = _malformed(rw.RwKeypair, p, q)
-    # The width check first bounds the cost of the primality tests.
-    _rw_width(kp.n.bit_length(), "SK")
-    if not (modmath.is_prime_word(p) and modmath.is_prime_word(q)):
-        raise MalformedSignature("SK: p and q must be prime")
-    return kp
+    return _malformed(rw.check_keypair, _malformed(rw.RwKeypair, p, q))
 
 
 def encode_rw_ck(ell: int) -> bytes:
     return wrap(SCHEME_RW, KIND_CK, 0, struct.pack("<Q", ell))
 
 
-def _rw_ell(ell: int, what: str) -> int:
-    """A prime of a width ``rw_ckeygen`` draws; ell = 1 would accept anything."""
-    width_ok = 1 << (modmath.MIN_PRIME_WIDTH - 1) < ell < 1 << modmath.MAX_PRIME_WIDTH
-    if not (width_ok and modmath.is_prime_word(ell)):
-        raise MalformedSignature(f"{what}: ell = {ell} is not a compression-key prime")
-    return ell
-
-
 def decode_rw_ck(blob: bytes) -> int:
     payload = unwrap(blob, SCHEME_RW, KIND_CK)
     if len(payload) != 8:
         raise MalformedSignature("CK payload must be 8 bytes")
-    return _rw_ell(struct.unpack("<Q", payload)[0], "CK")
+    return _malformed(rw.check_ell, struct.unpack("<Q", payload)[0])
 
 
 def encode_rw_vk(vk) -> bytes:
@@ -384,9 +353,9 @@ def decode_rw_vk(blob: bytes) -> rw.RwVerificationKey:
     if len(payload) != 18:
         raise MalformedSignature("VK payload must be 18 bytes")
     ell, n_ell, n_bits = struct.unpack("<QQH", payload)
-    if n_ell >= _rw_ell(ell, "VK"):
+    if n_ell >= _malformed(rw.check_ell, ell):
         raise MalformedSignature("VK: N mod ell not reduced")
-    _rw_width(n_bits, "VK")
+    _malformed(rw.check_modulus_width, n_bits)
     return rw.RwVerificationKey(ell=ell, n_ell=n_ell, n_bits=n_bits)
 
 

@@ -143,9 +143,9 @@ class SquirrelsPublicKey:
 
     def check(self, params: SquirrelsParams) -> None:
         """Run ``check_public_key`` unless the key last passed it for the
-        same n and public basis, then record that pair: the decoder and
-        the first install check a key once between them, and params with
-        another n or basis check it again."""
+        same n and public basis, then record that pair: the decoder, the
+        first install and ``verify`` check a key once between them, and
+        params with another n or basis check it again."""
         key = (params.n, params.public_basis)
         if self._checked != key:
             check_public_key(self, params)
@@ -232,7 +232,10 @@ class SquirrelsVerificationKey:
     secret primes and ``inv_delta`` as read-only int64 arrays, built once
     here for ``cverify``; the key is frozen, so they always match the
     fields they come from.  Rows, primes and ``inv_delta`` that disagree
-    on t are refused."""
+    on t are refused, and so are a prime at or past ``MAX_SECRET_PRIME``
+    and an entry of ``rows`` or ``inv_delta`` outside [0, r_j): the
+    bounds that keep ``cverify``'s int64 fold exact, checked here for
+    keys from ``vkeygen``, from the decoder or built by hand."""
 
     secret_basis: PrimeBasis
     inv_delta: tuple[int, ...]
@@ -255,6 +258,12 @@ class SquirrelsVerificationKey:
                 f"{t} secret primes, {len(self.inv_delta)} inverse residues and "
                 f"rows of shape {arrays['rows'].shape}"
             )
+        # Viewed as uint64, a negative entry lies past every prime, so each
+        # row's maximum alone tests the row against [0, r_j).
+        tops = rows.view(np.uint64).max(axis=1).tolist()
+        words = zip(tops, self.inv_delta, self.secret_basis.primes)
+        if not all(top < r < MAX_SECRET_PRIME and 0 <= d < r for top, d, r in words):
+            raise ValueError("secret prime at or past 2^31, or entry outside [0, r_j)")
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -317,21 +326,23 @@ def verify(
     params: SquirrelsParams,
     counter: "OpCounter | None" = None,
 ) -> bool:
-    """Full verification: ``public_target``, then one congruence per
-    public prime.
+    """Full verification: the key's shape and ``pk.check``, then
+    ``public_target`` and one congruence per public prime.
 
     Raises:
         DimensionMismatch: if the key is not (n-1, s).
+        ValueError: if the params carry no public basis, or a residue is
+            not reduced mod its prime.
     """
-    basis = check_basis(params)
     if pk.residues.shape != (params.n - 1, params.s):
         raise DimensionMismatch(
             f"public key is {pk.residues.shape}, expected {(params.n - 1, params.s)}"
         )
+    pk.check(params)
     c = public_target(sig, message, params)
     if c is None:
         return False
-    primes = np.asarray(basis.primes, dtype=np.int64)
+    primes = np.asarray(params.public_basis.primes, dtype=np.int64)
     sums = c[:-1] @ pk.residues
     if counter is not None:
         counter.add(*verify_cost(params))
@@ -362,30 +373,32 @@ def ckeygen(
     return compression_key(params, PrimeBasis(secret))
 
 
+def check_secret_basis(secret_basis: PrimeBasis, params: SquirrelsParams) -> None:
+    """Every secret prime above the multiplier window of ``k_prime_bounds``,
+    else ``cverify`` accepts random vectors, and below ``MAX_SECRET_PRIME``,
+    else its int64 fold overflows.  ``compression_key`` and ``vkeygen``
+    check it, so no CK that reaches a transfer breaks it."""
+    low, high = min(secret_basis.primes), max(secret_basis.primes)
+    if high >= MAX_SECRET_PRIME:
+        raise ValueError(f"secret prime {high} not below {MAX_SECRET_PRIME}")
+    k_min, k_max = k_prime_bounds(params)
+    if low <= k_max - k_min:
+        raise ValueError(f"secret prime {low} not above the multiplier window {k_max - k_min}")
+
+
 def compression_key(
     params: SquirrelsParams, secret_basis: PrimeBasis
 ) -> SquirrelsCompressionKey:
     """The compression key on the given secret primes.  Every word it
     stores besides the primes follows from them and the public basis, so
-    keygen and the decoder both build it here.
+    keygen and the decoders all build it here.
 
     Raises:
         SharedFactor: if a secret prime is also a public prime.
-        ValueError: if a secret prime does not exceed the multiplier
-            window, which would let ``cverify`` accept random vectors, or
-            is not below 2^31, which would break its int64 fold.
+        ValueError: if ``check_secret_basis`` refuses the primes.
     """
     basis = check_basis(params)
-    if max(secret_basis.primes) >= MAX_SECRET_PRIME:
-        raise ValueError(
-            f"secret prime {max(secret_basis.primes)} not below {MAX_SECRET_PRIME}"
-        )
-    k_min, k_max = k_prime_bounds(params)
-    if min(secret_basis.primes) <= k_max - k_min:
-        raise ValueError(
-            f"secret prime {min(secret_basis.primes)} does not exceed the "
-            f"multiplier window {k_max - k_min}"
-        )
+    check_secret_basis(secret_basis, params)
     precomp = mod_ecrt_setup(basis, secret_basis)
     inv_delta = tuple(
         inv_mod(d, r) for d, r in zip(precomp.weights[:, -1].tolist(), secret_basis.primes)
@@ -394,7 +407,8 @@ def compression_key(
 
 
 def check_public_key(pk: SquirrelsPublicKey, params: SquirrelsParams) -> None:
-    """Shape (n-1, s), residues reduced mod their primes: checked where keys enter."""
+    """Shape (n-1, s), residues reduced mod their primes: checked, through
+    ``SquirrelsPublicKey.check``, by the decoder, ``vkeygen`` and ``verify``."""
     primes = np.array(check_basis(params).primes)
     if pk.residues.shape != (params.n - 1, params.s):
         raise ValueError(f"public key shape {pk.residues.shape} != {(params.n - 1, params.s)}")
@@ -414,7 +428,9 @@ def vkeygen(
     to coordinate-plus-{0,1}-product, which is the shift the multiplier
     window of ``k_prime_bounds`` accounts for.
 
-    The public half of the transfer, the balanced term table, comes from
+    The CK's secret primes pass ``check_secret_basis`` first, so a CK
+    built by hand gets no further than one from the decoder.  The public
+    half of the transfer, the balanced term table, comes from
     ``pk.ecrt_terms``, which checks the key and computes it on the key's
     first install; each compression key pays only the secret half,
     ``mod_ecrt_combine``: one exact BLAS product of the table against
@@ -423,12 +439,12 @@ def vkeygen(
     residues straight into the (t, n) rows, and one conditional subtract
     reduces the sum.
     """
+    check_secret_basis(ck.secret_basis, params)
     moved = mod_ecrt_combine(ck.precomp, pk.ecrt_terms(params))
     r = np.array(ck.secret_basis.primes, dtype=np.int64)[:, None]
     rows = np.empty((len(r), params.n), dtype=np.int64)
     body = rows[:, :-1]
-    # Unsafe casting admits the Python ints of a secret prime past 2^31.
-    np.add(moved.T, ck.precomp.weights[:, -1:], out=body, casting="unsafe")
+    np.add(moved.T, ck.precomp.weights[:, -1:], out=body)
     body -= r * (body >= r)
     rows[:, -1:] = r - 1
     return SquirrelsVerificationKey(
@@ -454,8 +470,8 @@ def cverify(
     secret data).
 
     The int64 fold is exact: |c_i| < 2^15 + 2^16 (``SquirrelsSignature``,
-    and ``SquirrelsParams``, which caps q at 2^16), rows < r_j < 2^31
-    (``compression_key``) and n < 2^15 (``SquirrelsParams``) keep |sum|
+    and ``SquirrelsParams``, which caps q at 2^16), 0 <= rows < r_j < 2^31
+    (``SquirrelsVerificationKey``) and n < 2^15 (``SquirrelsParams``) keep |sum|
     below 2^63, and the reduced sum times inv_delta_j stays below 2^62.
 
     Raises:

@@ -88,6 +88,13 @@ def check_c(c: int, redundancy: int) -> int:
     return c
 
 
+def check_public_key(pk: TernaryMatrix, params: WaveParams) -> None:
+    """Shape (k, n-k): checked by ``wave_verify`` and ``wave_vkeygen``."""
+    expected = (params.k, params.redundancy)
+    if pk.shape != expected:
+        raise DimensionMismatch(f"public key is {pk.shape}, expected {expected}")
+
+
 def named_params(tag: str) -> WaveParams:
     if tag not in _NAMED:
         raise ValueError(f"unknown Wave instance {tag!r}")
@@ -248,8 +255,7 @@ def wave_verify(
     only because the full verifier got faster is still open (ROADMAP
     item 1)."""
     nk = params.redundancy
-    if pk.shape != (params.k, nk):
-        raise DimensionMismatch(f"public key is {pk.shape}, expected {(params.k, nk)}")
+    check_public_key(pk, params)
     t = public_target(sig, message, params)
     if t is None:
         return False
@@ -282,8 +288,7 @@ def wave_vkeygen(
     no unpacked copy on either key; the bottom block is stacked in trits
     and packed once."""
     nk = params.redundancy
-    if pk.shape != (params.k, nk):
-        raise DimensionMismatch(f"public key is {pk.shape}, expected {(params.k, nk)}")
+    check_public_key(pk, params)
     if compression.rows != nk:
         raise DimensionMismatch(f"projection has {compression.rows} rows, expected {nk}")
     c = compression.cols

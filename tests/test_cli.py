@@ -430,6 +430,43 @@ def test_keygen_refuses_an_output_flag_its_scheme_does_not_write(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("scheme, missing", [("squirrels", "sk"), ("squirrels", "params"),
+                                             ("wave", "params"), ("rw", "sk")])
+def test_keygen_missing_an_output_flag_writes_nothing(tmp_path, capsys, scheme, missing):
+    # Every output flag is checked before the first write: exit 2 naming
+    # the missing flag leaves the directory empty.
+    outs = {name: tmp_path / f"{name}.out" for name in ("pk", "sk", "params")}
+    argv = _keygen_outputs(scheme, outs)
+    i = argv.index(f"--out-{missing}")
+    argv = argv[:i] + argv[i + 2 :]
+    assert run("keygen", "--scheme", scheme, "--seed", 1, "--out-pk", outs["pk"], *argv) == 2
+    assert f"--out-{missing}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("given", ["both", "neither"])
+@pytest.mark.parametrize("command", ["sign-toy", "verify", "cverify"])
+def test_message_flags_are_one_of_two(rw_files, tmp_path, capsys, command, given):
+    # --message and --message-file: exactly one, or argparse exits 2
+    # before the command runs.
+    message_file = tmp_path / "m.bin"
+    message_file.write_bytes(b"rw")
+    flags = {
+        "both": ("--message", "rw", "--message-file", message_file),
+        "neither": (),
+    }[given]
+    files = {
+        "sign-toy": ("--sk", rw_files["sk"], "--seed", 3, "--out", tmp_path / "sig.out"),
+        "verify": ("--pk", rw_files["pk"], "--sig", rw_files["sig"]),
+        "cverify": ("--vk", rw_files["vk"], "--sig", rw_files["sig"]),
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--scheme", "rw", *files, *flags)
+    assert exc.value.code == 2
+    assert "--message" in capsys.readouterr().err
+    assert not (tmp_path / "sig.out").exists()
+
+
 def test_cli_compression_key_primes_are_31_bits(sq_files):
     # ck-gen offers no narrower primes: each one lies in (2^30, 2^31), as
     # the keyspace of ``cvk params`` and the budget's quotient assume.

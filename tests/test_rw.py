@@ -110,6 +110,14 @@ def test_vkeygen_small_modulus():
     assert vk.n_ell == 12345
 
 
+# The ell rule that the CK and VK decoders check, at the in-process
+# install: ell = 1 would accept every tuple.
+@pytest.mark.parametrize("ell", [1, 131 * 137, 127], ids=["one", "composite", "7-bit-prime"])
+def test_vkeygen_refuses_ell_outside_the_rule(keypair, ell):
+    with pytest.raises(ValueError, match="compression-key prime"):
+        rw.rw_vkeygen(ell, keypair.n)
+
+
 def test_vkeygen_matches_bigint_oracle(rng):
     for _ in range(50):
         n = rng.getrandbits(128) | (1 << 127) | 1

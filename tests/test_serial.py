@@ -637,17 +637,22 @@ def test_squirrels_ck_rejects_word_not_following_from_primes(sq_world, field):
 def test_squirrels_ck_vk_reject_primes_inside_multiplier_window(sq_world):
     # Consistent files on secret primes 3 and 5: the transfer is defined,
     # but every multiplier mod 3 or 5 lands in the window, so cverify
-    # would accept random vectors.
+    # would accept random vectors.  vkeygen refuses such a CK, so the VK
+    # file is written by hand: the primes, their inverse residues and
+    # reduced rows.
     pk, params, *_ = sq_world
     small = PrimeBasis((3, 5))
     precomp = mod_ecrt_setup(params.public_basis, small)
     inv_delta = tuple(inv_mod(d, r) for d, r in zip(precomp.weights[:, -1].tolist(), small.primes))
     ck = sq.SquirrelsCompressionKey(small, precomp, inv_delta)
-    vk = sq.vkeygen(ck, pk, params)
+    rows = pk.residues[:, :2] % np.array(small.primes)
+    payload = np.concatenate([small.primes, inv_delta, rows.ravel()]).astype("<i4").tobytes()
+    assert len(payload) == sq.vk_bytes(params, 2)
+    vk_file = serial.wrap(serial.SCHEME_SQUIRRELS, serial.KIND_VK, 0, payload)
     with pytest.raises(MalformedSignature):
         serial.decode_squirrels_ck(serial.encode_squirrels_ck(ck, params), params)
     with pytest.raises(MalformedSignature):
-        serial.decode_squirrels_vk(serial.encode_squirrels_vk(vk, params), params)
+        serial.decode_squirrels_vk(vk_file, params)
 
 
 def test_squirrels_vk_rejects_altered_inv_delta(sq_world):

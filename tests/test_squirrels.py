@@ -10,7 +10,6 @@ from cvk import squirrels as sq
 from cvk.ecrt import (
     PrimeBasis,
     mod_ecrt_reduce,
-    mod_ecrt_rows,
     mod_ecrt_setup,
     q_coefficients,
 )
@@ -357,6 +356,60 @@ def test_vk_copies_a_view_of_its_rows():
 # ── one owner per rule: every entry point refuses a value just outside ───
 
 
+def _hand_built_ck(params, primes):
+    """A compression key on ``primes`` that skips ``compression_key``'s
+    checks: every word follows from the primes, as in a CK file."""
+    secret = PrimeBasis(tuple(primes))
+    pre = mod_ecrt_setup(params.public_basis, secret)
+    inv_delta = tuple(pow(d, -1, r) for d, r in zip(pre.weights[:, -1].tolist(), secret.primes))
+    return sq.SquirrelsCompressionKey(secret, pre, inv_delta)
+
+
+@pytest.mark.parametrize("where", ["in-window", "40-bit"])
+def test_vkeygen_refuses_secret_primes_outside_the_rule(toy, where):
+    # The rule compression_key checks, on a CK that skipped it.  The key
+    # is refused before the transfer, so the public key keeps no terms.
+    pk, params, _ = toy
+    key = sq.SquirrelsPublicKey(pk.residues)
+    k_min, k_max = sq.k_prime_bounds(params)
+    if where == "in-window":
+        bad = max(p for p in range(2, k_max - k_min + 1) if is_prime_word(p))
+    else:
+        bad = sample_distinct_primes(40, 1, Random(40), exclude=params.public_basis.primes)[0]
+    ck = _hand_built_ck(params, (bad, 65537))
+    with pytest.raises(ValueError, match="secret prime"):
+        sq.vkeygen(ck, key, params)
+    assert key._terms == ()
+
+
+@pytest.mark.parametrize("where", ["entry-at-r", "negative-entry", "inv-delta-at-r", "prime-2^31"])
+def test_verification_key_refuses_entries_outside_the_rule(where):
+    # Entries in [0, r_j) and primes below 2^31 keep cverify's int64 fold
+    # exact; the key refuses anything else, however it was built.
+    primes, rows, inv_delta = (65537, 65539), np.ones((2, 8), dtype=np.int64), (1, 1)
+    if where == "entry-at-r":
+        rows[1, 3] = primes[1]
+    elif where == "negative-entry":
+        rows[0, 0] = -1
+    elif where == "inv-delta-at-r":
+        inv_delta = (1, primes[1])
+    else:
+        primes = (65537, next(p for p in range(1 << 31, (1 << 31) + 100) if is_prime_word(p)))
+    with pytest.raises(ValueError):
+        sq.SquirrelsVerificationKey(PrimeBasis(primes), inv_delta, rows)
+
+
+def test_verify_refuses_an_unchecked_key_with_an_unreduced_residue(toy):
+    # A key built in process, never decoded or installed: verify runs the
+    # decoder's rule on it, through the key's check memo.
+    pk, params, _ = toy
+    bad = pk.residues.copy()
+    bad[0, 0] = params.public_basis.primes[0]
+    sig = sq.SquirrelsSignature(b"x" * sq.SALT_BYTES, [0] * params.n)
+    with pytest.raises(ValueError, match="not reduced"):
+        sq.verify(sig, MESSAGE, sq.SquirrelsPublicKey(bad), params)
+
+
 @pytest.mark.parametrize("entry", ["SquirrelsParams", "hash_to_point"])
 @pytest.mark.parametrize("q", [3, 1 << 17])
 def test_hash_bound_outside_the_rule_is_refused_everywhere(entry, q):
@@ -571,24 +624,16 @@ def test_vkeygen_with_cached_terms_matches_fresh_key_at_full_size():
 
 
 def test_vkeygen_with_cached_terms_matches_fresh_key_at_40_bit_secret_primes():
-    # ``compression_key`` refuses secret primes past the fold bound, so
-    # the CKs are built by hand: the secret half then runs on Python ints
-    # over the int64 terms kept with the key.
+    # ``vkeygen`` refuses CKs on secret primes past the fold bound, built
+    # by hand past ``compression_key``, before the transfer: the public
+    # key keeps no terms, cached or fresh.
     residues, params, rng = _full_size_i_key(1036)
-    basis = params.public_basis
-    cks = []
+    key = sq.SquirrelsPublicKey(residues)
     for _ in range(3):
-        secret = PrimeBasis(sample_distinct_primes(40, 3, rng, exclude=basis.primes))
-        pre = mod_ecrt_setup(basis, secret)
-        inv_delta = tuple(pow(d, -1, r) for d, r in zip(pre.weights[:, -1].tolist(), secret.primes))
-        cks.append(sq.SquirrelsCompressionKey(secret, pre, inv_delta))
-    _assert_cached_terms_change_nothing(residues, params, cks)
-    moved = mod_ecrt_rows(cks[0].precomp, q_coefficients(basis), basis, residues)
-    assert moved.dtype == object
-    vk = sq.vkeygen(cks[0], sq.SquirrelsPublicKey(residues), params)
-    r = np.array(cks[0].secret_basis.primes, dtype=object)
-    expected = (moved + cks[0].precomp.weights[:, -1]) % r
-    assert np.array_equal(vk.rows[:, :-1], expected.T.astype(np.int64))
+        secret = sample_distinct_primes(40, 3, rng, exclude=params.public_basis.primes)
+        with pytest.raises(ValueError, match="not below"):
+            sq.vkeygen(_hand_built_ck(params, secret), key, params)
+    assert key._terms == ()
 
 
 def _held_bytes(obj) -> int:
