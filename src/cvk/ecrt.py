@@ -32,6 +32,11 @@ at every named Squirrels instance.  A float64 Horner chain with no
 integer division joins the limbs.  The basis product D is never
 materialized: setup runs prefix and suffix products over word residues,
 and nothing touches a value wider than a double word.
+
+Every step runs on int64 words under two rules, which ``_words`` checks
+wherever a step turns a basis into words: each prime is below 2^31, so
+a product of two reduced words is below 2^62, and a basis holds at most
+``MAX_BASIS_LEN`` primes.  A basis outside them raises ``ValueError``.
 """
 
 import math
@@ -42,13 +47,12 @@ import numpy as np
 from .errors import SharedFactor
 from .modmath import MAX_MODULUS_BITS, is_prime_word
 
-# Cap on s, which fixes the precision a = ceil(log2 s) + 2.  It does not
-# keep the transfer within 64 bits: the public half checks that itself,
-# and its int64 rule, s * 2^(31 + a) < 2^63, admits only s < 2^15, which
-# keeps its shifted terms exact.  The secret half's balanced limbs
-# (``limb_split``) number 2 up to s = 358, 3 up to 13001 and 4 up to
-# this cap.
-MAX_BASIS_LEN = 1 << 16
+# Cap on the primes of a basis, the public half's int64 rule: with
+# a = ceil(log2 s) + 2, s shifted terms u << a below 2^(31 + a) sum
+# below s * 2^(31 + a) < 2^63 only for s < 2^15.  The secret half's
+# balanced limbs (``limb_split``) number 2 up to s = 358, 3 up to 13001
+# and 4 up to this cap.
+MAX_BASIS_LEN = (1 << 15) - 1
 
 # Rows per pass of both halves: bounds the public half's temporaries
 # and the secret half's block of BLAS sums, so peak memory stays flat.
@@ -59,12 +63,6 @@ MAX_BASIS_LEN = 1 << 16
 # thread, and all 2055 rows take 3.1 ms.  The public half takes 9.4 ms
 # at 32 rows against 9.3 ms at 64 and 9.6 ms at 256.
 TRANSFER_BLOCK_ROWS = 32
-
-
-def _word_dtype(primes, *exact: bool):
-    """int64 if every prime is below 2^31, so a product of two reduced words
-    is below 2^62, and every condition in ``exact`` holds; else object."""
-    return np.int64 if all(exact) and max(primes) < 1 << 31 else object
 
 
 @dataclass(frozen=True)
@@ -92,6 +90,20 @@ class PrimeBasis:
 
     def __iter__(self):
         return iter(self.primes)
+
+
+def _words(basis: PrimeBasis) -> np.ndarray:
+    """The primes of ``basis`` as int64 words, under the transfer's two
+    rules: at most ``MAX_BASIS_LEN`` primes, each below 2^31.
+
+    Raises:
+        ValueError: if the basis breaks either rule.
+    """
+    if len(basis) > MAX_BASIS_LEN:
+        raise ValueError(f"basis of {len(basis)} primes, more than {MAX_BASIS_LEN}")
+    if max(basis.primes) >= 1 << 31:
+        raise ValueError(f"basis prime {max(basis.primes)} not below 2^31")
+    return np.array(basis.primes, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -122,9 +134,9 @@ class EcrtPrecomp:
     ``weights[k, s]`` = (p_1 ... p_s)      mod r_k.
 
     Keyed by secret prime first (k-major), the layout the setup scans
-    run along and the CK file stores.  int64 when every secret prime is
-    below 2^31, Python ints otherwise, and held read-only in an array no
-    other array shares (a view is copied).  Built by ``mod_ecrt_setup``.
+    run along and the CK file stores.  int64, every entry below its
+    secret prime, and held read-only in an array no other array shares
+    (a view is copied).  Built by ``mod_ecrt_setup``.
     """
 
     secret_basis: PrimeBasis
@@ -167,14 +179,15 @@ def q_coefficients(basis: PrimeBasis) -> tuple[int, ...]:
 
     q_i = (prod_{j != i} p_j)^{-1} mod p_i.  Basis invariants (distinct
     primes) guarantee every inverse exists.  One pass per prime p_j
-    multiplies it into every other cofactor at once, in the dtype
-    ``_word_dtype`` picks.  The primes are public, so the inverses need
-    no constant-time ladder.
+    multiplies it into every other cofactor at once, in int64 words.
+    The primes are public, so the inverses need no constant-time ladder.
+
+    Raises:
+        ValueError: if the basis breaks a rule of ``_words``.
     """
     primes = basis.primes
-    dtype = _word_dtype(primes)
-    p = np.array(primes, dtype=dtype)
-    acc = np.ones(len(primes), dtype=dtype)
+    p = _words(basis)
+    acc = np.ones(len(primes), dtype=np.int64)
     for j, pj in enumerate(primes):
         u = pj % p
         u[j] = 1
@@ -201,23 +214,18 @@ def mod_ecrt_setup(public: PrimeBasis, secret: PrimeBasis) -> EcrtPrecomp:
     The (t, s) table of public primes mod each secret prime gets one
     prefix and one suffix product scan along its rows; the cofactor of
     p_i is the product before i times the product after i, and the
-    public product is the last prefix.  The scans run in the dtype
-    ``_word_dtype`` picks for the secret primes.
+    public product is the last prefix.  The scans run in int64 words.
 
     Raises:
         SharedFactor: if the bases overlap (the transfer needs every
             secret prime coprime to the public product).
-        ValueError: if the public basis is longer than ``MAX_BASIS_LEN``.
+        ValueError: if either basis breaks a rule of ``_words``.
     """
     overlap = set(public.primes) & set(secret.primes)
     if overlap:
         raise SharedFactor(f"bases share primes {sorted(overlap)}")
-    s = len(public)
-    if s > MAX_BASIS_LEN:
-        raise ValueError(f"source basis length {s} out of range")
-    dtype = _word_dtype(secret.primes)
-    r = np.array(secret.primes, dtype=dtype)[:, None]
-    units = np.array(public.primes, dtype=dtype) % r
+    r = _words(secret)[:, None]
+    units = _words(public) % r
     prefix = _prefix_products(units, r)
     suffix = _prefix_products(units[:, ::-1], r)[:, ::-1]
     before = np.hstack([np.ones_like(r), prefix[:, :-1]])
@@ -256,12 +264,15 @@ def mod_ecrt_reduce(q: tuple[int, ...], basis: PrimeBasis, x: np.ndarray) -> np.
     same residues to many secret bases computes it once.  Rows go in
     blocks of ``TRANSFER_BLOCK_ROWS``, which bounds the temporaries of
     the floor; each block's v is written straight into T, and no whole u
-    exists beside it.  Runs in int64 when every public prime is below
-    2^31 and s * 2^(31 + a) < 2^63, which forces s < 2^15; in Python ints
-    otherwise.  In int64 each shifted term u << a is below 2^(31 + a) and
-    the floors sum below s * 2^a, both under s * 2^(31 + a): exact.  T is
-    then float64, also exact: every entry is an integer, |v| <= 2^30 - 1
-    and |k - f| <= s.
+    exists beside it.  Runs in int64, under the rules of ``_words``: each
+    shifted term u << a is below 2^(31 + a) and the floors sum below
+    s * 2^a, both under s * 2^(31 + a) < 2^63: exact.  T is float64,
+    also exact: every entry is an integer, |v| <= 2^30 - 1 and
+    |k - f| <= s.
+
+    Raises:
+        ValueError: if ``q`` or ``x`` does not match the basis, or the
+            basis breaks a rule of ``_words``.
     """
     s = len(basis)
     if len(q) != s:
@@ -269,13 +280,12 @@ def mod_ecrt_reduce(q: tuple[int, ...], basis: PrimeBasis, x: np.ndarray) -> np.
     if x.ndim != 2 or x.shape[1] != s:
         raise ValueError(f"residue table of shape {x.shape}, expected (m, {s})")
     a = default_precision(s)
-    dtype = _word_dtype(basis.primes, s << (31 + a) < 1 << 63)
-    p = np.array(basis.primes, dtype=dtype)
-    qv = np.array(q, dtype=dtype)
-    terms = np.empty((x.shape[0], s + 1), dtype=np.float64 if dtype is np.int64 else object)
+    p = _words(basis)
+    qv = np.array(q, dtype=np.int64)
+    terms = np.empty((x.shape[0], s + 1))
     for start in range(0, x.shape[0], TRANSFER_BLOCK_ROWS):
         rows = slice(start, start + TRANSFER_BLOCK_ROWS)
-        u = x[rows].astype(dtype) * qv % p
+        u = x[rows].astype(np.int64) * qv % p
         floors = approx_floor(u, p, a)
         lift = u > p >> 1
         u -= p * lift
@@ -286,7 +296,7 @@ def mod_ecrt_reduce(q: tuple[int, ...], basis: PrimeBasis, x: np.ndarray) -> np.
 
 def limb_split(s: int) -> tuple[int, int]:
     """(L, B): the limb count and base of the secret half for s public
-    primes, its int64 path (every prime below 2^31, s < 2^15).
+    primes, every prime below 2^31.
 
     A weight lifted to (-r/2, r/2] is at most 2^30 - 1 in magnitude, and
     L balanced digits of base B = ceil(2^(31/L)), each at most
@@ -300,7 +310,8 @@ def limb_split(s: int) -> tuple[int, int]:
 
     so every partial sum and every step is an exact float64 integer in
     any order, whatever the thread split, FMA or blocking of the BLAS:
-    L = 2 (B = 46341) up to s = 358, L = 3 (B = 1291) up to s = 13001.
+    L = 2 (B = 46341) up to s = 358, L = 3 (B = 1291) up to s = 13001
+    and L = 4 (B = 216) up to ``MAX_BASIS_LEN``.
     """
     n_limbs = 2  # one limb would need s 2^60 < 2^53
     while True:
@@ -330,44 +341,42 @@ def mod_ecrt_combine(pre: EcrtPrecomp, terms: np.ndarray) -> np.ndarray:
 
     With c = ``pre.weights``.T, the (s + 1, t) table of the cofactor
     residues and, as its last row, D mod r_k, the sum is (T @ c) mod r:
-    the floor correction is one more term.  In Python ints, ``T @ c % r``
-    is exact; they are used unless T is float64 (from the public half's
-    int64 path) and every secret prime is below 2^31.
+    the floor correction is one more term.
 
-    Otherwise the sum is one float64 BLAS product and one float64 Horner
-    chain.  c is lifted to (-r/2, r/2] and cut into the L balanced limbs
-    of base B of ``limb_split``, stacked most significant first as one
-    (s + 1, L t) table; every sum and every chain step then stays an
-    exact integer below 2^53.  T goes into the product one
+    The sum is one float64 BLAS product and one float64 Horner chain, on
+    secret primes under the rules of ``_words``.  c is lifted to
+    (-r/2, r/2] and cut into the L balanced limbs of base B of
+    ``limb_split``, stacked most significant first as one (s + 1, L t)
+    table; every sum and every chain step then stays an exact integer
+    below 2^53.  T goes into the product one
     ``TRANSFER_BLOCK_ROWS`` block at a time, with no cast.  The chain
     reduces the top limb's sums mod r, then takes z = (z B + w_i) mod r
     for each lower limb, in place, each reduction z - r floor(z (1/r))
     with one conditional add and one conditional subtract and no integer
     division.  The result is int64.
+
+    Raises:
+        ValueError: if ``terms`` does not match the weights, or the secret
+            basis breaks a rule of ``_words``.
     """
     weights = pre.weights
     if terms.ndim != 2 or terms.shape[1] != weights.shape[1]:
         raise ValueError("terms do not match the precomputed public basis")
-    secret = pre.secret_basis.primes
-    if _word_dtype(secret, terms.dtype == np.float64) is object:
-        # Through int64, so that a float64 table enters as Python ints.
-        r = np.array(secret, dtype=object)
-        return terms.astype(np.int64).astype(object) @ weights.T.astype(object) % r
+    words = _words(pre.secret_basis)[:, None]
     n_limbs, base = limb_split(weights.shape[1] - 1)
-    words = np.array(secret, dtype=np.int64)[:, None]
     rest = weights - words * (weights > words >> 1)
     digits = []  # least significant first
     for _ in range(n_limbs - 1):
         digits.append((rest + base // 2) % base - base // 2)
         rest = (rest - digits[-1]) // base
     limbs = np.hstack([d.T for d in [rest] + digits[::-1]], dtype=np.float64)
-    t = len(secret)
+    t = len(words)
     w = np.empty((len(terms), n_limbs * t))
     for start in range(0, len(terms), TRANSFER_BLOCK_ROWS):
         rows = slice(start, start + TRANSFER_BLOCK_ROWS)
         np.matmul(terms[rows], limbs, out=w[rows])
     # Broadcast once: a ufunc is slower along a trailing axis of length t.
-    r = np.tile(np.array(secret, dtype=np.float64), (len(terms), 1))
+    r = np.tile(words.T.astype(np.float64), (len(terms), 1))
     r_inv = 1 / r
     z = w[:, :t].copy()
     _reduce_float(z, r, r_inv)
@@ -390,11 +399,11 @@ def mod_ecrt_rows(
     one balanced term table [v | k - floor(a)]; the secret half,
     ``mod_ecrt_combine``, takes it to sum_j u_j (D/p_j) - floor(a) D mod
     every secret prime r_k at once, the correction as one more term.
-    Both walk the rows in blocks of ``TRANSFER_BLOCK_ROWS``.  When every
-    prime is below 2^31 the secret half is one exact float64 BLAS product
-    over balanced limbs of the cofactor and product residues, each sum an
-    integer below 2^53, and one float64 Horner chain; a wider prime puts
-    the half it enters, and the secret half after it, on Python ints.
+    Both walk the rows in blocks of ``TRANSFER_BLOCK_ROWS``, on int64
+    words under the rules of ``_words``: the public half's floor is exact
+    in int64, and the secret half is one exact float64 BLAS product over
+    balanced limbs of the cofactor and product residues, each sum an
+    integer below 2^53, and one float64 Horner chain.
     """
     return mod_ecrt_combine(pre, mod_ecrt_reduce(q, basis, x))
 
@@ -406,5 +415,5 @@ def mod_ecrt(pre: EcrtPrecomp, q: tuple[int, ...], x_res: RnsResidues) -> RnsRes
     If x < (1 - s/2^a) * D, a = ``pre.precision``, the result is exactly
     x's residues.
     """
-    out = mod_ecrt_rows(pre, q, x_res.basis, np.array([x_res.values], dtype=object))
+    out = mod_ecrt_rows(pre, q, x_res.basis, np.array([x_res.values], dtype=np.int64))
     return RnsResidues(pre.secret_basis, tuple(int(v) for v in out[0]))

@@ -326,18 +326,14 @@ def verify(
     params: SquirrelsParams,
     counter: "OpCounter | None" = None,
 ) -> bool:
-    """Full verification: the key's shape and ``pk.check``, then
-    ``public_target`` and one congruence per public prime.
+    """Full verification: ``pk.check``, then ``public_target`` and one
+    congruence per public prime.
 
     Raises:
         DimensionMismatch: if the key is not (n-1, s).
         ValueError: if the params carry no public basis, or a residue is
             not reduced mod its prime.
     """
-    if pk.residues.shape != (params.n - 1, params.s):
-        raise DimensionMismatch(
-            f"public key is {pk.residues.shape}, expected {(params.n - 1, params.s)}"
-        )
     pk.check(params)
     c = public_target(sig, message, params)
     if c is None:
@@ -408,10 +404,17 @@ def compression_key(
 
 def check_public_key(pk: SquirrelsPublicKey, params: SquirrelsParams) -> None:
     """Shape (n-1, s), residues reduced mod their primes: checked, through
-    ``SquirrelsPublicKey.check``, by the decoder, ``vkeygen`` and ``verify``."""
+    ``SquirrelsPublicKey.check``, by the decoder, ``vkeygen`` and ``verify``.
+
+    Raises:
+        DimensionMismatch: if the key is not (n-1, s).
+        ValueError: if the params carry no public basis, or a residue is
+            not reduced mod its prime.
+    """
     primes = np.array(check_basis(params).primes)
-    if pk.residues.shape != (params.n - 1, params.s):
-        raise ValueError(f"public key shape {pk.residues.shape} != {(params.n - 1, params.s)}")
+    expected = (params.n - 1, params.s)
+    if pk.residues.shape != expected:
+        raise DimensionMismatch(f"public key is {pk.residues.shape}, expected {expected}")
     if np.any((pk.residues < 0) | (pk.residues >= primes)):
         raise ValueError("public key residue not reduced mod its prime")
 

@@ -93,9 +93,12 @@ def test_q_coefficients_oracle(primes):
 
 @pytest.mark.parametrize("width,size", [(31, 165), (40, 12)])
 def test_q_coefficients_bigint_oracle(width, size):
-    # 31 bits is the int64 path at Squirrels I length; 40 bits is the
-    # Python-int path.
+    # 31 bits at Squirrels I length; 40-bit primes are refused.
     basis = PrimeBasis(sample_distinct_primes(width, size, Random(width)))
+    if width > 31:
+        with pytest.raises(ValueError, match="not below 2\\^31"):
+            q_coefficients(basis)
+        return
     product = math.prod(basis.primes)
     assert q_coefficients(basis) == tuple(pow(product // p, -1, p) for p in basis.primes)
 
@@ -184,8 +187,8 @@ def _loop_setup(public, secret):
         (31, 31, 165, 5),  # Squirrels I
         (31, 31, 339, 11),  # Squirrels V
         (16, 30, 257, 2),  # one past a power of two
-        (40, 31, 33, 4),  # public primes above 2^31, int64 scans
-        (31, 40, 33, 4),  # secret primes above 2^31, Python-int scans
+        (40, 31, 33, 4),  # public primes above 2^31: refused
+        (31, 40, 33, 4),  # secret primes above 2^31: refused
         (62, 62, 9, 2),
     ],
 )
@@ -193,9 +196,13 @@ def test_setup_matches_loop_oracle(public_width, secret_width, s, t):
     rng = Random(public_width * 1000 + s)
     public = PrimeBasis(sample_distinct_primes(public_width, s, rng))
     secret = PrimeBasis(sample_distinct_primes(secret_width, t, rng, exclude=public.primes))
+    if max(public_width, secret_width) > 31:
+        with pytest.raises(ValueError, match="not below 2\\^31"):
+            mod_ecrt_setup(public, secret)
+        return
     pre = mod_ecrt_setup(public, secret)
     assert pre.weights.tolist() == _loop_setup(public, secret)
-    assert pre.weights.dtype == (np.int64 if secret_width < 32 else object)
+    assert pre.weights.dtype == np.int64
 
 
 def test_setup_oracle_165_prime_basis():
@@ -408,10 +415,9 @@ def test_mod_ecrt_rejects_foreign_residues():
         mod_ecrt(pre, q_coefficients(other), RnsResidues.from_int(1, other))
 
 
-@pytest.mark.parametrize("secret_width", [16, 40])
+@pytest.mark.parametrize("secret_width", [16, 31])
 def test_mod_ecrt_rows_matches_single_rows_across_blocks(secret_width):
-    # 16-bit secret primes run in int64, 40-bit ones in Python ints; 600
-    # rows span many transfer blocks and end in a partial one.
+    # 600 rows span many transfer blocks and end in a partial one.
     rng = Random(600 + secret_width)
     basis = _random_basis(rng, 12, widths=(31,))
     secret = _random_secret(rng, 3, set(basis.primes), widths=(secret_width,))
@@ -747,25 +753,13 @@ def test_mod_ecrt_reduce_writes_the_term_table_block_by_block():
     assert np.array_equal(terms, _balanced_table(u, p, approx_floor(u, p, ecrt.default_precision(s))))
 
 
-def test_mod_ecrt_rows_matches_oracle_on_object_path():
-    rng = Random(4040)
-    basis = PrimeBasis(sample_distinct_primes(31, 33, rng))
-    secret = PrimeBasis(sample_distinct_primes(40, 4, rng))
-    pre = mod_ecrt_setup(basis, secret)
-    got = _assert_transfer_matches_oracle(
-        pre, q_coefficients(basis), basis, _random_table(basis, 300, 33)
-    )
-    assert got.dtype == object
-
-
 # ── the public half, kept across secret bases ────────────────────────────
 
 
-@pytest.mark.parametrize("secret_width", [16, 31, 40])
+@pytest.mark.parametrize("secret_width", [16, 31])
 def test_mod_ecrt_reduce_is_reused_across_secret_bases(secret_width):
     # One public half, then the secret half for three secret bases, equals
-    # a whole transfer per basis and the oracle; 40-bit secret primes take
-    # the secret half onto Python ints while the public half stays int64.
+    # a whole transfer per basis and the oracle.
     rng = Random(700 + secret_width)
     basis = PrimeBasis(sample_distinct_primes(31, 40, rng))
     qc = q_coefficients(basis)
@@ -780,23 +774,9 @@ def test_mod_ecrt_reduce_is_reused_across_secret_bases(secret_width):
         secret = PrimeBasis(sample_distinct_primes(secret_width, 4, rng, exclude=basis.primes))
         pre = mod_ecrt_setup(basis, secret)
         got = mod_ecrt_combine(pre, terms)
-        assert got.dtype == (np.int64 if secret_width < 32 else object)
+        assert got.dtype == np.int64
         assert np.array_equal(got, mod_ecrt_rows(pre, qc, basis, x))
         assert np.array_equal(got, _per_prime_transfer(pre, qc, basis, x))
-
-
-def test_mod_ecrt_halves_take_python_ints_for_wide_public_primes():
-    # 40-bit public primes put the public half on Python ints, and the
-    # secret half follows even for 31-bit secret primes.
-    rng = Random(4041)
-    basis = PrimeBasis(sample_distinct_primes(40, 6, rng))
-    secret = PrimeBasis(sample_distinct_primes(31, 3, rng))
-    pre = mod_ecrt_setup(basis, secret)
-    qc = q_coefficients(basis)
-    x = np.array([[rng.randrange(p) for p in basis.primes] for _ in range(40)], dtype=object)
-    assert mod_ecrt_reduce(qc, basis, x).dtype == object
-    got = _assert_transfer_matches_oracle(pre, qc, basis, x)
-    assert got.dtype == object
 
 
 def test_mod_ecrt_combine_rejects_mismatched_terms():
@@ -837,26 +817,51 @@ def test_vkeygen_matches_three_limb_oracle_over_many_refreshes(tag, t):
         assert np.array_equal(sq.vkeygen(ck, pk, params).rows, _oracle_vk_rows(ck, table))
 
 
-@pytest.mark.parametrize("public_width,secret_width", [(31, 40), (40, 31)])
+@pytest.mark.parametrize("public_width,secret_width", [(40, 31)])
 def test_vkeygen_matches_oracle_on_the_object_path(public_width, secret_width):
-    # Neither half of a Squirrels install reaches the transfer's Python-int
-    # path: params refuse 40-bit public primes, and ``vkeygen`` refuses a
-    # compression key on 40-bit secret primes, built here by hand past
-    # ``compression_key``.  The transfer's own object paths are checked at
-    # the ECRT level.
+    # A Squirrels install never hands the transfer a prime past 2^31:
+    # params refuse 40-bit public primes here, and ``vkeygen`` refuses a
+    # compression key on 40-bit secret primes (test_squirrels.py).
     rng = Random(public_width * 100 + secret_width)
-    s, n, t = 12, 48, 3
+    s, n = 12, 48
     basis = PrimeBasis(sample_distinct_primes(public_width, s, rng))
-    if public_width > 31:
-        with pytest.raises(ValueError, match="public prime"):
-            sq.SquirrelsParams(n=n, q=16, beta_sq=1 << 20, s=s, tag="toy", public_basis=basis)
-        return
-    params = sq.SquirrelsParams(n=n, q=16, beta_sq=1 << 20, s=s, tag="toy", public_basis=basis)
-    residues = np.array([[rng.randrange(pi) for pi in basis.primes] for _ in range(n - 1)])
-    pk = sq.SquirrelsPublicKey(residues)
-    secret = PrimeBasis(sample_distinct_primes(secret_width, t, rng, exclude=basis.primes))
-    pre = mod_ecrt_setup(basis, secret)
-    inv_delta = tuple(pow(d, -1, r) for d, r in zip(pre.weights[:, -1].tolist(), secret.primes))
-    ck = sq.SquirrelsCompressionKey(secret, pre, inv_delta)
-    with pytest.raises(ValueError, match="secret prime"):
-        sq.vkeygen(ck, pk, params)
+    with pytest.raises(ValueError, match="public prime"):
+        sq.SquirrelsParams(n=n, q=16, beta_sq=1 << 20, s=s, tag="toy", public_basis=basis)
+
+
+# ── the int64 rules ──────────────────────────────────────────────────────
+
+
+# The refusal text of each rule.
+_RULES = {"wide": "not below 2\\^31", "long": "more than"}
+
+
+def _basis_outside(rule):
+    """A basis that breaks one rule of the transfer: its one prime is the
+    first past 2^31, or it holds ``MAX_BASIS_LEN`` + 1 primes below 2^31."""
+    if rule == "wide":
+        return PrimeBasis((next(p for p in range(1 << 31, (1 << 31) + 100) if is_prime_word(p)),))
+    return _sieved_basis(_primes_below(1 << 31, ecrt.MAX_BASIS_LEN + 1))
+
+
+_STEPS = {
+    "q_coefficients": q_coefficients,
+    "setup-public": lambda basis: mod_ecrt_setup(basis, PrimeBasis((3, 5))),
+    "setup-secret": lambda basis: mod_ecrt_setup(PrimeBasis((3, 5)), basis),
+    "reduce": lambda basis: mod_ecrt_reduce(
+        (1,) * len(basis), basis, np.zeros((1, len(basis)), dtype=np.int64)
+    ),
+    "combine": lambda basis: mod_ecrt_combine(
+        ecrt.EcrtPrecomp(basis, np.zeros((len(basis), 3), dtype=np.int64)), np.zeros((1, 3))
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(_RULES))
+@pytest.mark.parametrize("step", list(_STEPS))
+def test_transfer_steps_refuse_bases_outside_the_int64_rules(step, rule):
+    # Every step that turns a basis into words refuses it, whichever side
+    # of the transfer the basis is on; the combine step gets a hand-built
+    # precomputation on it.
+    with pytest.raises(ValueError, match=_RULES[rule]):
+        _STEPS[step](_basis_outside(rule))

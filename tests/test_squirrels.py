@@ -8,9 +8,9 @@ import pytest
 from cvk import security
 from cvk import squirrels as sq
 from cvk.ecrt import (
+    EcrtPrecomp,
     PrimeBasis,
     mod_ecrt_reduce,
-    mod_ecrt_setup,
     q_coefficients,
 )
 from cvk.errors import DimensionMismatch, MalformedSignature, ResampleLimit, SharedFactor
@@ -357,12 +357,15 @@ def test_vk_copies_a_view_of_its_rows():
 
 
 def _hand_built_ck(params, primes):
-    """A compression key on ``primes`` that skips ``compression_key``'s
-    checks: every word follows from the primes, as in a CK file."""
+    """A compression key on ``primes`` that skips the checks of
+    ``compression_key`` and ``mod_ecrt_setup``: every word follows from
+    the primes, as in a CK file, here in Python ints."""
     secret = PrimeBasis(tuple(primes))
-    pre = mod_ecrt_setup(params.public_basis, secret)
-    inv_delta = tuple(pow(d, -1, r) for d, r in zip(pre.weights[:, -1].tolist(), secret.primes))
-    return sq.SquirrelsCompressionKey(secret, pre, inv_delta)
+    product = math.prod(params.public_basis.primes)
+    cofactors = [product // p for p in params.public_basis.primes] + [product]
+    weights = np.array([[c % r for c in cofactors] for r in secret.primes], dtype=np.int64)
+    inv_delta = tuple(pow(product, -1, r) for r in secret.primes)
+    return sq.SquirrelsCompressionKey(secret, EcrtPrecomp(secret, weights), inv_delta)
 
 
 @pytest.mark.parametrize("where", ["in-window", "40-bit"])
@@ -709,7 +712,7 @@ def test_public_key_reused_with_another_basis_gets_new_terms():
     )
     with pytest.raises(ValueError):
         key.ecrt_terms(replace(base, public_basis=tight))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match="public key is"):
         key.ecrt_terms(replace(params_a, n=base.n + 1))
 
 
