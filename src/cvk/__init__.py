@@ -25,7 +25,7 @@ from .errors import (
     SharedFactor,
 )
 
-_SUBMODULES = ("ecrt", "f3", "modmath", "rw", "security", "serial", "squirrels", "wave")
+_SUBMODULES = ("ecrt", "f3", "modmath", "rw", "security", "serial", "squirrels", "toy", "wave")
 
 __all__ = [
     "BudgetExceeded",

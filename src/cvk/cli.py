@@ -11,7 +11,8 @@ permissions.
 
 A process loads only the scheme its command names: ``rw``, ``security``,
 ``squirrels`` and ``wave`` (and through them ``ecrt``, ``f3`` and
-``modmath``) load when a command first reaches them.
+``modmath``) load when a command first reaches them, and ``toy`` loads
+only for ``keygen`` and ``sign-toy``.
 """
 
 import argparse
@@ -29,6 +30,7 @@ ecrt = LazyModule("ecrt")
 rw = LazyModule("rw")
 security = LazyModule("security")
 sq = LazyModule("squirrels")
+toy = LazyModule("toy")
 wv = LazyModule("wave")
 
 
@@ -215,13 +217,13 @@ def cmd_keygen(args) -> int:
             raise CvkError(f"{flag}: scheme {args.scheme} writes no such file")
     rng = Random(args.seed)
     if args.scheme == "squirrels":
-        pk, params, secret = sq.toy_keygen(args.n, args.entry_bound, rng, q=args.q)
+        pk, params, secret = toy.toy_keygen(args.n, args.entry_bound, rng, q=args.q)
         _dump_params(args, params)
         _write(args.out_pk, serial.encode_squirrels_pk(pk, params))
         _write(args.out_sk, serial.encode_squirrels_sk(secret, params))
     elif args.scheme == "wave":
         params = wv.WaveParams(n=args.n, k=args.k, w=args.w, tag="toy")
-        pk = wv.wave_toy_keygen(params, rng)
+        pk = toy.wave_toy_keygen(params, rng)
         _dump_params(args, params)
         _write(args.out_pk, serial.encode_wave_pk(pk, params))
     else:
@@ -272,11 +274,11 @@ def cmd_sign_toy(args) -> int:
     params = _load_params(args)
     if args.scheme == "squirrels":
         secret = serial.decode_squirrels_sk(_read(_require(args.sk, "--sk")), params)
-        sig = sq.toy_sign(secret, message, params, rng)
+        sig = toy.toy_sign(secret, message, params, rng)
         _write(args.out, serial.encode_squirrels_sig(sig, params))
     elif args.scheme == "wave":
         pk = serial.decode_wave_pk(_read(_require(args.pk, "--pk")), params)
-        sig = wv.wave_toy_sign(pk, message, params, rng)
+        sig = toy.wave_toy_sign(pk, message, params, rng)
         _write(args.out, serial.encode_wave_sig(sig, params))
     else:
         kp = serial.decode_rw_sk(_read(_require(args.sk, "--sk")))

@@ -25,7 +25,8 @@ stored), so PK/VK/CK payload lengths land exactly on the documented
 trits, rows byte-aligned.
 
 Each scheme's modules load on the first call that needs them, so a
-process that reads only Wave files never runs Squirrels or RW code.
+process that reads only Wave files never runs Squirrels or RW code, and
+only the toy SK codec loads ``cvk.toy``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ ecrt = LazyModule("ecrt")
 f3 = LazyModule("f3")
 rw = LazyModule("rw")
 sq = LazyModule("squirrels")
+toy = LazyModule("toy")
 wv = LazyModule("wave")
 
 MAGIC = b"CVK1"
@@ -226,15 +228,15 @@ def decode_squirrels_sig(blob: bytes, params: sq.SquirrelsParams) -> sq.Squirrel
     return sq.SquirrelsSignature(salt=payload[: sq.SALT_BYTES], s_vec=coords)
 
 
-def encode_squirrels_sk(secret: sq.ToySquirrelsSecret, params: sq.SquirrelsParams) -> bytes:
+def encode_squirrels_sk(secret: toy.ToySquirrelsSecret, params: sq.SquirrelsParams) -> bytes:
     payload = secret.basis.astype("<i8").tobytes()
     return wrap(SCHEME_SQUIRRELS, KIND_SK, tag_code(SCHEME_SQUIRRELS, params.tag), payload)
 
 
-def decode_squirrels_sk(blob: bytes, params: sq.SquirrelsParams) -> sq.ToySquirrelsSecret:
+def decode_squirrels_sk(blob: bytes, params: sq.SquirrelsParams) -> toy.ToySquirrelsSecret:
     payload = unwrap(blob, SCHEME_SQUIRRELS, KIND_SK)
     basis = _malformed(np.reshape, _read_words(payload, "<i8"), (params.n, params.n))
-    return sq.ToySquirrelsSecret(basis=basis, inv=_malformed(np.linalg.inv, basis.astype(float)))
+    return toy.ToySquirrelsSecret(basis=basis, inv=_malformed(np.linalg.inv, basis.astype(float)))
 
 
 # ── Wave ─────────────────────────────────────────────────────────────────

@@ -10,9 +10,9 @@ by recovering the integer multiplier of the lattice determinant modulo
 each secret prime: for honest signatures the recovered values agree and
 land in a small window, for anything else they look uniform.
 
-Real Squirrels key generation and trapdoor signing are out of scope; a
-desk-scale key generator (random co-cyclic lattice via its Hermite form)
-and a round-off signer stand in as test oracles.
+Real Squirrels key generation and trapdoor signing are out of scope; the
+desk-scale key generator and round-off signer that stand in as test
+oracles live in ``cvk.toy``.
 """
 
 import hashlib
@@ -31,17 +31,13 @@ from .ecrt import (
     mod_ecrt_setup,
     q_coefficients,
 )
-from .errors import DimensionMismatch, MalformedSignature, ResampleLimit
-from .modmath import PRIME_COUNT_31BIT, inv_mod, is_prime_word, sample_distinct_primes
+from .errors import DimensionMismatch, MalformedSignature
+from .modmath import PRIME_COUNT_31BIT, inv_mod, sample_distinct_primes
 
 if TYPE_CHECKING:
     from .opcount import OpCounter
 
 SALT_BYTES = 16
-MAX_TOY_DIMENSION = 32
-# Resampling caps of the toy signer's keygen and salt loops.
-TOY_KEYGEN_ATTEMPTS = 2000
-TOY_SIGN_SALTS = 200
 COORD_BITS = 16  # serialized signature coordinates: signed 16-bit
 # Exactness bounds of the int64 fold in ``cverify``, enforced where
 # parameters and keys are built rather than on every call.
@@ -216,6 +212,7 @@ class SquirrelsSignature:
 
 @dataclass(frozen=True)
 class SquirrelsCompressionKey:
+    public_basis: PrimeBasis  # the basis ``compression_key`` built it for
     secret_basis: PrimeBasis
     precomp: EcrtPrecomp
     inv_delta: tuple[int, ...]  # (product of public primes)^-1 mod each secret prime
@@ -267,14 +264,6 @@ class SquirrelsVerificationKey:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-@dataclass(eq=False)
-class ToySquirrelsSecret:
-    """Short generating matrix for the round-off signer."""
-
-    basis: np.ndarray  # (n, n) int64, rows generate the lattice
-    inv: np.ndarray  # float64 inverse, used only to pick a near point
 
 
 def hash_to_point(message: bytes, salt: bytes, q: int, n: int) -> np.ndarray:
@@ -399,7 +388,7 @@ def compression_key(
     inv_delta = tuple(
         inv_mod(d, r) for d, r in zip(precomp.weights[:, -1].tolist(), secret_basis.primes)
     )
-    return SquirrelsCompressionKey(secret_basis, precomp, inv_delta)
+    return SquirrelsCompressionKey(basis, secret_basis, precomp, inv_delta)
 
 
 def check_public_key(pk: SquirrelsPublicKey, params: SquirrelsParams) -> None:
@@ -431,17 +420,20 @@ def vkeygen(
     to coordinate-plus-{0,1}-product, which is the shift the multiplier
     window of ``k_prime_bounds`` accounts for.
 
-    The CK's secret primes pass ``check_secret_basis`` first, so a CK
-    built by hand gets no further than one from the decoder.  The public
-    half of the transfer, the balanced term table, comes from
-    ``pk.ecrt_terms``, which checks the key and computes it on the key's
-    first install; each compression key pays only the secret half,
-    ``mod_ecrt_combine``: one exact BLAS product of the table against
-    balanced limbs of the cofactor and product residues, and one float64
-    Horner chain.  Its (n-1, t) result, reduced, is added to the product
-    residues straight into the (t, n) rows, and one conditional subtract
-    reduces the sum.
+    The CK must have been built for the params' public basis, and its
+    secret primes pass ``check_secret_basis`` first, so a CK built by
+    hand, or for another public key, gets no further than one from the
+    decoder.  The public half of the transfer, the balanced term table,
+    comes from ``pk.ecrt_terms``, which checks the key and computes it on
+    the key's first install; each compression key pays only the secret
+    half, ``mod_ecrt_combine``: one exact BLAS product of the table
+    against balanced limbs of the cofactor and product residues, and one
+    float64 Horner chain.  Its (n-1, t) result, reduced, is added to the
+    product residues straight into the (t, n) rows, and one conditional
+    subtract reduces the sum.
     """
+    if ck.public_basis != params.public_basis:
+        raise ValueError("compression key was built for another public basis")
     check_secret_basis(ck.secret_basis, params)
     moved = mod_ecrt_combine(ck.precomp, pk.ecrt_terms(params))
     r = np.array(ck.secret_basis.primes, dtype=np.int64)[:, None]
@@ -537,146 +529,13 @@ def cverify_cost(params: SquirrelsParams, t: int) -> tuple[int, int]:
     return (params.n + 1) * t, 2 * t
 
 
-# ---------------------------------------------------------------------------
-# Desk-scale test oracle: random co-cyclic lattice + round-off signer.
-# ---------------------------------------------------------------------------
+def __getattr__(name: str):
+    # perfbench/quality.py, the only caller, still reaches the toy signer as
+    # ``sq.toy_keygen`` and ``sq.toy_sign``.  This alias goes when a
+    # benchmark change imports ``cvk.toy``; until first access no toy code
+    # loads.
+    if name in ("toy_keygen", "toy_sign"):
+        from . import toy
 
-
-def _row_hnf(mat: list[list[int]]) -> list[list[int]] | None:
-    """Row-style Hermite form, upper triangular with positive diagonal
-    and above-diagonal entries reduced; None if the matrix is singular."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    for col in range(n):
-        while True:
-            nz = [r for r in range(col, n) if a[r][col] != 0]
-            if not nz:
-                return None
-            r0 = min(nz, key=lambda r: abs(a[r][col]))
-            a[col], a[r0] = a[r0], a[col]
-            if a[col][col] < 0:
-                a[col] = [-x for x in a[col]]
-            pivot = a[col][col]
-            clean = True
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    f = a[r][col] // pivot
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    if a[r][col]:
-                        clean = False
-            if clean:
-                break
-        pivot = a[col][col]
-        for r in range(col):
-            f = a[r][col] // pivot
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return a
-
-
-def _pollard_rho(n: int, rng: Random) -> int:
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def _factorize(n: int, rng: Random) -> list[int]:
-    """Prime factorization with multiplicity; trial division then rho."""
-    out = []
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out.append(p)
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime_word(m):
-            out.append(m)
-            continue
-        d = _pollard_rho(m, rng)
-        stack.extend((d, m // d))
-    return sorted(out)
-
-
-def toy_keygen(
-    n: int,
-    entry_bound: int,
-    rng: Random,
-    q: int = 16,
-) -> tuple[SquirrelsPublicKey, SquirrelsParams, ToySquirrelsSecret]:
-    """Random co-cyclic lattice small enough to cross-check with big
-    integers.
-
-    Samples integer matrices until the Hermite form is co-cyclic (unit
-    diagonal except the last entry) with an odd-or-even squarefree
-    determinant whose prime factors all fit 31 bits.  The check vector
-    is read off the Hermite form's last column; the sampled matrix
-    itself serves as the signer's short basis.
-    """
-    if not 2 <= n <= MAX_TOY_DIMENSION:
-        raise ValueError(f"toy dimension must be in [2, {MAX_TOY_DIMENSION}]")
-    if entry_bound < 1:
-        raise ValueError("entry bound must be positive")
-    for _ in range(TOY_KEYGEN_ATTEMPTS):
-        g = [[rng.randint(-entry_bound, entry_bound) for _ in range(n)] for _ in range(n)]
-        h = _row_hnf(g)
-        if h is None:
-            continue
-        det = h[n - 1][n - 1]
-        if any(h[i][i] != 1 for i in range(n - 1)) or det <= 1:
-            continue
-        if det >= (1 << 62):
-            continue
-        factors = _factorize(det, rng)
-        if len(set(factors)) != len(factors):
-            continue  # determinant not squarefree
-        if max(factors) >= MAX_PUBLIC_PRIME:
-            continue  # params refuse it
-        basis = PrimeBasis(tuple(factors))
-        check = [h[i][n - 1] for i in range(n - 1)]
-        residues = np.array(
-            [[v % p for p in basis.primes] for v in check], dtype=np.int64
-        )
-        params = SquirrelsParams(
-            n=n,
-            q=q,
-            beta_sq=n * n * entry_bound * entry_bound,
-            s=len(basis),
-            tag="toy",
-            public_basis=basis,
-        )
-        g_arr = np.array(g, dtype=np.int64)
-        secret = ToySquirrelsSecret(basis=g_arr, inv=np.linalg.inv(g_arr.astype(float)))
-        return SquirrelsPublicKey(residues), params, secret
-    raise ResampleLimit(f"no usable co-cyclic lattice in {TOY_KEYGEN_ATTEMPTS} attempts")
-
-
-def toy_sign(
-    secret: ToySquirrelsSecret,
-    message: bytes,
-    params: SquirrelsParams,
-    rng: Random,
-) -> SquirrelsSignature:
-    """Round-off signer: snap the hashed point to a nearby lattice point
-    with the short basis, retrying salts until the difference clears the
-    norm gate.  Stands in for the trapdoor sampler, which is out of
-    scope."""
-    for _ in range(TOY_SIGN_SALTS):
-        salt = rng.randbytes(SALT_BYTES)
-        h = hash_to_point(message, salt, params.q, params.n)
-        coeffs = np.rint(h.astype(float) @ secret.inv).astype(np.int64)
-        nearby = coeffs @ secret.basis
-        s_vec = nearby - h
-        if int(s_vec @ s_vec) <= params.beta_sq:
-            return SquirrelsSignature(salt=salt, s_vec=s_vec)
-    raise ResampleLimit(f"no short signature after {TOY_SIGN_SALTS} salts")
+        return getattr(toy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,8 +9,8 @@ tests c ternary coordinates instead of n-k, accepting a forged syndrome
 with probability 3^-c.
 
 Key generation and trapdoor signing for real Wave are out of scope; the
-toy signer solves the identity block directly, which is enough to
-exercise both verifiers end to end.
+desk-scale key generator and signer that exercise both verifiers end to
+end live in ``cvk.toy``.
 """
 
 import hashlib
@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedSignature, ResampleLimit
+from .errors import DimensionMismatch, MalformedSignature
 from .f3 import (
     BYTE_LANES,
     MAX_INNER_DIMENSION,
@@ -37,8 +37,6 @@ if TYPE_CHECKING:
     from .opcount import OpCounter
 
 SALT_BYTES = 16
-MAX_TOY_LENGTH = 64
-TOY_SIGN_SALTS = 5000  # resampling cap of the toy signer's salt loop
 # Products sum at most n terms of at most 4; n below 2^22 keeps them below
 # 2^24, so the float32 products of f3_matmul and wave_cverify are exact.
 MAX_LENGTH = MAX_INNER_DIMENSION
@@ -330,38 +328,6 @@ def wave_choose_c(target_mu: float) -> tuple[int, float]:
         raise ValueError("target security exponent must be positive")
     c = 8 * max(1, round(target_mu / (8 * LOG2_3)))
     return c, c * LOG2_3
-
-
-def wave_toy_keygen(params: WaveParams, rng: Random) -> TernaryMatrix:
-    """Uniform random public key at desk scale."""
-    if params.n > MAX_TOY_LENGTH:
-        raise ValueError(f"toy keygen capped at n <= {MAX_TOY_LENGTH}")
-    return TernaryMatrix.random(params.k, params.redundancy, rng)
-
-
-def wave_toy_sign(
-    pk: TernaryMatrix,
-    message: bytes,
-    params: WaveParams,
-    rng: Random,
-) -> WaveSignature:
-    """Solve the identity block directly: draw the last k coordinates,
-    derive the first n-k from the hash, retry salts until the weight
-    gate is met.  Stands in for the trapdoor decoder, which is out of
-    scope."""
-    if params.n > MAX_TOY_LENGTH:
-        raise ValueError(f"toy signing capped at n <= {MAX_TOY_LENGTH}")
-    nk = params.redundancy
-    r_arr = pk.to_array(np.int64)
-    for _ in range(TOY_SIGN_SALTS):
-        salt = rng.randbytes(SALT_BYTES)
-        h = hash_to_trits(message, salt, nk).astype(np.int64)
-        tail = random_trits(params.k, rng).astype(np.int64)
-        head = (h - tail @ r_arr) % 3
-        s = np.concatenate([head, tail]).astype(np.uint8)
-        if int(np.count_nonzero(s)) == params.w:
-            return WaveSignature.from_trits(salt, s)
-    raise ResampleLimit(f"no weight-{params.w} signature after {TOY_SIGN_SALTS} salts")
 
 
 def pk_bytes(params: WaveParams) -> int:

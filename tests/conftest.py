@@ -19,15 +19,16 @@ def rng():
 @pytest.fixture(scope="session")
 def toy_squirrels():
     """One shared toy Squirrels instance for the expensive fixtures."""
-    from cvk import squirrels as sq
+    from cvk import toy
 
-    return sq.toy_keygen(12, 3, Random(2024), q=16)
+    return toy.toy_keygen(12, 3, Random(2024), q=16)
 
 
 @pytest.fixture(scope="session")
 def toy_wave():
+    from cvk import toy
     from cvk import wave as wv
 
     params = wv.WaveParams(n=24, k=12, w=16, tag="toy")
-    pk = wv.wave_toy_keygen(params, Random(515))
+    pk = toy.wave_toy_keygen(params, Random(515))
     return pk, params

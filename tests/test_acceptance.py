@@ -25,6 +25,8 @@ from cvk.ecrt import PrimeBasis, RnsResidues, mod_ecrt, mod_ecrt_setup, q_coeffi
 from cvk.f3 import TernaryMatrix
 from cvk.modmath import sample_prime
 from cvk.opcount import OpCounter
+from cvk.toy import toy_keygen, toy_sign, wave_toy_keygen, wave_toy_sign
+from oracles import check_bigint_transfer
 
 
 # ── 1: Squirrels parameter table ─────────────────────────────────────────
@@ -160,17 +162,12 @@ def criterion_04_ecrt_oracle() -> str:
         pre = mod_ecrt_setup(public, secret_basis)
         qc = q_coefficients(public)
         product = math.prod(public.primes)
-        shift = pre.precision
         for _ in range(per_setup):
             x = rng.randrange(product)
             got = mod_ecrt(pre, qc, RnsResidues(public, tuple(x % p for p in public))).values
-            exact = tuple(x % r for r in secret_basis.primes)
-            wrapped = tuple((x - product) % r for r in secret_basis.primes)
-            assert got in (exact, wrapped), f"s={s} x={x}: {got}"
-            # x < (1 - s/2^a) * product, compared exactly in integers
-            if (x << shift) < ((1 << shift) - s) * product:
-                assert got == exact, f"s={s} x={x} inside exact region but wrapped"
-                exact_hits += 1
+            exact_hits += check_bigint_transfer(
+                got, x, product, secret_basis.primes, pre.precision, s
+            )
             instances += 1
     elapsed = time.monotonic() - start
     assert instances == setups * per_setup == 10_000
@@ -186,7 +183,7 @@ def criterion_04_ecrt_oracle() -> str:
 
 def criterion_05_completeness() -> str:
     rng = Random(5150)
-    pk, params, secret = sq.toy_keygen(12, 3, rng, q=16)
+    pk, params, secret = toy_keygen(12, 3, rng, q=16)
     vks = []
     for i in range(10):
         t, width = [(1, 16), (2, 18), (3, 20), (2, 31), (1, 24)][i % 5]
@@ -195,14 +192,14 @@ def criterion_05_completeness() -> str:
     checked = 0
     for i in range(1000):
         message = b"squirrels completeness %d" % i
-        sig = sq.toy_sign(secret, message, params, rng)
+        sig = toy_sign(secret, message, params, rng)
         assert sq.verify(sig, message, pk, params)
         for vk in vks:
             assert sq.cverify(sig, message, vk, params), f"sig {i}"
             checked += 1
 
     wparams = wv.WaveParams(n=24, k=12, w=16, tag="toy")
-    wpk = wv.wave_toy_keygen(wparams, rng)
+    wpk = wave_toy_keygen(wparams, rng)
     wvks = []
     for i in range(10):
         c = (i % 4) + 2
@@ -211,7 +208,7 @@ def criterion_05_completeness() -> str:
     wchecked = 0
     for i in range(1000):
         message = b"wave completeness %d" % i
-        sig = wv.wave_toy_sign(wpk, message, wparams, rng)
+        sig = wave_toy_sign(wpk, message, wparams, rng)
         assert wv.wave_verify(sig, message, wpk, wparams)
         for vk in wvks:
             assert wv.wave_cverify(sig, message, vk, wparams), f"sig {i}"
@@ -260,13 +257,13 @@ def criterion_06_wave_soundness_rate() -> str:
 def criterion_07_squirrels_soundness_rate() -> str:
     start = time.monotonic()
     rng = Random(7)
-    pk, params, secret = sq.toy_keygen(12, 3, rng, q=16)
+    pk, params, secret = toy_keygen(12, 3, rng, q=16)
     ck = sq.ckeygen(params, 1, rng, secret_width=16)
     vk = sq.vkeygen(ck, pk, params)
     r = vk.secret_basis.primes[0]
     k_min, k_max = sq.k_prime_bounds(params)
     expected = (k_max - k_min + 1) / r
-    base = sq.toy_sign(secret, b"soundness target", params, rng)
+    base = toy_sign(secret, b"soundness target", params, rng)
     base_vec = list(base.s_vec)
     n = params.n
     trials = 100_000
@@ -394,10 +391,10 @@ def criterion_11_operation_speedup() -> str:
     details.append("wave 822/1249/1644 >= (n-k)/(2c)")
     # the counted formulas are what the instrumented verifiers report
     rng = Random(11)
-    pk, params, secret = sq.toy_keygen(10, 3, rng, q=16)
+    pk, params, secret = toy_keygen(10, 3, rng, q=16)
     ck = sq.ckeygen(params, 2, rng, secret_width=16)
     vk = sq.vkeygen(ck, pk, params)
-    sig = sq.toy_sign(secret, b"ops", params, rng)
+    sig = toy_sign(secret, b"ops", params, rng)
     v_ctr, c_ctr = OpCounter(), OpCounter()
     sq.verify(sig, b"ops", pk, params, counter=v_ctr)
     sq.cverify(sig, b"ops", vk, params, counter=c_ctr)

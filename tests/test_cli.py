@@ -338,10 +338,11 @@ print(json.dumps([codes, {_LOADED}, "logging" in sys.modules]))
 """
 
 # The modules a process runs for each scheme's commands, besides the
-# package, its errors, the CLI and serial.
+# package, its errors, the CLI and serial.  The toy signers' module is
+# there because keygen and sign-toy run in the same process.
 _SCHEME_MODULES = {
-    "squirrels": {"cvk.squirrels", "cvk.ecrt", "cvk.modmath"},
-    "wave": {"cvk.wave", "cvk.f3"},
+    "squirrels": {"cvk.squirrels", "cvk.ecrt", "cvk.modmath", "cvk.toy"},
+    "wave": {"cvk.wave", "cvk.f3", "cvk.toy"},
     "rw": {"cvk.rw", "cvk.modmath"},
 }
 
@@ -358,6 +359,36 @@ def test_a_process_runs_only_its_schemes_modules(tmp_path, scheme):
     base = {"cvk", "cvk.errors", "cvk.cli", "cvk.serial"}
     assert set(loaded) == base | _SCHEME_MODULES[scheme]
     assert not logging_loaded
+
+
+@pytest.mark.parametrize("scheme", ["squirrels", "wave"])
+def test_only_keygen_and_sign_toy_load_the_toy_signers(tmp_path, scheme):
+    # Each group runs in a fresh process: keygen, then sign-toy, then
+    # every command of the verifier's side.
+    keygen, ck_gen, vk_gen, sign_toy, verify, cverify = _default_pipeline(scheme, tmp_path)
+    for argvs, loads_toy in (
+        ([keygen], True), ([sign_toy], True), ([ck_gen, vk_gen, verify, cverify], False)
+    ):
+        codes, loaded, _ = _fresh_python(_PIPELINE_SCRIPT, json.dumps(argvs))
+        assert codes == [0] * len(argvs)
+        assert ("cvk.toy" in loaded) == loads_toy, [argv[0] for argv in argvs]
+
+
+def test_importing_a_scheme_loads_no_toy_code():
+    # The benchmark's alias cvk.squirrels.toy_keygen resolves on first
+    # access, to the toy module's own functions.
+    script = f"""
+import json, sys
+import cvk.squirrels, cvk.wave
+loaded = {_LOADED}
+sq = cvk.squirrels
+alias = sq.toy_keygen is cvk.toy.toy_keygen and sq.toy_sign is cvk.toy.toy_sign
+print(json.dumps([loaded, alias]))
+"""
+    loaded, alias = _fresh_python(script)
+    assert "cvk.squirrels" in loaded and "cvk.wave" in loaded
+    assert "cvk.toy" not in loaded
+    assert alias
 
 
 def test_importing_the_package_runs_no_scheme():

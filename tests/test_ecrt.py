@@ -26,6 +26,7 @@ from cvk.ecrt import (
 )
 from cvk.errors import SharedFactor
 from cvk.modmath import is_prime_word, sample_distinct_primes, sample_prime
+from oracles import check_bigint_transfer
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -400,12 +401,7 @@ def test_mod_ecrt_oracle_random(rng):
         product = math.prod(basis.primes)
         x = rng.randrange(product)
         got = mod_ecrt(pre, qc, RnsResidues.from_int(x, basis)).values
-        exact = tuple(x % r for r in secret.primes)
-        wrapped = tuple((x - product) % r for r in secret.primes)
-        assert got in (exact, wrapped)
-        shift = pre.precision
-        if (x << shift) < ((1 << shift) - len(basis)) * product:
-            assert got == exact
+        check_bigint_transfer(got, x, product, secret.primes, pre.precision, len(basis))
 
 
 def test_mod_ecrt_rejects_foreign_residues():
@@ -453,15 +449,14 @@ def _per_prime_transfer(pre, q, basis, x):
     a = pre.precision
     secret = pre.secret_basis.primes
     s = len(basis)
-    narrow = max(basis.primes + secret) < (1 << 31) and s << (31 + a) < (1 << 63)
-    dtype = np.int64 if narrow else object
-    p = np.array(basis.primes, dtype=dtype)
-    qv = np.array(q, dtype=dtype)
-    w = qv * pre.weights[:, :-1].astype(dtype) % np.array(secret, dtype=dtype)[:, None]
-    out = np.empty((x.shape[0], len(secret)), dtype=dtype)
+    assert max(basis.primes + secret) < (1 << 31) and s << (31 + a) < (1 << 63)
+    p = np.array(basis.primes, dtype=np.int64)
+    qv = np.array(q, dtype=np.int64)
+    w = qv * pre.weights[:, :-1].astype(np.int64) % np.array(secret, dtype=np.int64)[:, None]
+    out = np.empty((x.shape[0], len(secret)), dtype=np.int64)
     for start in range(0, x.shape[0], ecrt.TRANSFER_BLOCK_ROWS):
         rows = slice(start, start + ecrt.TRANSFER_BLOCK_ROWS)
-        block = x[rows].astype(dtype)
+        block = x[rows].astype(np.int64)
         y = block * qv
         f = (s + ((y // p << a) + (y % p << a) // p).sum(axis=1)) >> a
         for k, r in enumerate(secret):
@@ -479,14 +474,14 @@ def _balanced_table(u, p, floors):
 
 def _assert_transfer_matches_oracle(pre, q, basis, x):
     """Run the public half and the secret half one after the other, check
-    the public half's balanced term table exactly against u and the
-    floors computed in its word dtype, and compare the result, and the
-    one call of ``mod_ecrt_rows``, with the oracle."""
+    the public half's float64 balanced term table exactly against u and
+    the floors computed in int64, and compare the result, and the one
+    call of ``mod_ecrt_rows``, with the oracle."""
     terms = mod_ecrt_reduce(q, basis, x)
     s = len(basis)
-    dtype = np.int64 if terms.dtype == np.float64 else object
-    p = np.array(basis.primes, dtype=dtype)
-    u = x.astype(dtype) * np.array(q, dtype=dtype) % p
+    assert terms.dtype == np.float64
+    p = np.array(basis.primes, dtype=np.int64)
+    u = x.astype(np.int64) * np.array(q, dtype=np.int64) % p
     assert terms.shape == (x.shape[0], s + 1)
     assert np.array_equal(terms, _balanced_table(u, p, approx_floor(u, p, pre.precision)))
     assert np.all(np.abs(terms[:, :s]) <= p >> 1)
@@ -560,18 +555,14 @@ def test_mod_ecrt_rows_matches_oracle_at_int64_edge():
 def _three_limb_combine(pre, table):
     """Oracle for ``mod_ecrt_combine``: the secret half as it ran on the
     unsigned table [u | -f], for any integer table with entries below
-    2^31 in magnitude and a last column of at most s.  In Python ints when
-    a secret prime is not below 2^31 or the table holds Python ints;
-    otherwise the weights are cut into
-    ceil(31 / b) unsigned limbs of b = 22 - ceil(log2 s) bits (three at
-    every named instance), each limb's sums are taken exactly in float64
-    and stored as int64, and an int64 Horner chain takes one % r per
-    limb."""
+    2^31 in magnitude and a last column of at most s, on secret primes
+    below 2^31.  The weights are cut into ceil(31 / b) unsigned limbs of
+    b = 22 - ceil(log2 s) bits (three at every named instance), each
+    limb's sums are taken exactly in float64 and stored as int64, and an
+    int64 Horner chain takes one % r per limb."""
     s = table.shape[1] - 1
     secret = pre.secret_basis.primes
-    if max(secret) >= 1 << 31 or table.dtype == object:
-        r = np.array(secret, dtype=object)
-        return table.astype(np.int64).astype(object) @ pre.weights.T.astype(object) % r
+    assert max(secret) < 1 << 31
     r = np.array(secret, dtype=np.int64)
     c = pre.weights.T.astype(np.int64)
     b = 22 - (s - 1).bit_length()

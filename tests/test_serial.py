@@ -19,6 +19,7 @@ from cvk.ecrt import PrimeBasis, mod_ecrt_setup
 from cvk.errors import MalformedSignature
 from cvk.f3 import TernaryMatrix, pack_trits, random_trits, row_stride
 from cvk.modmath import inv_mod, sample_distinct_primes, sample_prime
+from cvk.toy import toy_sign, wave_toy_keygen, wave_toy_sign
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ def sq_world(toy_squirrels):
     rng = Random(55)
     ck = sq.ckeygen(params, 2, rng, secret_width=16)
     vk = sq.vkeygen(ck, pk, params)
-    sig = sq.toy_sign(secret, b"serial", params, rng)
+    sig = toy_sign(secret, b"serial", params, rng)
     return pk, params, secret, ck, vk, sig
 
 
@@ -37,7 +38,7 @@ def wv_world(toy_wave):
     rng = Random(56)
     ck = wv.wave_ckeygen(params, 4, rng)
     vk = wv.wave_vkeygen(pk, ck, params)
-    sig = wv.wave_toy_sign(pk, b"serial", params, rng)
+    sig = wave_toy_sign(pk, b"serial", params, rng)
     return pk, params, ck, vk, sig
 
 
@@ -269,7 +270,7 @@ def test_wave_vk_payload_matches_quarter_formula():
     # byte-aligned c: stored payload is exactly c(n-c)/4 bytes
     params = wv.WaveParams(n=40, k=20, w=27, tag="toy")
     rng = Random(77)
-    pk = wv.wave_toy_keygen(params, rng)
+    pk = wave_toy_keygen(params, rng)
     ck = wv.wave_ckeygen(params, 8, rng)
     vk = wv.wave_vkeygen(pk, ck, params)
     blob = serial.encode_wave_vk(vk, params)
@@ -353,7 +354,7 @@ def test_wave_pk_rejects_invalid_trits(wv_world):
 
 def _wave_vk_payload(params, c):
     rng = Random(58)
-    vk = wv.wave_vkeygen(wv.wave_toy_keygen(params, rng), wv.wave_ckeygen(params, c, rng), params)
+    vk = wv.wave_vkeygen(wave_toy_keygen(params, rng), wv.wave_ckeygen(params, c, rng), params)
     return bytearray(serial.encode_wave_vk(vk, params))
 
 
@@ -534,7 +535,7 @@ def test_squirrels_ck_decoder_returns_key_or_malformed(payload):
 
 WAVE_FUZZ = wv.WaveParams(n=26, k=13, w=13, tag="toy")
 WAVE_FUZZ_C = 3
-_wave_fuzz_pk = wv.wave_toy_keygen(WAVE_FUZZ, Random(59))
+_wave_fuzz_pk = wave_toy_keygen(WAVE_FUZZ, Random(59))
 _wave_fuzz_ck = wv.wave_ckeygen(WAVE_FUZZ, WAVE_FUZZ_C, Random(60))
 WAVE_FUZZ_PAYLOADS = {
     serial.KIND_PK: _wave_fuzz_pk.data,
@@ -644,7 +645,7 @@ def test_squirrels_ck_vk_reject_primes_inside_multiplier_window(sq_world):
     small = PrimeBasis((3, 5))
     precomp = mod_ecrt_setup(params.public_basis, small)
     inv_delta = tuple(inv_mod(d, r) for d, r in zip(precomp.weights[:, -1].tolist(), small.primes))
-    ck = sq.SquirrelsCompressionKey(small, precomp, inv_delta)
+    ck = sq.SquirrelsCompressionKey(params.public_basis, small, precomp, inv_delta)
     rows = pk.residues[:, :2] % np.array(small.primes)
     payload = np.concatenate([small.primes, inv_delta, rows.ravel()]).astype("<i4").tobytes()
     assert len(payload) == sq.vk_bytes(params, 2)

@@ -16,6 +16,8 @@ from cvk.ecrt import (
 from cvk.errors import DimensionMismatch, MalformedSignature, ResampleLimit, SharedFactor
 from cvk.modmath import is_prime_word, sample_distinct_primes
 from cvk.opcount import OpCounter
+from cvk.toy import _row_hnf, toy_keygen, toy_sign
+from oracles import check_bigint_transfer
 
 MESSAGE = b"the quick brown squirrel"
 
@@ -36,7 +38,7 @@ def toy_keys(toy):
 
 def _check_vector(secret, params):
     """Reconstruct the integer check vector from the signer's matrix."""
-    h = sq._row_hnf([[int(x) for x in row] for row in secret.basis])
+    h = _row_hnf([[int(x) for x in row] for row in secret.basis])
     return [h[i][params.n - 1] for i in range(params.n - 1)] + [-1]
 
 
@@ -103,7 +105,7 @@ def test_k_prime_bounds_degenerate():
 
 def test_toy_keygen_cocyclic_and_squarefree(toy):
     pk, params, secret = toy
-    h = sq._row_hnf([[int(x) for x in row] for row in secret.basis])
+    h = _row_hnf([[int(x) for x in row] for row in secret.basis])
     delta = math.prod(params.public_basis.primes)
     assert all(h[i][i] == 1 for i in range(params.n - 1))
     assert h[params.n - 1][params.n - 1] == delta
@@ -128,7 +130,7 @@ def test_toy_keygen_residues_match_check_vector(toy):
 
 def test_toy_keygen_dimension_guard():
     with pytest.raises(ValueError):
-        sq.toy_keygen(64, 3, Random(0))
+        toy_keygen(64, 3, Random(0))
 
 
 def test_row_hnf_against_sympy_oracle():
@@ -138,7 +140,7 @@ def test_row_hnf_against_sympy_oracle():
     for _ in range(25):
         n = rng.randrange(2, 6)
         g = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        h = sq._row_hnf(g)
+        h = _row_hnf(g)
         det = int(sympy.Matrix(g).det())
         if det == 0:
             assert h is None
@@ -163,7 +165,7 @@ def test_toy_sign_verifies(toy):
     pk, params, secret = toy
     rng = Random(5)
     for i in range(20):
-        sig = sq.toy_sign(secret, b"sign %d" % i, params, rng)
+        sig = toy_sign(secret, b"sign %d" % i, params, rng)
         assert sq.verify(sig, b"sign %d" % i, pk, params)
 
 
@@ -171,7 +173,7 @@ def test_toy_sign_norm_enforced(toy):
     pk, params, secret = toy
     rng = Random(6)
     for i in range(20):
-        sig = sq.toy_sign(secret, b"norm %d" % i, params, rng)
+        sig = toy_sign(secret, b"norm %d" % i, params, rng)
         assert sum(x * x for x in sig.s_vec) <= params.beta_sq
 
 
@@ -180,7 +182,7 @@ def test_toy_sign_lands_on_lattice(toy):
     delta = math.prod(params.public_basis.primes)
     check = _check_vector(secret, params)
     rng = Random(7)
-    sig = sq.toy_sign(secret, MESSAGE, params, rng)
+    sig = toy_sign(secret, MESSAGE, params, rng)
     h = sq.hash_to_point(MESSAGE, sig.salt, params.q, params.n)
     c = [int(si + hi) for si, hi in zip(sig.s_vec, h)]
     assert sum(ci * vi for ci, vi in zip(c, check)) % delta == 0
@@ -191,7 +193,7 @@ def test_toy_sign_lands_on_lattice(toy):
 
 def test_public_target_is_the_length_check_norm_gate_and_target(toy):
     pk, params, secret = toy
-    sig = sq.toy_sign(secret, MESSAGE, params, Random(10))
+    sig = toy_sign(secret, MESSAGE, params, Random(10))
     c = sq.public_target(sig, MESSAGE, params)
     assert c.dtype == np.int64
     assert np.array_equal(c, sig.s_vec + sq.hash_to_point(MESSAGE, sig.salt, params.q, params.n))
@@ -209,14 +211,14 @@ def test_public_target_is_the_length_check_norm_gate_and_target(toy):
 
 def test_verify_rejects_overlong_s(toy):
     pk, params, secret = toy
-    sig = sq.toy_sign(secret, MESSAGE, params, Random(8))
+    sig = toy_sign(secret, MESSAGE, params, Random(8))
     inflated = sq.SquirrelsSignature(sig.salt, tuple(20 * x + 30 for x in sig.s_vec))
     assert not sq.verify(inflated, MESSAGE, pk, params)
 
 
 def test_verify_rejects_tampered_pk_entry(toy):
     pk, params, secret = toy
-    sig = sq.toy_sign(secret, MESSAGE, params, Random(9))
+    sig = toy_sign(secret, MESSAGE, params, Random(9))
     h = sq.hash_to_point(MESSAGE, sig.salt, params.q, params.n)
     c = [int(si + hi) for si, hi in zip(sig.s_vec, h)]
     # pick a coordinate whose coefficient is a unit mod the tampered prime
@@ -357,15 +359,15 @@ def test_vk_copies_a_view_of_its_rows():
 
 
 def _hand_built_ck(params, primes):
-    """A compression key on ``primes`` that skips the checks of
-    ``compression_key`` and ``mod_ecrt_setup``: every word follows from
-    the primes, as in a CK file, here in Python ints."""
-    secret = PrimeBasis(tuple(primes))
-    product = math.prod(params.public_basis.primes)
-    cofactors = [product // p for p in params.public_basis.primes] + [product]
+    """A compression key for the params' public basis on ``primes`` that
+    skips the checks of ``compression_key`` and ``mod_ecrt_setup``: every
+    word follows from the primes, as in a CK file, here in Python ints."""
+    basis, secret = params.public_basis, PrimeBasis(tuple(primes))
+    product = math.prod(basis.primes)
+    cofactors = [product // p for p in basis.primes] + [product]
     weights = np.array([[c % r for c in cofactors] for r in secret.primes], dtype=np.int64)
     inv_delta = tuple(pow(product, -1, r) for r in secret.primes)
-    return sq.SquirrelsCompressionKey(secret, EcrtPrecomp(secret, weights), inv_delta)
+    return sq.SquirrelsCompressionKey(basis, secret, EcrtPrecomp(secret, weights), inv_delta)
 
 
 @pytest.mark.parametrize("where", ["in-window", "40-bit"])
@@ -514,6 +516,23 @@ def test_compression_key_rejects_prime_beyond_fold_bound(toy):
         sq.ckeygen(params, 1, Random(0), secret_width=40)
 
 
+def test_vkeygen_refuses_a_ck_built_for_another_public_basis():
+    # A CK for another basis of the same length used to install, and its
+    # VK then rejected every honest signature.  It is refused before the
+    # transfer, so the public key keeps no terms; the key's own CK installs.
+    rng = Random(1)
+    pk, params, secret = toy_keygen(12, 3, rng, q=16)
+    assert params.s == 5
+    other = sample_distinct_primes(31, params.s, rng, exclude=params.public_basis.primes)
+    ck = sq.ckeygen(replace(params, public_basis=PrimeBasis(other)), 5, rng)
+    with pytest.raises(ValueError, match="another public basis"):
+        sq.vkeygen(ck, pk, params)
+    assert pk._terms == ()
+    vk = sq.vkeygen(sq.compression_key(params, ck.secret_basis), pk, params)
+    sig = toy_sign(secret, MESSAGE, params, rng)
+    assert sq.cverify(sig, MESSAGE, vk, params)
+
+
 def test_vkeygen_rows_shifted_by_at_most_one_product(toy, toy_keys):
     pk, params, secret = toy
     ck, vk = toy_keys
@@ -554,17 +573,15 @@ def test_vkeygen_full_size_matches_bigint_crt():
     weights = [
         qi * (delta // p) for qi, p in zip(q_coefficients(basis), basis.primes)
     ]
-    a, s = ck.precomp.precision, len(basis)
     secret = ck.secret_basis.primes
     exact_rows = 0
     for i, row in enumerate(residues.tolist()):
         x = sum(v * w for v, w in zip(row, weights)) % delta
-        got = [int(vk.rows[j, i]) for j in range(len(secret))]
-        shifted = [(x + delta) % r for r in secret]
-        assert got in ([x % r for r in secret], shifted), f"row {i}"
-        if (x << a) < ((1 << a) - s) * delta:
-            assert got == shifted, f"row {i} inside the exact region"
-            exact_rows += 1
+        # The stored entry is the transfer plus one product.
+        got = [(int(vk.rows[j, i]) - delta) % r for j, r in enumerate(secret)]
+        exact_rows += check_bigint_transfer(
+            got, x, delta, secret, ck.precomp.precision, len(basis)
+        )
     assert exact_rows > 750  # about 1 - s/2^a = 84% of uniform values
 
 
@@ -750,7 +767,7 @@ def test_cverify_completeness(toy, toy_keys):
     rng = Random(10)
     for i in range(100):
         message = b"complete %d" % i
-        sig = sq.toy_sign(secret, message, params, rng)
+        sig = toy_sign(secret, message, params, rng)
         assert sq.verify(sig, message, pk, params)
         assert sq.cverify(sig, message, vk, params)
 
@@ -781,7 +798,7 @@ def test_cverify_builds_no_key_arrays(toy, toy_keys, monkeypatch):
     cases = []
     for i in range(10):
         message = b"prepared %d" % i
-        sig = sq.toy_sign(secret, message, params, rng)
+        sig = toy_sign(secret, message, params, rng)
         cases += [(sig, message), (sig, message + b"!")]
     expected = [sq.cverify(sig, m, vk, params) for sig, m in cases]
     assert all(expected[::2])  # every honest pair accepts
@@ -792,14 +809,14 @@ def test_cverify_builds_no_key_arrays(toy, toy_keys, monkeypatch):
 def test_cverify_rejects_wrong_message(toy, toy_keys):
     pk, params, secret = toy
     _, vk = toy_keys
-    sig = sq.toy_sign(secret, MESSAGE, params, Random(11))
+    sig = toy_sign(secret, MESSAGE, params, Random(11))
     assert not sq.cverify(sig, b"something else", vk, params)
 
 
 def test_cverify_norm_gate(toy, toy_keys):
     pk, params, secret = toy
     _, vk = toy_keys
-    sig = sq.toy_sign(secret, MESSAGE, params, Random(12))
+    sig = toy_sign(secret, MESSAGE, params, Random(12))
     inflated = sq.SquirrelsSignature(sig.salt, tuple(25 * x + 40 for x in sig.s_vec))
     assert not sq.cverify(inflated, MESSAGE, vk, params)
 
@@ -828,7 +845,7 @@ def test_recovered_multiplier_stays_in_window(toy, toy_keys):
     rng = Random(13)
     for i in range(50):
         message = b"window %d" % i
-        sig = sq.toy_sign(secret, message, params, rng)
+        sig = toy_sign(secret, message, params, rng)
         h = sq.hash_to_point(message, sig.salt, params.q, params.n)
         c = [int(si + hi) for si, hi in zip(sig.s_vec, h)]
         total = sum(ci * vi for ci, vi in zip(c, check))
@@ -844,7 +861,7 @@ def test_recovered_multiplier_stays_in_window(toy, toy_keys):
 def test_cverify_multiple_widths_and_counts(toy):
     pk, params, secret = toy
     rng = Random(14)
-    sig = sq.toy_sign(secret, MESSAGE, params, rng)
+    sig = toy_sign(secret, MESSAGE, params, rng)
     for t, width in [(1, 16), (3, 20), (2, 31)]:
         ck = sq.ckeygen(params, t, rng, secret_width=width)
         vk = sq.vkeygen(ck, pk, params)
@@ -897,7 +914,7 @@ def _differential_inputs(secret, params, rng):
     small = math.isqrt(params.beta_sq // n)
     for i in range(12):
         message = b"differential %d" % i
-        sig = sq.toy_sign(secret, message, params, rng)
+        sig = toy_sign(secret, message, params, rng)
         yield "honest", message, sig
         s_vec = list(sig.s_vec)
         for j in rng.sample(range(n), rng.randint(1, 4)):
@@ -1065,7 +1082,7 @@ def test_choose_t_mu_is_exact_log_binomial():
 def test_instrumented_counts_match_formulas(toy, toy_keys):
     pk, params, secret = toy
     _, vk = toy_keys
-    sig = sq.toy_sign(secret, MESSAGE, params, Random(15))
+    sig = toy_sign(secret, MESSAGE, params, Random(15))
     v_counter, c_counter = OpCounter(), OpCounter()
     sq.verify(sig, MESSAGE, pk, params, counter=v_counter)
     sq.cverify(sig, MESSAGE, vk, params, counter=c_counter)

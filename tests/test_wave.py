@@ -12,6 +12,7 @@ from cvk import wave as wv
 from cvk.errors import DimensionMismatch, MalformedSignature
 from cvk.f3 import TernaryMatrix, random_trits
 from cvk.opcount import OpCounter
+from cvk.toy import MAX_TOY_LENGTH, wave_toy_keygen, wave_toy_sign
 
 MESSAGE = b"ride the wave"
 
@@ -187,7 +188,7 @@ def test_toy_keygen_dimensions(toy):
 
 def test_toy_keygen_entries_roughly_uniform():
     params = wv.WaveParams(n=64, k=32, w=43, tag="toy")
-    pk = wv.wave_toy_keygen(params, Random(1))
+    pk = wave_toy_keygen(params, Random(1))
     arr = pk.to_array()
     total = arr.size
     sigma = math.sqrt(total * (1 / 3) * (2 / 3))
@@ -197,7 +198,7 @@ def test_toy_keygen_entries_roughly_uniform():
 
 def test_toy_keygen_distinct_across_seeds():
     params = wv.WaveParams(n=24, k=12, w=16, tag="toy")
-    assert wv.wave_toy_keygen(params, Random(1)) != wv.wave_toy_keygen(params, Random(2))
+    assert wave_toy_keygen(params, Random(1)) != wave_toy_keygen(params, Random(2))
 
 
 def test_toy_sign_satisfies_syndrome_equation(toy):
@@ -205,7 +206,7 @@ def test_toy_sign_satisfies_syndrome_equation(toy):
     rng = Random(3)
     nk = params.redundancy
     for i in range(20):
-        sig = wv.wave_toy_sign(pk, b"syndrome %d" % i, params, rng)
+        sig = wave_toy_sign(pk, b"syndrome %d" % i, params, rng)
         s = sig.trits().astype(np.int64)
         h = wv.hash_to_trits(b"syndrome %d" % i, sig.salt, nk)
         lhs = (s[:nk] + s[nk:] @ pk.to_array().astype(np.int64)) % 3
@@ -219,7 +220,7 @@ def test_toy_sign_satisfies_syndrome_equation(toy):
 
 def test_verify_weight_gate(toy):
     pk, params = toy
-    sig = wv.wave_toy_sign(pk, MESSAGE, params, Random(4))
+    sig = wave_toy_sign(pk, MESSAGE, params, Random(4))
     trits = sig.trits().copy()
     hot = int(np.argmax(trits > 0))
     trits[hot] = 0  # weight w - 1
@@ -228,7 +229,7 @@ def test_verify_weight_gate(toy):
 
 def test_verify_single_trit_flip(toy):
     pk, params = toy
-    sig = wv.wave_toy_sign(pk, MESSAGE, params, Random(5))
+    sig = wave_toy_sign(pk, MESSAGE, params, Random(5))
     trits = sig.trits().copy()
     hot = int(np.argmax(trits > 0))
     trits[hot] = 3 - trits[hot]  # swap 1 <-> 2: weight preserved
@@ -264,7 +265,7 @@ def test_wave_signature_one_byte_short_is_malformed(toy, entry):
 
 def test_signature_trits_unpacked_once_and_read_only(toy):
     pk, params = toy
-    sig = wv.wave_toy_sign(pk, MESSAGE, params, Random(6))
+    sig = wave_toy_sign(pk, MESSAGE, params, Random(6))
     trits = sig.trits()
     assert sig.trits() is trits
     assert trits.dtype == np.uint8 and trits.size == params.n
@@ -277,7 +278,7 @@ def test_signature_trits_unpacked_once_and_read_only(toy):
 
 def test_public_target_is_the_length_check_weight_gate_and_target(toy):
     pk, params = toy
-    sig = wv.wave_toy_sign(pk, MESSAGE, params, Random(7))
+    sig = wave_toy_sign(pk, MESSAGE, params, Random(7))
     t = wv.public_target(sig, MESSAGE, params)
     h = wv.hash_to_trits(MESSAGE, sig.salt, params.redundancy)
     assert t.dtype == np.uint8
@@ -464,7 +465,7 @@ def test_cverify_completeness(toy, toy_keys):
     rng = Random(11)
     for i in range(100):
         message = b"complete %d" % i
-        sig = wv.wave_toy_sign(pk, message, params, rng)
+        sig = wave_toy_sign(pk, message, params, rng)
         assert wv.wave_verify(sig, message, pk, params)
         assert wv.wave_cverify(sig, message, vk, params)
 
@@ -472,7 +473,7 @@ def test_cverify_completeness(toy, toy_keys):
 def test_cverify_weight_gate(toy, toy_keys):
     pk, params = toy
     _, vk = toy_keys
-    sig = wv.wave_toy_sign(pk, MESSAGE, params, Random(12))
+    sig = wave_toy_sign(pk, MESSAGE, params, Random(12))
     trits = sig.trits().copy()
     hot = int(np.argmax(trits > 0))
     trits[hot] = 0
@@ -484,7 +485,7 @@ def test_cverify_weight_gate(toy, toy_keys):
 def test_cverify_rejects_truncated_signature(toy, toy_keys):
     pk, params = toy
     _, vk = toy_keys
-    sig = wv.wave_toy_sign(pk, MESSAGE, params, Random(13))
+    sig = wave_toy_sign(pk, MESSAGE, params, Random(13))
     truncated = wv.WaveSignature.from_trits(sig.salt, sig.trits()[params.redundancy :])
     with pytest.raises(MalformedSignature):
         wv.wave_cverify(truncated, MESSAGE, vk, params)
@@ -618,7 +619,7 @@ def test_cverify_matches_int64_oracle(toy, toy_keys):
     verdicts = []
     for i in range(60):
         message = b"oracle %d" % i
-        sig = wv.wave_toy_sign(pk, message, params, rng)
+        sig = wave_toy_sign(pk, message, params, rng)
         trits = sig.trits().copy()
         hot = int(np.flatnonzero(trits)[rng.randrange(params.w)])
         flipped = trits.copy()
@@ -695,7 +696,7 @@ def test_cverify_false_accept_rate_smoke(toy, toy_keys):
 def test_instrumented_counts_match_formulas(toy, toy_keys):
     pk, params = toy
     _, vk = toy_keys
-    sig = wv.wave_toy_sign(pk, MESSAGE, params, Random(15))
+    sig = wave_toy_sign(pk, MESSAGE, params, Random(15))
     v_counter, c_counter = OpCounter(), OpCounter()
     wv.wave_verify(sig, MESSAGE, pk, params, counter=v_counter)
     wv.wave_cverify(sig, MESSAGE, vk, params, counter=c_counter)
@@ -713,7 +714,7 @@ def test_named_instance_speedup_factor():
 # ── the full verifier is the compressed one at c = n-k ───────────────────
 
 
-@pytest.mark.parametrize("n, w", [(24, 16), (wv.MAX_TOY_LENGTH, 43)])
+@pytest.mark.parametrize("n, w", [(24, 16), (MAX_TOY_LENGTH, 43)])
 def test_full_verifier_equals_compressed_verifier_on_the_public_key(n, w):
     # The public key R is the stored block of a VK with c = n-k, whose
     # fold t[:c] + R^T t[c:] is the full syndrome: the two verifiers
@@ -721,13 +722,13 @@ def test_full_verifier_equals_compressed_verifier_on_the_public_key(n, w):
     # product go.
     params = wv.WaveParams(n=n, k=n // 2, w=w, tag="toy")
     rng = Random(2400 + n)
-    pk = wv.wave_toy_keygen(params, rng)
+    pk = wave_toy_keygen(params, rng)
     vk = wv.WaveVerificationKey(pk)
     assert (vk.c, vk.n) == (params.redundancy, n)
     verdicts = []
     for i in range(5):
         message = b"identity %d" % i
-        sig = wv.wave_toy_sign(pk, message, params, rng)
+        sig = wave_toy_sign(pk, message, params, rng)
         trits = sig.trits()
         hot = rng.choice(np.flatnonzero(trits).tolist())
         swapped, light = trits.copy(), trits.copy()
